@@ -1,7 +1,7 @@
 # SMORE reproduction — common workflows.
 
 .PHONY: install test test-backends bench bench-perf bench-route \
-	bench-train bench-serve bench-dynamic bench-ops bench-shard \
+	bench-serve bench-dynamic bench-ops bench-shard \
 	serve-smoke serve-replay-smoke dashboard-smoke profile results \
 	full clean
 
@@ -32,13 +32,6 @@ bench-perf:
 # path (speedup floor + bit-identity; writes results/BENCH_PR5.json).
 bench-route:
 	PYTHONPATH=src pytest benchmarks/test_route_kernel_regression.py \
-		--benchmark-only
-
-# Training-throughput regression: fused backend + cross-instance
-# batched decoding vs the reference serial path at paper scale
-# (speedup floor + reward parity; writes results/BENCH_PR6.json).
-bench-train:
-	PYTHONPATH=src pytest benchmarks/test_train_throughput_regression.py \
 		--benchmark-only
 
 # Serving-throughput regression: micro-batched SolverService on a warm

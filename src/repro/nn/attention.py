@@ -225,23 +225,20 @@ class PointerAttention(Module):
         w_static = self.w_k.weight[:keys_static.shape[-1]]
         return ops.matmul(keys_static, w_static)
 
-    def forward_precomputed(self, query, keys, extra=None,
+    def forward_precomputed(self, query, keys, index, extra=None,
                             mask: np.ndarray | None = None) -> Tensor:
         """Pointer logits from pre-projected keys (:meth:`precompute_keys`).
 
-        ``keys``: gathered rows of the precomputed static projection,
-        ``(n, d_key)`` serial or ``(B, n, d_key)`` batched.  ``extra``:
-        per-step key features ``(n, e)`` / ``(B, n, e)`` projected through
-        the trailing ``e`` input rows of ``w_k`` and added — the split
-        ``W [s; x] = W_s s + W_x x`` evaluated as two products.
+        ``keys``: the precomputed static projection, ``(N, d_key)``;
+        ``index`` picks each candidate's row, ``(n,)`` serial or
+        ``(B, n)`` batched.  ``extra``: per-step key features
+        ``(n, e)`` / ``(B, n, e)``
+        projected through the trailing ``e`` input rows of ``w_k`` and
+        added — the split ``W [s; x] = W_s s + W_x x`` evaluated as two
+        products.  Gather, projection and add form one graph node
+        (:func:`~repro.nn.ops.pointer_keys`).
         """
-        query = as_tensor(query)
-        k = as_tensor(keys)
-        if extra is not None:
-            extra = as_tensor(extra)
-            w_extra = self.w_k.weight[
-                self.w_k.in_features - extra.shape[-1]:]
-            k = ops.add(k, ops.matmul(extra, w_extra))
+        k = ops.pointer_keys(keys, index, extra, self.w_k.weight)
         q = self.w_q(query)
         if k.ndim == 3:
             batch = k.shape[0]

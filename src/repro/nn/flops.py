@@ -140,6 +140,12 @@ def flop_count(name: str, in_shapes, out_shape) -> int:
         if len(a_shape) == 1 and len(b_shape) == 1:
             return 2 * k
         return 2 * out_elems * k
+    if name == "pointer_keys":
+        # Forward args and backward parents both end (extra, weight);
+        # without extra the op is a pure gather.
+        if len(in_shapes) < 3:
+            return 0
+        return 2 * out_elems * in_shapes[-2][-1] + out_elems
     if name in _ZERO_COST:
         return 0
     if name in REDUCTION_COST:

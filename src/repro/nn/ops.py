@@ -18,7 +18,7 @@ __all__ = [
     "sqrt", "tanh", "sigmoid", "relu", "sum", "mean", "max", "reshape",
     "transpose", "concat", "stack", "getitem", "softmax", "log_softmax",
     "clip_tanh", "where", "dropout", "gather_rows", "scatter_rows",
-    "masked_fill", "abs",
+    "pointer_keys", "masked_fill", "abs",
     "broadcast_to", "masked_softmax", "masked_log_softmax", "masked_mean",
     "pad_stack",
 ]
@@ -411,6 +411,44 @@ def scatter_rows(base, indices, rows) -> Tensor:
         return grad_base, grad[idx]
 
     return Tensor._make(out_data, (base, rows), backward)
+
+
+def pointer_keys(table, indices, extra=None, weight=None) -> Tensor:
+    """Pointer keys ``table[indices] + extra @ weight[-e:]`` as one node.
+
+    ``table`` holds precomputed static key projections; ``indices`` picks
+    rows of it (any index shape, e.g. ``(m,)`` or padded ``(K, m_max)``).
+    ``extra`` carries ``e`` per-key step features projected through the
+    trailing ``e`` rows of ``weight``.
+    The forward runs the same numpy arithmetic as ``gather_rows`` +
+    ``matmul`` + ``add``, so results are bit-identical to that chain, but
+    the graph keeps one output instead of three.  Backward is a
+    scatter-add into ``table`` plus one flat GEMM for the weight rows.
+    """
+    table = as_tensor(table)
+    idx = np.asarray(indices, dtype=np.intp)
+    out_data = table.data[idx]
+    if extra is None:
+        parents = (table,)
+    else:
+        extra, weight = as_tensor(extra), as_tensor(weight)
+        start = weight.shape[0] - extra.shape[-1]
+        out_data = out_data + flat_matmul(extra.data, weight.data[start:])
+        parents = (table, extra, weight)
+
+    def backward(grad):
+        grad_table = np.zeros_like(table.data)
+        np.add.at(grad_table, idx, grad)
+        if extra is None:
+            return (grad_table,)
+        grad_weight = np.zeros_like(weight.data)
+        grad_weight[start:] = (extra.data.reshape(-1, extra.shape[-1]).T
+                               @ grad.reshape(-1, grad.shape[-1]))
+        grad_extra = (flat_matmul(grad, weight.data[start:].T)
+                      if extra.requires_grad else None)
+        return grad_table, grad_extra, grad_weight
+
+    return Tensor._make(out_data, parents, backward)
 
 
 # --------------------------------------------------------------------- #

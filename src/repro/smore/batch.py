@@ -43,6 +43,14 @@ class DeadlineExpired(BatchAdmissionError):
     """The request's deadline passed before it could be admitted."""
 
 
+def _end_run(policy) -> None:
+    """Drop the policy's per-run decode state (``end_episodes``): once a
+    run returns, only its results keep its autograd graph alive."""
+    end_episodes = getattr(policy, "end_episodes", None)
+    if end_episodes is not None:
+        end_episodes()
+
+
 @dataclass
 class EpisodeResult:
     """One finished rollout out of a batch."""
@@ -83,7 +91,10 @@ class BatchedEpisodeRunner:
             rngs.append(rng)
 
         with profile_scope("decode"):
-            return self._run(specs, greedy_flags, rngs, record_actions)
+            try:
+                return self._run(specs, greedy_flags, rngs, record_actions)
+            finally:
+                _end_run(self.policy)
 
     def _run(self, specs, greedy_flags, rngs,
              record_actions: bool) -> list[EpisodeResult]:
@@ -178,8 +189,11 @@ class MultiInstanceRunner:
                 rngs.append(rng)
 
         with profile_scope("decode"):
-            return self._run(len(specs_per_env), env_of, greedy_flags, rngs,
-                             record_actions)
+            try:
+                return self._run(len(specs_per_env), env_of, greedy_flags,
+                                 rngs, record_actions)
+            finally:
+                _end_run(self.policy)
 
     def _run(self, num_envs, env_of, greedy_flags, rngs,
              record_actions: bool) -> list[list[EpisodeResult]]:

@@ -236,12 +236,9 @@ class TASNetPolicy:
         self._task_mean: nn.Tensor | None = None
         self._worker_ids: list[int] = []
         self._task_index: dict[int, int] = {}
-        self._multi: _MultiEpisodeStatics | None = None
-        # Incremental per-(rollout, worker) mean-assigned embedding bank
-        # for the batched decode paths; see _assigned_bank_rows.
-        self._bank: nn.Tensor | None = None
-        self._bank_counts: np.ndarray | None = None
-        self._bank_slots: dict[int, tuple[object, int]] = {}
+        # Per-run decode state: the begin_episodes statics and the
+        # assigned-embedding bank of _assigned_bank_rows.
+        self.end_episodes()
 
     # ------------------------------------------------------------------ #
     def _instance_statics(self, instance: USMDWInstance) -> _InstanceStatics:
@@ -275,8 +272,7 @@ class TASNetPolicy:
     def begin_episode(self, instance: USMDWInstance) -> None:
         """Encode the static parts of the state (workers, sensing tasks)."""
         self._instance = instance
-        self._multi = None
-        self._reset_bank()
+        self.end_episodes()
         statics = self._instance_statics(instance)
         self._worker_emb = statics.worker_emb
         self._task_emb = statics.task_emb
@@ -299,7 +295,7 @@ class TASNetPolicy:
         if not instances:
             raise ValueError("begin_episodes needs at least one instance")
         self._instance = None
-        self._reset_bank()
+        self.end_episodes()
         worker_embs, task_embs, cand_keys, task_means = [], [], [], []
         worker_ids, task_index = [], []
         for instance in instances:
@@ -373,7 +369,6 @@ class TASNetPolicy:
         delta_phi = np.array([
             state.coverage.gain(instance.sensing_task(t)) for t in task_ids])
         cand_indices = np.array([self._task_index[t] for t in task_ids])
-        candidate_keys = nn.ops.gather_rows(self._cand_keys, cand_indices)
         assigned = state.assignments[worker_id].assigned
         assigned_emb = None
         if assigned:
@@ -381,7 +376,8 @@ class TASNetPolicy:
             assigned_emb = nn.ops.gather_rows(self._task_emb, idx)
         task_logp = self.net.task_selection(
             self._worker_emb[worker_idx], assigned_emb, budget_norm, h_g,
-            self._task_mean, candidate_keys, delta_phi, delta_in)
+            self._task_mean, self._cand_keys, cand_indices, delta_phi,
+            delta_in)
         return task_logp, task_ids
 
     def act(self, state: SelectionState, greedy: bool = True,
@@ -419,10 +415,18 @@ class TASNetPolicy:
     # ------------------------------------------------------------------ #
     # Batched decoding: K rollouts of one instance per forward pass.
     # ------------------------------------------------------------------ #
-    def _reset_bank(self) -> None:
-        self._bank = None
-        self._bank_counts = None
-        self._bank_slots = {}
+    def end_episodes(self) -> None:
+        """Drop the per-run decode state: the cross-instance statics of
+        :meth:`begin_episodes` and the assigned-embedding bank.
+
+        Decode runners call this when a run ends, so no autograd graph
+        built during the run outlives it (the single-instance statics of
+        :meth:`begin_episode` stay, for :meth:`act` callers).
+        """
+        self._multi: _MultiEpisodeStatics | None = None
+        self._bank: nn.Tensor | None = None
+        self._bank_counts: np.ndarray | None = None
+        self._bank_slots: dict[int, tuple[object, int]] = {}
 
     def _assigned_bank_rows(self, states, rows: list[list[int]], w: int,
                             task_emb: nn.Tensor) -> nn.Tensor:
@@ -439,8 +443,8 @@ class TASNetPolicy:
         row through the :func:`~repro.nn.ops.scatter_rows` chain.
 
         Slots are keyed by state object identity (a strong reference is
-        kept until the next ``begin_episode``, so ids cannot be reused
-        mid-episode) — assigned sets only grow during an episode, so a
+        kept until :meth:`end_episodes`, so ids cannot be reused
+        mid-run) — assigned sets only grow during an episode, so a
         count match implies unchanged contents.
         """
         d = self.net.config.d_model
@@ -566,7 +570,6 @@ class TASNetPolicy:
         cand_idx = np.zeros((num_states, m_max), dtype=np.intp)
         for k, row in enumerate(cand_rows):
             cand_idx[k, :len(row)] = row
-        candidate_keys = nn.ops.gather_rows(cand_keys, cand_idx)
 
         a_max = max(len(row) for row in assigned_rows)
         assigned_emb, assigned_mask = None, None
@@ -590,7 +593,7 @@ class TASNetPolicy:
             task_mean = nn.ops.gather_rows(multi.task_mean, inst_idx)
         task_logp = self.net.task_selection.forward_batch(
             worker_emb, assigned_emb, assigned_mask, budget_norms, h_g,
-            task_mean, candidate_keys, cand_mask, delta_phi, delta_in)
+            task_mean, cand_keys, cand_idx, cand_mask, delta_phi, delta_in)
         return task_logp, task_id_lists
 
     # ------------------------------------------------------------------ #

@@ -209,12 +209,12 @@ class TaskSelection(nn.Module):
 
     def forward(self, worker_emb: nn.Tensor, assigned_emb: nn.Tensor | None,
                 budget_norm: float, h_g: nn.Tensor, task_mean: nn.Tensor,
-                candidate_keys: nn.Tensor, delta_phi: np.ndarray,
-                delta_in: np.ndarray) -> nn.Tensor:
+                key_table: nn.Tensor, cand_idx: np.ndarray,
+                delta_phi: np.ndarray, delta_in: np.ndarray) -> nn.Tensor:
         """Return log-probs over the selected worker's candidate tasks.
 
-        ``candidate_keys``: (m, d) pre-projected pointer keys of the
-        worker's feasible tasks — rows of :meth:`precompute_keys` output;
+        ``key_table``: :meth:`precompute_keys` output; ``cand_idx`` (m,)
+        picks the rows of the worker's feasible tasks;
         ``delta_phi`` / ``delta_in``: the heuristic signals (m,).
         """
         d = worker_emb.shape[0]
@@ -228,12 +228,10 @@ class TaskSelection(nn.Module):
 
         # Heuristic signals join the pointer keys (data fusion): the
         # trailing rows of w_k project them onto the precomputed part.
-        if self.use_heuristic_fusion:
-            signals = nn.Tensor(np.stack([delta_phi, delta_in], axis=1))
-            logits = self.pointer.forward_precomputed(h_w, candidate_keys,
-                                                      extra=signals)
-        else:
-            logits = self.pointer.forward_precomputed(h_w, candidate_keys)
+        signals = (np.stack([delta_phi, delta_in], axis=1)
+                   if self.use_heuristic_fusion else None)
+        logits = self.pointer.forward_precomputed(h_w, key_table, cand_idx,
+                                                  extra=signals)
 
         # ...and modulate the logits through the soft mask (Equation 11).
         if self.use_soft_mask:
@@ -245,7 +243,8 @@ class TaskSelection(nn.Module):
                       assigned_emb: nn.Tensor | None,
                       assigned_mask: np.ndarray | None,
                       budget_norm: np.ndarray, h_g: nn.Tensor,
-                      task_mean: nn.Tensor, candidate_keys: nn.Tensor,
+                      task_mean: nn.Tensor, key_table: nn.Tensor,
+                      cand_idx: np.ndarray,
                       candidate_mask: np.ndarray, delta_phi: np.ndarray,
                       delta_in: np.ndarray) -> nn.Tensor:
         """Stage-2 forward for K rollouts (each with its chosen worker).
@@ -253,8 +252,8 @@ class TaskSelection(nn.Module):
         Shapes: ``worker_emb`` (K, d); ``assigned_emb`` (K, a_max, d) with
         boolean padding mask ``assigned_mask`` (K, a_max), or None when no
         rollout has assignments yet; ``budget_norm`` (K,); ``h_g`` (K, 2d);
-        ``task_mean`` (K, d); ``candidate_keys`` (K, m_max, d) gathered
-        rows of :meth:`precompute_keys` output, padded per
+        ``task_mean`` (K, d); ``key_table`` :meth:`precompute_keys`
+        output, whose rows ``cand_idx`` (K, m_max) picks, padded per
         ``candidate_mask`` (K, m_max); ``delta_phi`` / ``delta_in``
         (K, m_max) zero-padded.  Returns (K, m_max) log-probs with
         ``NEG_INF`` on padding.
@@ -277,12 +276,10 @@ class TaskSelection(nn.Module):
         h_w = nn.ops.concat([a_j, worker_emb, budget_emb, h_g, task_mean],
                             axis=1)                                  # (K, 6d)
 
-        if self.use_heuristic_fusion:
-            signals = nn.Tensor(np.stack([delta_phi, delta_in], axis=2))
-            logits = self.pointer.forward_precomputed(
-                h_w, candidate_keys, extra=signals)                  # (K, m)
-        else:
-            logits = self.pointer.forward_precomputed(h_w, candidate_keys)
+        signals = (np.stack([delta_phi, delta_in], axis=2)
+                   if self.use_heuristic_fusion else None)
+        logits = self.pointer.forward_precomputed(
+            h_w, key_table, cand_idx, extra=signals)                # (K, m)
 
         if self.use_soft_mask:
             mask_values = np.ones_like(delta_phi)

@@ -21,7 +21,7 @@ from ..obs import TrainingHistory
 from ..obs.profile import scope as profile_scope
 from ..parallel import parallel_map
 from ..tsptw.base import RoutePlanner
-from .batch import BatchedEpisodeRunner, MultiInstanceRunner
+from .batch import MultiInstanceRunner
 from .critic import CriticNetwork, critic_features
 from .env import SelectionEnv
 from .solver import run_episode
@@ -110,18 +110,10 @@ class TrainingConfig:
     grad_clip: float = 1.0
     seed: int = 0
     baseline: str = "critic"
-    #: Sampled rollouts decoded per instance each iteration.  Values > 1
-    #: run as one lock-step batch (BatchedEpisodeRunner): K episodes per
-    #: batched TASNet forward, static encodings shared, all log-probs in
-    #: one graph for the single policy backward.
+    #: Sampled rollouts decoded per instance each iteration.  The whole
+    #: iteration batch (batch_size instances x K rollouts) decodes as one
+    #: cross-instance lock-step run, each rollout on its own seed.
     rollouts_per_instance: int = 1
-    #: Decode the whole iteration batch as ONE cross-instance lock-step
-    #: run (MultiInstanceRunner): batch_size instances x
-    #: rollouts_per_instance episodes share every batched TASNet forward.
-    #: Rollout seeds are drawn per instance in the same order as the
-    #: per-instance batched path, so flipping this changes only the
-    #: batching, not the sampled action streams.
-    cross_instance_batch: bool = False
     #: Process-pool size for greedy validation rollouts (repro.parallel).
     #: Training rollouts stay in-process — their autograd graphs cannot
     #: cross a process boundary.
@@ -171,80 +163,34 @@ class TASNetTrainer:
             self._envs[key] = env
         return env
 
-    def _rollout(self, instance: USMDWInstance):
-        """Sampled episode; (phi, sum of log-probs, initial features, steps)."""
-        env = self._env(instance)
-        state = env.reset()
-        features = critic_features(instance, state)
-        self.policy.begin_episode(instance)
-        log_prob_sum = None
-        steps = 0
-        while not state.done:
-            action = self.policy.act(state, greedy=False, rng=self.rng)
-            state, _, _ = env.step(action.worker_id, action.task_id)
-            log_prob_sum = (action.log_prob if log_prob_sum is None
-                            else log_prob_sum + action.log_prob)
-            steps += 1
-        return state.phi(), log_prob_sum, features, steps
+    def _rollouts(self, batch_instances):
+        """Sampled rollouts of the iteration batch in one lock-step run.
 
-    def _rollout_batch(self, instance: USMDWInstance, num_rollouts: int):
-        """K lock-step episodes; list of (phi, log-probs, features, steps).
-
-        Each rollout draws from its own generator seeded off the trainer
-        rng, so companions in the batch never perturb each other's
-        sampling stream.
-        """
-        env = self._env(instance)
-        features = critic_features(instance, env.reset())
-        seeds = [int(s) for s in
-                 self.rng.integers(0, 2**63 - 1, size=num_rollouts)]
-        runner = BatchedEpisodeRunner(env, self.policy)
-        episodes = runner.run([(False, seed) for seed in seeds],
-                              record_actions=True)
-        samples = []
-        for episode in episodes:
-            log_prob_sum = None
-            for record in episode.records:
-                log_prob_sum = (record.log_prob if log_prob_sum is None
-                                else log_prob_sum + record.log_prob)
-            samples.append((episode.state.phi(), log_prob_sum, features,
-                            len(episode.records)))
-        return samples
-
-    def _collect_samples(self, instance: USMDWInstance):
-        if self.config.rollouts_per_instance == 1:
-            return [self._rollout(instance)]
-        return self._rollout_batch(instance,
-                                   self.config.rollouts_per_instance)
-
-    def _rollout_cross_batch(self, batch_instances, num_rollouts: int):
-        """One lock-step run over the whole iteration batch.
-
-        B instances x K rollouts advance together; each decoding step is
-        a single two-stage forward over every active episode.  Each
-        instance's K seeds are drawn from the trainer rng in the order
-        the per-instance path (:meth:`_rollout_batch` inside the batch
-        loop) would draw them, so the sampled trajectories are identical
-        — only the batching changes.  Returns
-        ``(phi, log-prob sum, features, steps, instance)`` tuples.
+        B instances x K rollouts advance together through
+        :class:`MultiInstanceRunner`; each decoding step is a single
+        two-stage forward over every active episode.  Each rollout
+        samples from its own generator seeded off the trainer rng
+        (instance-major), so companions never perturb each other's
+        stream.  Returns ``(phi, log-prob sum, features, steps,
+        instance)`` tuples.
         """
         envs = [self._env(instance) for instance in batch_instances]
         specs_per_env, features = [], []
         for instance, env in zip(batch_instances, envs):
             features.append(critic_features(instance, env.reset()))
-            seeds = [int(s) for s in
-                     self.rng.integers(0, 2**63 - 1, size=num_rollouts)]
-            specs_per_env.append([(False, seed) for seed in seeds])
-        runner = MultiInstanceRunner(envs, self.policy)
-        grouped = runner.run(specs_per_env, record_actions=True)
+            seeds = self.rng.integers(
+                0, 2**63 - 1, size=self.config.rollouts_per_instance)
+            specs_per_env.append([(False, int(seed)) for seed in seeds])
+        grouped = MultiInstanceRunner(envs, self.policy).run(
+            specs_per_env, record_actions=True)
         samples = []
         for instance, feats, episodes in zip(batch_instances, features,
                                              grouped):
             for episode in episodes:
-                log_prob_sum = None
-                for record in episode.records:
-                    log_prob_sum = (record.log_prob if log_prob_sum is None
-                                    else log_prob_sum + record.log_prob)
+                # sum(rest, first) adds left to right, one node per step.
+                log_probs = [record.log_prob for record in episode.records]
+                log_prob_sum = (sum(log_probs[1:], log_probs[0])
+                                if log_probs else None)
                 samples.append((episode.state.phi(), log_prob_sum, feats,
                                 len(episode.records), instance))
         return samples
@@ -263,9 +209,9 @@ class TASNetTrainer:
         All rollouts of the iteration accumulate into one policy-loss
         graph and trigger exactly one backward; the critic evaluates the
         whole batch of feature vectors in a single forward that serves
-        both the (detached) baselines and the regression loss.  With
-        ``rollouts_per_instance > 1`` each instance's rollouts decode in
-        lock-step through the batched engine.
+        both the (detached) baselines and the regression loss.  Every
+        rollout of the batch decodes in one lock-step run
+        (:meth:`_rollouts`), whose decode state dies with the run.
         """
         cfg = self.config
         hook = nn.get_tensor_hook()
@@ -283,15 +229,8 @@ class TASNetTrainer:
                                 rollouts_per_instance=cfg.rollouts_per_instance)
         with rollout_span, profile_scope("train.rollouts"):
             batch_instances = [instances[int(idx)] for idx in batch_idx]
-            if cfg.cross_instance_batch:
-                collected = self._rollout_cross_batch(
-                    batch_instances, cfg.rollouts_per_instance)
-            else:
-                collected = [
-                    sample + (instance,)
-                    for instance in batch_instances
-                    for sample in self._collect_samples(instance)]
-            for phi, log_prob_sum, features, steps, instance in collected:
+            for phi, log_prob_sum, features, steps, instance in \
+                    self._rollouts(batch_instances):
                 rewards.append(phi)
                 if log_prob_sum is None:
                     continue  # instance admitted no assignments at all

@@ -33,6 +33,28 @@ class TestFlopCount:
     def test_byte_count_is_float64_traffic(self):
         assert flops.byte_count([(4, 4), (4, 4)], (4, 4)) == 8 * 48
 
+    def test_pointer_keys_priced_as_projection_plus_add(self):
+        # Forward args: table, indices, extra, weight.
+        assert flops.flop_count("pointer_keys",
+                                [(9, 8), (3, 5), (3, 5, 2), (10, 8)],
+                                (3, 5, 8)) == 2 * 120 * 2 + 120
+        # A pure gather (no step features) is free, like gather_rows.
+        assert flops.flop_count("pointer_keys", [(9, 8), (3, 5)],
+                                (3, 5, 8)) == 0
+
+    def test_pointer_keys_recorded_and_backward_charged(self):
+        rng = np.random.default_rng(5)
+        table = nn.Tensor(rng.normal(size=(9, 8)), requires_grad=True)
+        weight = nn.Tensor(rng.normal(size=(10, 8)), requires_grad=True)
+        extra = nn.Tensor(rng.normal(size=(3, 5, 2)))
+        idx = rng.integers(0, 9, size=(3, 5))
+        profiler = OpProfiler()
+        with profiling(profiler=profiler):
+            ops.sum(ops.pointer_keys(table, idx, extra, weight)).backward()
+        stat = profiler.ops["pointer_keys"]
+        assert stat.flops == 2 * 120 * 2 + 120
+        assert stat.bwd_flops == flops.BACKWARD_FACTOR * stat.flops
+
     def test_backward_charged_at_factor(self):
         a = nn.Tensor(np.ones((8, 16)), requires_grad=True)
         b = nn.Tensor(np.ones((16, 4)), requires_grad=True)

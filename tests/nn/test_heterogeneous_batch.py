@@ -152,7 +152,12 @@ class TestBatchedPointerAttention:
 
         with nn.no_grad():
             want = pointer(queries, keys, mask=mask).data
-            projected = pointer.precompute_keys(keys)
-            got = pointer.forward_precomputed(queries, projected,
+            # Score every padded slot: row b * n_max + j of the flat
+            # projection is keys[b, j].
+            projected = pointer.precompute_keys(
+                keys.reshape(-1, keys.shape[-1]))
+            index = np.arange(keys.shape[0] * keys.shape[1]).reshape(
+                keys.shape[:2])
+            got = pointer.forward_precomputed(queries, projected, index,
                                               mask=mask).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -176,6 +176,72 @@ class TestShapeGradients:
         np.testing.assert_allclose(x.grad[0], 0.0)
 
 
+class TestPointerKeys:
+    """``pointer_keys`` is the gather + matmul + add chain as one node."""
+
+    @pytest.mark.parametrize("idx", [
+        np.array([3, 0, 3, 5]),                        # serial 1-D
+        np.array([[1, 4, 2, 0], [5, 5, 0, 0], [2, 0, 0, 0]]),  # padded
+    ], ids=["serial", "padded"])
+    def test_forward_bitwise_equals_chain(self, rng, idx):
+        table = Tensor(rng.normal(size=(6, 8)))
+        weight = Tensor(rng.normal(size=(10, 8)))
+        extra = Tensor(rng.normal(size=idx.shape + (2,)))
+        want = ops.add(ops.gather_rows(table, idx),
+                       ops.matmul(extra, weight[8:]))
+        got = ops.pointer_keys(table, idx, extra, weight)
+        np.testing.assert_array_equal(got.data, want.data)
+        # Without step features the op is the gather alone.
+        np.testing.assert_array_equal(
+            ops.pointer_keys(table, idx).data,
+            ops.gather_rows(table, idx).data)
+
+    def test_gradients_match_chain(self, rng):
+        idx = np.array([[1, 4, 1], [5, 0, 0]])
+        table_data = rng.normal(size=(6, 8))
+        weight_data = rng.normal(size=(10, 8))
+        extra = Tensor(rng.normal(size=(2, 3, 2)))
+        grads = []
+        for one_node in (True, False):
+            table = Tensor(table_data, requires_grad=True)
+            weight = Tensor(weight_data, requires_grad=True)
+            keys = (ops.pointer_keys(table, idx, extra, weight) if one_node
+                    else ops.add(ops.gather_rows(table, idx),
+                                 ops.matmul(extra, weight[8:])))
+            ops.sum(ops.mul(keys, keys)).backward()
+            grads.append((table.grad, weight.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradcheck_table(self, rng):
+        idx = np.array([[0, 2, 2], [1, 0, 0]])
+        weight = Tensor(rng.normal(size=(5, 4)))
+        extra = Tensor(rng.normal(size=(2, 3, 2)))
+        probe = Tensor(rng.normal(size=(2, 3, 4)))
+        check_gradient(
+            lambda x: ops.sum(ops.mul(
+                ops.pointer_keys(x, idx, extra, weight), probe)),
+            (3, 4), rng)
+
+    def test_gradcheck_weight(self, rng):
+        idx = np.array([2, 0, 1, 2])
+        table = Tensor(rng.normal(size=(3, 4)))
+        extra = Tensor(rng.normal(size=(4, 2)))
+        check_gradient(
+            lambda w: ops.sum(ops.tanh(
+                ops.pointer_keys(table, idx, extra, w))),
+            (6, 4), rng)
+
+    def test_gradcheck_extra(self, rng):
+        idx = np.array([[0, 1], [1, 1]])
+        table = Tensor(rng.normal(size=(2, 3)))
+        weight = Tensor(rng.normal(size=(5, 3)))
+        check_gradient(
+            lambda e: ops.sum(ops.tanh(
+                ops.pointer_keys(table, idx, e, weight))),
+            (2, 2, 2), rng)
+
+
 class TestSoftmaxFamily:
     def test_softmax_rows_sum_to_one(self, rng):
         x = Tensor(rng.normal(size=(4, 6)))

@@ -23,6 +23,8 @@ from repro.smore import (
 )
 from repro.tsptw import InsertionSolver
 
+from .oracle import PerInstanceTrainer
+
 CONFIG = TASNetConfig(d_model=16, num_heads=2, num_layers=1, conv_channels=4)
 
 
@@ -81,18 +83,21 @@ class TestSolveParity:
 
 
 class TestTrainParity:
-    @pytest.mark.parametrize("cross", [False, True],
+    # "cross-instance" is the trainer's one lock-step decode of the whole
+    # batch; "per-instance" is the test oracle looping one decode per
+    # instance.  Both must hold backend parity.
+    @pytest.mark.parametrize("trainer_cls", [PerInstanceTrainer,
+                                             TASNetTrainer],
                              ids=["per-instance", "cross-instance"])
-    def test_train_iteration_params_close(self, instances, cross):
+    def test_train_iteration_params_close(self, instances, trainer_cls):
         trainers = {}
         metrics = {}
         for name in ("reference", "fused"):
             grid = instances[0].coverage.grid
             net = TASNet(CONFIG, grid_nx=grid.nx, grid_ny=grid.ny,
                          rng=np.random.default_rng(0))
-            cfg = TrainingConfig(batch_size=2, rollouts_per_instance=2,
-                                 cross_instance_batch=cross, seed=9)
-            trainer = TASNetTrainer(TASNetPolicy(net), InsertionSolver(), cfg)
+            cfg = TrainingConfig(batch_size=2, rollouts_per_instance=2, seed=9)
+            trainer = trainer_cls(TASNetPolicy(net), InsertionSolver(), cfg)
             with nn.use_backend(name):
                 metrics[name] = [trainer.train_iteration(instances)
                                  for _ in range(2)]

@@ -1,14 +1,16 @@
 """Cross-instance lock-step decoding: parity with independent solves.
 
-``MultiInstanceRunner`` / ``SMORESolver.solve_many`` /
-``TrainingConfig.cross_instance_batch`` decode B heterogeneous instances
-through shared batched forwards.  The contract under test: batching is
+``MultiInstanceRunner`` / ``SMORESolver.solve_many`` / the REINFORCE
+trainer decode B heterogeneous instances through shared batched forwards.  The contract under test: batching is
 *only* an execution strategy — every rollout consumes its own generator
 in the serial worker-then-task order, and every planner call resolves
 through the worker's own instance — so results match B independent
 per-instance runs action-for-action, including across ragged worker/task
 counts and a shared (memoising or kernel-bound) planner.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from repro.smore import (
     TrainingConfig,
 )
 from repro.tsptw import CachedPlanner, InsertionSolver
+
+from .oracle import PerInstanceTrainer
 
 CONFIG = TASNetConfig(d_model=16, num_heads=2, num_layers=1, conv_channels=4)
 
@@ -260,26 +264,73 @@ class TestSharedPlannerBindings:
 
 
 # --------------------------------------------------------------------- #
-# Trainer cross-instance batching
+# Trainer: one cross-instance decode per iteration
 # --------------------------------------------------------------------- #
 class TestTrainerCrossInstanceBatch:
-    def _trainer(self, instances, cross):
-        net = _make_net(instances)
-        cfg = TrainingConfig(batch_size=2, rollouts_per_instance=3,
-                             cross_instance_batch=cross, seed=5)
-        return TASNetTrainer(TASNetPolicy(net), InsertionSolver(), cfg)
+    def _pair(self, instances, rollouts):
+        cfg = TrainingConfig(batch_size=2, rollouts_per_instance=rollouts,
+                             seed=5)
+        return [cls(TASNetPolicy(_make_net(instances)), InsertionSolver(),
+                    cfg)
+                for cls in (PerInstanceTrainer, TASNetTrainer)]
 
-    def test_metrics_and_params_match_serial_path(self, instances):
-        serial = self._trainer(instances, cross=False)
-        cross = self._trainer(instances, cross=True)
+    def _assert_match(self, instances, rollouts):
+        oracle, trainer = self._pair(instances, rollouts)
         for _ in range(2):
-            m_serial = serial.train_iteration(instances)
-            m_cross = cross.train_iteration(instances)
             # Same seeds, same action streams: identical mean rewards.
-            assert m_serial == m_cross
-        for p_serial, p_cross in zip(serial.policy.parameters(),
-                                     cross.policy.parameters()):
+            assert oracle.train_iteration(instances) \
+                == trainer.train_iteration(instances)
+        for p_oracle, p_trainer in zip(oracle.policy.parameters(),
+                                       trainer.policy.parameters()):
             # Parameters agree to BLAS-reassociation tolerance (batched
             # GEMMs of different shapes may round differently).
-            np.testing.assert_allclose(p_cross.data, p_serial.data,
+            np.testing.assert_allclose(p_trainer.data, p_oracle.data,
                                        rtol=1e-12, atol=1e-12)
+
+    def test_metrics_and_params_match_serial_path(self, instances):
+        self._assert_match(instances, rollouts=3)
+
+    def test_single_rollout_matches_per_instance_oracle(self, instances):
+        """K=1 runs through the same runner, one seed per rollout."""
+        self._assert_match(instances, rollouts=1)
+
+
+class TestDecodeStateLifetime:
+    """No decode state outlives the run (or iteration) that built it."""
+
+    def test_runner_releases_policy_decode_state(self, instances):
+        policy = TASNetPolicy(_make_net(instances))
+        planner = InsertionSolver()
+        envs = [SelectionEnv(inst, planner) for inst in instances]
+        MultiInstanceRunner(envs, policy).run(
+            [[(False, 3 + e)] for e in range(len(envs))])
+        assert policy._multi is None
+        assert policy._bank is None
+        assert policy._bank_slots == {}
+
+    def test_iteration_graph_dies_without_gc(self, instances):
+        policy = TASNetPolicy(_make_net(instances))
+        trainer = TASNetTrainer(policy, InsertionSolver(),
+                                TrainingConfig(batch_size=2,
+                                               rollouts_per_instance=2,
+                                               seed=1))
+        refs = []
+        act_batch = policy.act_batch
+
+        def recording_act_batch(*args, **kwargs):
+            actions = act_batch(*args, **kwargs)
+            refs.extend(weakref.ref(a.log_prob) for a in actions)
+            refs.append(weakref.ref(policy._multi.cand_keys))
+            refs.append(weakref.ref(policy._bank))
+            return actions
+
+        policy.act_batch = recording_act_batch
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_iteration(instances)
+            assert refs
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert policy._multi is None and policy._bank is None

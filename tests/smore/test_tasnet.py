@@ -115,7 +115,8 @@ class TestTaskSelection:
         delta_phi = rng.random(n_candidates)
         delta_in = rng.random(n_candidates) + 0.5
         return module(worker_emb, assigned_emb, 0.7, h_g, task_mean,
-                      module.precompute_keys(cand), delta_phi, delta_in)
+                      module.precompute_keys(cand), np.arange(n_candidates),
+                      delta_phi, delta_in)
 
     def test_log_probs_normalised(self, config, rng):
         logp = self._run(config, rng)
@@ -148,7 +149,7 @@ class TestTaskSelection:
                       nn.Tensor(rng.normal(size=d)),
                       module.precompute_keys(
                           nn.Tensor(rng.normal(size=(4, d)))),
-                      rng.random(4), rng.random(4) + 0.5)
+                      np.arange(4), rng.random(4), rng.random(4) + 0.5)
         assert np.exp(logp.data).sum() == pytest.approx(1.0)
 
     def test_fusion_changes_key_width(self, config, rng):
