@@ -1,6 +1,6 @@
 # SMORE reproduction — common workflows.
 
-.PHONY: install test test-backends bench bench-perf bench-route \
+.PHONY: install test test-backends bench-tests bench bench-perf bench-route \
 	bench-serve bench-dynamic bench-ops bench-shard \
 	serve-smoke serve-replay-smoke dashboard-smoke profile results \
 	full clean
@@ -18,12 +18,19 @@ test-backends:
 	PYTHONPATH=src REPRO_NN_BACKEND=reference pytest tests/
 	PYTHONPATH=src REPRO_NN_BACKEND=fused pytest tests/
 
+# The outside-in benchmark's own tests (bench/): metric catalogue,
+# compare verdicts, the tracer, and that every callable bench/layers.py
+# wraps still resolves.  Tier-1 does not collect them (testpaths =
+# tests).
+bench-tests:
+	PYTHONPATH=src python -m pytest -q bench/tests
+
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
-# Perf-layer regression: planner-call counts, batched-decode throughput,
-# profiler attribution/cost + smoke timings (writes one
-# results/BENCH_PR<n>.json per PR).
+# Perf-layer regression: snapshot-reuse and planner-cache call counts,
+# pool parity, tracing and profiler attribution/cost + smoke timings
+# (writes one results/BENCH_PR<n>.json per PR).
 bench-perf:
 	PYTHONPATH=src pytest benchmarks/test_perf_regression.py \
 		benchmarks/test_profile_regression.py --benchmark-only

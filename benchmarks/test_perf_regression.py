@@ -4,15 +4,14 @@ Smoke-scale guardrails for the performance layer.  PR 1 (snapshot reuse,
 planner caching, fork-pool parity):
 
 - sample-and-select-best inference pays the O(|W| x |S|) candidate
-  initialisation exactly once (snapshot reuse), vs. once per rollout with
-  ``reuse_candidates=False``;
+  initialisation exactly once (snapshot reuse), not once per rollout;
 - a :class:`~repro.tsptw.CachedPlanner` wrapper reports a non-trivial hit
   rate on the counters the solution carries;
 - a parallel (``workers=2``) solve returns the same objective as serial.
 
-PR 2 (batched decode engine): lock-step batched TASNet rollouts deliver
-at least 2x the rollout throughput of the per-episode loop at
-``num_samples >= 8`` while decoding the identical solution.
+PR 2's batched-over-per-episode decode throughput record
+(``results/BENCH_PR2.json``) is history: every rollout now decodes
+through the one lock-step runner, so there is no second path to time.
 
 PR 3 (observability layer): the ``repro.obs`` instrumentation is free
 when tracing is disabled — the estimated cost of the solver's no-op
@@ -20,9 +19,8 @@ instrumentation points stays below 2% of a smoke solve — and a traced
 solve decodes the identical solution.
 
 Timings and call counts are written to the per-PR artefacts so
-regressions show up as a diff; assertions pin call counts and the
-batched-over-loop speedup ratio (absolute wall time is
-hardware-dependent).
+regressions show up as a diff; assertions pin call counts (absolute
+wall time is hardware-dependent).
 """
 
 import time
@@ -31,16 +29,12 @@ import numpy as np
 
 from repro import obs
 from repro.datasets import InstanceOptions, generate_instances
-from repro.smore import (RatioSelectionRule, SMORESolver, TASNet,
-                         TASNetConfig, TASNetPolicy)
+from repro.smore import RatioSelectionRule, SMORESolver
 from repro.tsptw import CachedPlanner, InsertionSolver
 
 from .conftest import write_bench
 
 NUM_SAMPLES = 4
-NUM_BATCH_SAMPLES = 8
-MIN_BATCH_SPEEDUP = 2.0
-BENCH_ROUNDS = 3
 MAX_DISABLED_OVERHEAD = 0.02
 NOOP_REPS = 100_000
 
@@ -56,12 +50,6 @@ def test_perf_regression(benchmark, results_dir):
         reuse = solver.solve(instance, num_samples=NUM_SAMPLES,
                              rng=np.random.default_rng(0))
         reuse_time = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fresh = solver.solve(instance, num_samples=NUM_SAMPLES,
-                             rng=np.random.default_rng(0),
-                             reuse_candidates=False)
-        fresh_time = time.perf_counter() - start
 
         # Same instance solved twice through one memoising wrapper (the
         # experiment-grid scenario): the second solve repeats every
@@ -80,7 +68,6 @@ def test_perf_regression(benchmark, results_dir):
                          "num_samples": NUM_SAMPLES},
             "snapshot_reuse": dict(reuse.perf.to_dict(),
                                    wall_time=reuse_time),
-            "no_reuse": dict(fresh.perf.to_dict(), wall_time=fresh_time),
             "cached_planner": cached.perf.to_dict(),
             "parallel": {"phi_serial": reuse.objective,
                          "phi_parallel": parallel.objective,
@@ -94,10 +81,6 @@ def test_perf_regression(benchmark, results_dir):
     w_times_s = record["instance"]["W"] * record["instance"]["S"]
     # Snapshot reuse: the init sweep runs once, not once per rollout.
     assert record["snapshot_reuse"]["init_planner_calls"] == w_times_s
-    assert record["no_reuse"]["init_planner_calls"] == \
-        NUM_SAMPLES * w_times_s
-    assert record["snapshot_reuse"]["planner_calls"] < \
-        record["no_reuse"]["planner_calls"]
     assert record["snapshot_reuse"]["rollouts"] == NUM_SAMPLES
     # The memoising wrapper absorbs the second solve's repeated queries.
     assert record["cached_planner"]["cache_hits"] > 0
@@ -107,75 +90,6 @@ def test_perf_regression(benchmark, results_dir):
         record["parallel"]["phi_serial"]
     assert record["parallel"]["planner_calls"] == \
         record["snapshot_reuse"]["planner_calls"]
-
-
-def test_batched_decode_throughput(benchmark, results_dir):
-    """PR 2: batched TASNet decoding vs. the per-episode reference loop.
-
-    A warm-up solve through a memoising planner pushes every route query
-    into the cache, so the timed solves measure decode cost — the policy
-    forwards plus the selection loop — rather than TSPTW planning, which
-    is identical in both paths.  The network runs at the paper's scale
-    (d_model 128, 8 heads, 3 encoder layers), where per-step policy
-    forwards dominate decoding and batching pays off most.
-    """
-
-    def run():
-        options = InstanceOptions(task_density=0.15)
-        instance = generate_instances("delivery", 1, seed=100,
-                                      options=options)[0]
-        grid = instance.coverage.grid
-        net = TASNet(TASNetConfig(d_model=128, num_heads=8, num_layers=3),
-                     grid_nx=grid.nx, grid_ny=grid.ny,
-                     rng=np.random.default_rng(0))
-        solver = SMORESolver(CachedPlanner(InsertionSolver()),
-                             TASNetPolicy(net))
-
-        # Same schedule as the timed solves -> the cache absorbs every
-        # planner query they will make.
-        solver.solve(instance, num_samples=NUM_BATCH_SAMPLES,
-                     rng=np.random.default_rng(0), batch_rollouts=False)
-
-        def timed(**kwargs):
-            start = time.perf_counter()
-            solution = solver.solve(instance,
-                                    num_samples=NUM_BATCH_SAMPLES,
-                                    rng=np.random.default_rng(0), **kwargs)
-            return solution, time.perf_counter() - start
-
-        # Alternate the paths over a few rounds and keep each path's
-        # fastest run: the minimum is the scheduler-noise-free estimate.
-        loop_time = batched_time = float("inf")
-        for _ in range(BENCH_ROUNDS):
-            loop, elapsed = timed(batch_rollouts=False)
-            loop_time = min(loop_time, elapsed)
-            batched, elapsed = timed()
-            batched_time = min(batched_time, elapsed)
-
-        return {
-            "instance": {"W": instance.num_workers,
-                         "S": instance.num_sensing_tasks,
-                         "num_samples": NUM_BATCH_SAMPLES},
-            "loop": dict(loop.perf.to_dict(), wall_time=loop_time),
-            "batched": dict(batched.perf.to_dict(), wall_time=batched_time),
-            "phi_loop": loop.objective,
-            "phi_batched": batched.objective,
-            "rollouts_per_second_loop": NUM_BATCH_SAMPLES / loop_time,
-            "rollouts_per_second_batched": NUM_BATCH_SAMPLES / batched_time,
-            "speedup": loop_time / batched_time,
-        }
-
-    record = benchmark.pedantic(run, iterations=1, rounds=1)
-    text = write_bench(results_dir, 2, record)
-    print("\n" + text)
-
-    # Lock-step decoding must return the loop path's exact solution...
-    assert record["phi_batched"] == record["phi_loop"]
-    assert record["batched"]["planner_calls"] == \
-        record["loop"]["planner_calls"]
-    assert record["batched"]["rollouts"] == NUM_BATCH_SAMPLES
-    # ...at a multiple of its rollout throughput.
-    assert record["speedup"] >= MIN_BATCH_SPEEDUP
 
 
 def test_trace_overhead(benchmark, results_dir):

@@ -64,20 +64,15 @@ class WarmEngine:
         Capacity of the per-instance env LRU.  Each entry holds one
         :class:`SelectionEnv` (and thereby one candidate-table snapshot);
         the least recently used entry is evicted past capacity.
-    reuse_candidates:
-        Passed through to fresh envs; ``True`` (default) enables the
-        snapshot-restore fast path on repeat resets.
     """
 
     def __init__(self, solver: SMORESolver,
-                 max_warm_instances: int = DEFAULT_MAX_WARM_INSTANCES,
-                 reuse_candidates: bool = True):
+                 max_warm_instances: int = DEFAULT_MAX_WARM_INSTANCES):
         if max_warm_instances < 1:
             raise ValueError(
                 f"max_warm_instances must be >= 1, got {max_warm_instances}")
         self.solver = solver
         self.max_warm_instances = max_warm_instances
-        self.reuse_candidates = reuse_candidates
         # Resolve eagerly: the first request should not pay (or race on)
         # lazy backend resolution, and the engine keeps serving through
         # this backend even if the global default is flipped later.
@@ -120,8 +115,7 @@ class WarmEngine:
         self.env_misses += 1
         if self._env_events is not None:
             self._env_events.setdefault(key, "miss")
-        env = SelectionEnv(instance, self.solver.planner,
-                           reuse_candidates=self.reuse_candidates)
+        env = SelectionEnv(instance, self.solver.planner)
         self._envs[key] = (instance, env)
         if len(self._envs) > self.max_warm_instances:
             evicted_key, _ = self._envs.popitem(last=False)

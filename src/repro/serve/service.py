@@ -294,7 +294,12 @@ class SolverService:
         instead of the bare solution — the per-request stage attribution
         (requires ``ServeConfig.request_traces``; the trace is ``None``
         when tracing is off).
+
+        A request with ``num_samples < 1`` fails with ``ValueError``
+        before it is queued, so it never reaches a shared batch.
         """
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         if not self._running:
             raise ServiceClosed("service is not running; use 'async with' "
                                 "or call start() first")

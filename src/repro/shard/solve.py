@@ -126,20 +126,6 @@ def _solve_one_local(solver, sub: USMDWInstance, seed, greedy: bool,
             solution.objective)
 
 
-def _portable_policy(policy):
-    """A copy of the policy safe to ship to a pool worker.
-
-    ``begin_episode`` re-binds ``_instance`` on arrival, so the parent's
-    binding is dropped rather than pickling a whole instance per shard.
-    """
-    import copy
-
-    clone = copy.copy(policy)
-    if hasattr(clone, "__dict__"):
-        clone.__dict__.pop("_instance", None)
-    return clone
-
-
 def _solve_shard_worker(payload):
     """Pool-side shard solve (module-level: picklable to a started pool).
 
@@ -182,15 +168,14 @@ def _pool_solve(pool: PersistentPool, solver, subs: list[USMDWInstance],
                        improvement_rounds=planner.improvement_rounds,
                        use_two_opt=planner.use_two_opt,
                        use_kernels=planner.use_kernels)
-    policy = _portable_policy(solver.policy)
     payloads = []
     for i, (sub, seed) in enumerate(zip(subs, seeds)):
         key = f"shard:{sub.name}"
         packed = PackedInstance(sub.workers, sub.sensing_tasks)
         shared = pool.share_arrays(key, packed.export_arrays())
         payloads.append((sub, greedy, seed, num_samples,
-                         key if shared else None, planner_cfg, policy,
-                         solver.name))
+                         key if shared else None, planner_cfg,
+                         solver.policy, solver.name))
     try:
         pickle.dumps(payloads)
     except Exception:

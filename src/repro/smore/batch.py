@@ -1,19 +1,19 @@
-"""Batched decode engine: K rollouts of one instance in lock-step.
+"""The lock-step decode engine: every rollout of every solve and policy step.
 
-Sample-and-select-best inference and multi-rollout REINFORCE both decode
-the *same* instance many times.  The serial path loops ``run_episode``;
-this module instead advances all K episodes together, so each decoding
-step costs one batched two-stage TASNet forward instead of K serial
-forwards.  The static encoders (worker grid, sensing-task set) run once
-per instance — :meth:`TASNetPolicy.begin_episode` — and their embeddings
-are shared by every rollout in the batch.
+:class:`MultiInstanceRunner` advances rollouts over B instances together.
+With TASNet each decoding step costs one batched two-stage forward over
+every active rollout; the static encoders run once per instance
+(:meth:`TASNetPolicy.begin_episodes`) and are shared by its rollouts.
+One rollout of one instance (B=1, K=1) is the degenerate case, so
+greedy solves, sample-and-select-best, cross-instance batches and
+REINFORCE iterations all decode through the same loop.
 
 Determinism contract: each rollout owns its spec ``(greedy, rng)`` and
-its generator is consumed in exactly the serial order (worker choice,
-then task choice, per step), so a batched rollout reproduces the serial
-rollout with the same seed bit-for-bit at the action level.  Episodes
-that finish early simply drop out of the active set; the stragglers keep
-stepping in ever-smaller batches.
+its generator is consumed in exactly the per-state order (worker choice,
+then task choice, per step), so a rollout decodes the same actions
+whatever its batch companions.  Episodes that finish early simply drop
+out of the active set; the stragglers keep stepping in ever-smaller
+batches.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ class EpisodeResult:
 
 
 class BatchedEpisodeRunner:
-    """Run K episodes of ``policy`` on ``env`` in lock-step.
+    """K rollouts of one env: ``MultiInstanceRunner([env], policy)``.
 
-    Policies exposing :meth:`act_batch` (TASNet) get one batched forward
-    per decoding step; policies without it (selection rules, the flat
-    ablation policy) fall back to per-state :meth:`act` calls inside the
-    same lock-step loop, so the runner is a drop-in driver for every
-    policy type.
+    The one-instance spelling of :class:`MultiInstanceRunner`, kept for
+    callers outside the library; :meth:`run` is exactly
+    ``MultiInstanceRunner([env], policy).run([specs])[0]``.
     """
 
     def __init__(self, env: SelectionEnv, policy):
@@ -75,95 +73,31 @@ class BatchedEpisodeRunner:
         self.policy = policy
 
     def run(self, specs, record_actions: bool = False) -> list[EpisodeResult]:
-        """Roll one episode per spec; a spec is ``(greedy, rng)``.
-
-        ``rng`` may be ``None`` (greedy rollouts draw nothing), a seed,
-        or a ready :class:`numpy.random.Generator`.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        greedy_flags, rngs = [], []
-        for use_greedy, rng in specs:
-            greedy_flags.append(bool(use_greedy))
-            if rng is not None and not isinstance(rng, np.random.Generator):
-                rng = np.random.default_rng(rng)
-            rngs.append(rng)
-
-        with profile_scope("decode"):
-            try:
-                return self._run(specs, greedy_flags, rngs, record_actions)
-            finally:
-                _end_run(self.policy)
-
-    def _run(self, specs, greedy_flags, rngs,
-             record_actions: bool) -> list[EpisodeResult]:
-        states = [self.env.reset() for _ in specs]
-        self.policy.begin_episode(self.env.instance)
-        results = [EpisodeResult(state=s, total_reward=0.0) for s in states]
-
-        act_batch = getattr(self.policy, "act_batch", None)
-        active = [k for k, s in enumerate(states) if not s.done]
-        while active:
-            if act_batch is not None:
-                actions = act_batch(
-                    [states[k] for k in active],
-                    greedy=[greedy_flags[k] for k in active],
-                    rngs=[rngs[k] for k in active])
-            else:
-                actions = [
-                    self.policy.act(states[k], greedy=greedy_flags[k],
-                                    rng=rngs[k])
-                    for k in active]
-            for k, action in zip(active, actions):
-                _, reward, _ = self.env.step_state(
-                    states[k], action.worker_id, action.task_id)
-                results[k].total_reward += reward
-                if record_actions:
-                    results[k].records.append(action)
-            active = [k for k in active if not states[k].done]
-        return results
+        """Roll one episode per ``(greedy, rng)`` spec on the env."""
+        return MultiInstanceRunner([self.env], self.policy).run(
+            [specs], record_actions)[0]
 
 
 class MultiInstanceRunner:
     """Run rollouts over B heterogeneous instances in one lock-step batch.
 
     ``envs`` holds one :class:`SelectionEnv` per instance and each env
-    gets its own rollout schedule (a list of ``(greedy, rng)`` specs, the
-    same normalisation as :meth:`BatchedEpisodeRunner.run`).  Policies
-    exposing :meth:`begin_episodes` and ``act_batch(...,
-    instance_idxs=...)`` (TASNet) decode every active rollout of every
-    instance through a single two-stage forward per step; other policies
-    fall back to one :class:`BatchedEpisodeRunner` per env.  Either way
-    each rollout consumes its own generator in the serial worker-then-task
-    order, so results match per-instance decoding rollout-for-rollout.
+    gets its own rollout schedule: a list of ``(greedy, rng)`` specs,
+    where ``rng`` may be ``None`` (greedy rollouts draw nothing), a seed,
+    or a ready :class:`numpy.random.Generator`.  Policies exposing
+    :meth:`begin_episodes` and ``act_batch(..., instance_idxs=...)``
+    (TASNet) decode every active rollout of every instance through a
+    single two-stage forward per step.  Per-state policies (selection
+    rules, the flat ablation policy) bind one instance at a time, so
+    they run the same loop once per env with one :meth:`act` call per
+    state.  Either way each rollout consumes its own generator in the
+    worker-then-task order, so results match per-instance decoding
+    rollout-for-rollout.
     """
 
     def __init__(self, envs, policy):
         self.envs = list(envs)
         self.policy = policy
-        self._admitted: list[list] = []
-
-    # -- incremental submission ----------------------------------------- #
-    def admit(self, env, specs) -> int:
-        """Admit one env + its rollout specs into the next run; returns
-        its slot index.
-
-        The incremental counterpart of pre-assembling ``envs`` /
-        ``specs_per_env``: a serving front-end admits requests one at a
-        time as they arrive, then fires :meth:`run_admitted` once the
-        batch closes.  ``run_admitted(...)`` is then exactly
-        ``run([specs...])`` over the admitted slots, in admission order.
-        """
-        self.envs.append(env)
-        self._admitted.append(list(specs))
-        return len(self.envs) - 1
-
-    def run_admitted(self, record_actions: bool = False
-                     ) -> list[list[EpisodeResult]]:
-        """Run the specs admitted via :meth:`admit` (one list per slot)."""
-        specs_per_env, self._admitted = self._admitted, []
-        return self.run(specs_per_env, record_actions)
 
     def run(self, specs_per_env,
             record_actions: bool = False) -> list[list[EpisodeResult]]:
@@ -172,13 +106,6 @@ class MultiInstanceRunner:
         if len(specs_per_env) != len(self.envs):
             raise ValueError(
                 f"got {len(specs_per_env)} spec lists for {len(self.envs)} envs")
-        if not any(specs_per_env):
-            return [[] for _ in specs_per_env]
-        if getattr(self.policy, "begin_episodes", None) is None:
-            return [BatchedEpisodeRunner(env, self.policy).run(
-                        specs, record_actions)
-                    for env, specs in zip(self.envs, specs_per_env)]
-
         env_of, greedy_flags, rngs = [], [], []
         for e, specs in enumerate(specs_per_env):
             for use_greedy, rng in specs:
@@ -187,27 +114,54 @@ class MultiInstanceRunner:
                 if rng is not None and not isinstance(rng, np.random.Generator):
                     rng = np.random.default_rng(rng)
                 rngs.append(rng)
+        grouped: list[list[EpisodeResult]] = [[] for _ in self.envs]
+        if not env_of:
+            return grouped
+        # TASNet decodes every rollout of every env in one pass; per-state
+        # policies bind one instance at a time, so they take one per env.
+        batched = getattr(self.policy, "begin_episodes", None) is not None
+        if batched:
+            passes = [list(range(len(env_of)))]
+        else:
+            passes = [[k for k, e in enumerate(env_of) if e == env]
+                      for env in sorted(set(env_of))]
 
         with profile_scope("decode"):
             try:
-                return self._run(len(specs_per_env), env_of, greedy_flags,
-                                 rngs, record_actions)
+                for rollouts in passes:
+                    results = self._run(
+                        [env_of[k] for k in rollouts],
+                        [greedy_flags[k] for k in rollouts],
+                        [rngs[k] for k in rollouts], record_actions, batched)
+                    for k, result in zip(rollouts, results):
+                        grouped[env_of[k]].append(result)
             finally:
                 _end_run(self.policy)
+        return grouped
 
-    def _run(self, num_envs, env_of, greedy_flags, rngs,
-             record_actions: bool) -> list[list[EpisodeResult]]:
+    def _run(self, env_of, greedy_flags, rngs, record_actions: bool,
+             batched: bool) -> list[EpisodeResult]:
+        """The step loop: rollout k on ``envs[env_of[k]]`` until all end."""
+        policy = self.policy
         states = [self.envs[e].reset() for e in env_of]
-        self.policy.begin_episodes([env.instance for env in self.envs])
+        if batched:
+            policy.begin_episodes([env.instance for env in self.envs])
+        else:
+            policy.begin_episode(self.envs[env_of[0]].instance)
         results = [EpisodeResult(state=s, total_reward=0.0) for s in states]
 
         active = [k for k, s in enumerate(states) if not s.done]
         while active:
-            actions = self.policy.act_batch(
-                [states[k] for k in active],
-                greedy=[greedy_flags[k] for k in active],
-                rngs=[rngs[k] for k in active],
-                instance_idxs=[env_of[k] for k in active])
+            if batched:
+                actions = policy.act_batch(
+                    [states[k] for k in active],
+                    greedy=[greedy_flags[k] for k in active],
+                    rngs=[rngs[k] for k in active],
+                    instance_idxs=[env_of[k] for k in active])
+            else:
+                actions = [policy.act(states[k], greedy=greedy_flags[k],
+                                      rng=rngs[k])
+                           for k in active]
             for k, action in zip(active, actions):
                 _, reward, _ = self.envs[env_of[k]].step_state(
                     states[k], action.worker_id, action.task_id)
@@ -215,8 +169,4 @@ class MultiInstanceRunner:
                 if record_actions:
                     results[k].records.append(action)
             active = [k for k in active if not states[k].done]
-
-        grouped: list[list[EpisodeResult]] = [[] for _ in range(num_envs)]
-        for e, result in zip(env_of, results):
-            grouped[e].append(result)
-        return grouped
+        return results

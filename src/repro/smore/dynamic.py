@@ -102,8 +102,7 @@ class DynamicSelectionEnv(SelectionEnv):
 
     def __init__(self, instance: USMDWInstance, planner: RoutePlanner,
                  schedule: ArrivalSchedule, repair: bool = True,
-                 worker_arrivals: dict[int, float] | None = None,
-                 reuse_candidates: bool = True):
+                 worker_arrivals: dict[int, float] | None = None):
         schedule.validate(instance)
         self.schedule = schedule
         self.repair = repair
@@ -113,7 +112,7 @@ class DynamicSelectionEnv(SelectionEnv):
         if unknown:
             raise ValueError(f"worker_arrivals references unknown workers "
                              f"{unknown}")
-        super().__init__(instance, planner, reuse_candidates=reuse_candidates)
+        super().__init__(instance, planner)
         self._tasks_by_id = {s.task_id: s for s in instance.sensing_tasks}
         self._base_routes: dict[int, WorkingRoute | None] = {}
         self.events_processed = 0
@@ -126,7 +125,7 @@ class DynamicSelectionEnv(SelectionEnv):
 
     def _initial_table(self) -> CandidateTable:
         """Epoch-zero table: present workers x schedule-initial tasks."""
-        if self._snapshot is not None and self.reuse_candidates:
+        if self._snapshot is not None:
             return self._snapshot.copy()
         initial_tasks = [self._tasks_by_id[r.task_id]
                          for r in self.schedule.initial]
@@ -138,10 +137,8 @@ class DynamicSelectionEnv(SelectionEnv):
             table.initialize(present, initial_tasks, self.instance.budget)
         self.perf.planner_calls += table.planner_calls
         self.perf.init_planner_calls += table.planner_calls
-        if self.reuse_candidates:
-            self._snapshot = table
-            return table.copy()
-        return table
+        self._snapshot = table
+        return table.copy()
 
     def reset(self) -> DynamicSelectionState:
         start = time.perf_counter()

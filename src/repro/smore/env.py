@@ -42,19 +42,16 @@ class SelectionEnv:
         The problem to solve.
     planner:
         TSPTW backend used for feasibility checks and route updates.
-    reuse_candidates:
-        When True (default) the initial candidate table is computed once
-        and restored by copy on subsequent resets — sound because the
-        initial table depends only on the (immutable) instance and the
-        planner.  Set False to force a full replan on every reset.
+
+    The initial candidate table is computed once and restored by copy on
+    later resets — sound because it depends only on the (immutable)
+    instance and the planner.
     """
 
-    def __init__(self, instance: USMDWInstance, planner: RoutePlanner,
-                 reuse_candidates: bool = True):
+    def __init__(self, instance: USMDWInstance, planner: RoutePlanner):
         self.instance = instance
         self.planner = planner
         self.incentives = IncentiveModel(mu=instance.mu)
-        self.reuse_candidates = reuse_candidates
         # Share the instance's packed arrays / travel-time matrix with the
         # planner (kernel engines), and bulk-fill the coverage bin cache so
         # rollouts never pay per-task binning on first touch.  Both are
@@ -69,8 +66,9 @@ class SelectionEnv:
 
     # ------------------------------------------------------------------ #
     def _initial_table(self) -> CandidateTable:
-        """The post-initialisation candidate table, snapshotted on reuse."""
-        if self._snapshot is not None and self.reuse_candidates:
+        """A copy of the post-initialisation candidate table (the first
+        call computes it and keeps the pristine snapshot)."""
+        if self._snapshot is not None:
             return self._snapshot.copy()
         with obs.span("init", workers=len(self.instance.workers),
                       tasks=len(self.instance.sensing_tasks)), \
@@ -81,13 +79,10 @@ class SelectionEnv:
                              self.instance.budget)
         self.perf.planner_calls += table.planner_calls
         self.perf.init_planner_calls += table.planner_calls
-        if self.reuse_candidates:
-            # Snapshot only when later resets will restore it: holding the
-            # live table while handing the same object to the state would
-            # let episode mutations corrupt the "pristine" copy.
-            self._snapshot = table
-            return table.copy()
-        return table
+        # The state gets a copy: handing it the snapshot itself would let
+        # episode mutations corrupt the pristine table.
+        self._snapshot = table
+        return table.copy()
 
     def reset(self) -> SelectionState:
         """Step 1 of SMORE: candidate assignment initialisation."""

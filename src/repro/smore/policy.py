@@ -1,7 +1,8 @@
 """Policy wrappers that drive TASNet over the selection MDP.
 
-:class:`TASNetPolicy` featurises a :class:`~repro.smore.state.SelectionState`
-and runs the two-stage decision (worker then task); the static worker and
+:class:`TASNetPolicy` featurises :class:`~repro.smore.state.SelectionState`
+objects and runs the two-stage decision (worker then task) for one state
+or a batch of them through one forward; the static worker and
 sensing-task embeddings are computed once per episode and reused across
 steps — gradients still flow through every use during training.
 
@@ -159,12 +160,12 @@ class EpisodeStaticsCache:
 class _MultiEpisodeStatics:
     """Static encodings for B heterogeneous instances, flat-concatenated.
 
-    Each instance is encoded exactly as :meth:`TASNetPolicy.begin_episode`
-    would (a per-instance loop, so encoder outputs are bit-identical to
-    the single-instance path); the per-instance matrices are concatenated
-    along axis 0 and addressed as ``offsets[i] + local index`` through the
-    ``workers`` / ``tasks`` ragged views.  Gradients flow back through the
-    concat into every instance's encoder graph.
+    Each instance is encoded on its own (a per-instance loop, so its
+    encoder outputs do not depend on its batch companions); the
+    per-instance matrices are concatenated along axis 0 and addressed as
+    ``offsets[i] + local index`` through the ``workers`` / ``tasks``
+    ragged views.  Gradients flow back through the concat into every
+    instance's encoder graph.
     """
 
     instances: list
@@ -198,6 +199,10 @@ def _choose(log_probs, greedy: bool,
     return int(rng.choice(len(probs), p=probs))
 
 
+#: ``instance_idxs`` of a single state on the episode's instance.
+_ONE_STATE = np.zeros(1, dtype=np.intp)
+
+
 def _extract_log_probs(worker_logp: nn.Tensor, worker_idxs,
                        task_logp: nn.Tensor, task_idxs) -> list[nn.Tensor]:
     """Per-rollout action log-probs from the two stage matrices.
@@ -216,11 +221,13 @@ def _extract_log_probs(worker_logp: nn.Tensor, worker_idxs,
 class TASNetPolicy:
     """Featurisation + two-stage decoding over the selection MDP.
 
-    Drives one episode at a time through :meth:`act`, or K rollouts of the
-    same instance in lock-step through :meth:`act_batch` — one batched
-    two-stage forward per decoding step, sharing the static encoder
-    embeddings computed once in :meth:`begin_episode` across the whole
-    batch (see :class:`repro.smore.batch.BatchedEpisodeRunner`).
+    :meth:`begin_episodes` encodes the statics of B instances; every
+    decision then runs through one batched two-stage forward
+    (:meth:`_forward`) over any mix of states of those instances.  A
+    single state (:meth:`act`, :meth:`log_prob_of`) is the K=1 case of
+    that forward and :meth:`begin_episode` the B=1 case of the encoding,
+    so a rollout decodes the same actions alone or among batch companions
+    (see :class:`repro.smore.batch.MultiInstanceRunner`).
     """
 
     def __init__(self, net: TASNet):
@@ -229,13 +236,6 @@ class TASNetPolicy:
         #: engine with frozen weights; None (default) re-encodes per
         #: episode, which training requires.
         self.statics_cache: EpisodeStaticsCache | None = None
-        self._instance: USMDWInstance | None = None
-        self._worker_emb: nn.Tensor | None = None
-        self._task_emb: nn.Tensor | None = None
-        self._cand_keys: nn.Tensor | None = None
-        self._task_mean: nn.Tensor | None = None
-        self._worker_ids: list[int] = []
-        self._task_index: dict[int, int] = {}
         # Per-run decode state: the begin_episodes statics and the
         # assigned-embedding bank of _assigned_bank_rows.
         self.end_episodes()
@@ -270,38 +270,25 @@ class TASNetPolicy:
         return statics
 
     def begin_episode(self, instance: USMDWInstance) -> None:
-        """Encode the static parts of the state (workers, sensing tasks)."""
-        self._instance = instance
-        self.end_episodes()
-        statics = self._instance_statics(instance)
-        self._worker_emb = statics.worker_emb
-        self._task_emb = statics.task_emb
-        self._cand_keys = statics.cand_keys
-        self._task_mean = statics.task_mean
-        self._worker_ids = statics.worker_ids
-        self._task_index = statics.task_index
+        """Encode one instance's statics: ``begin_episodes([instance])``."""
+        self.begin_episodes([instance])
 
     def begin_episodes(self, instances) -> None:
-        """Encode statics for B instances at once (cross-instance decode).
+        """Encode the statics of B instances for one decode run.
 
-        Rollouts of *different* instances can then share one batched
-        two-stage forward per step — :meth:`act_batch` with
-        ``instance_idxs``.  Each instance is encoded through the same
-        per-instance encoder calls as :meth:`begin_episode`, so its
-        embeddings are bit-identical to the single-instance path; only
-        the decoding batches change.
+        Rollouts of *different* instances then share one two-stage
+        forward per step — :meth:`act_batch` with ``instance_idxs``.
+        Each instance is encoded on its own, so its embeddings do not
+        depend on its batch companions and a serving engine's statics
+        cache can recall them whole.
         """
         instances = list(instances)
         if not instances:
             raise ValueError("begin_episodes needs at least one instance")
-        self._instance = None
         self.end_episodes()
         worker_embs, task_embs, cand_keys, task_means = [], [], [], []
         worker_ids, task_index = [], []
         for instance in instances:
-            # Per-instance encoding (before the concat) keeps each
-            # instance's statics bit-identical to begin_episode's — and
-            # lets a serving engine's statics cache recall them whole.
             statics = self._instance_statics(instance)
             worker_embs.append(statics.worker_emb)
             task_embs.append(statics.task_emb)
@@ -321,113 +308,25 @@ class TASNetPolicy:
             workers=workers, tasks=tasks,
             worker_pad_idx=pad_idx, worker_pad_mask=pad_mask)
 
-    def _require_episode(self) -> USMDWInstance:
-        if self._instance is None:
-            raise RuntimeError("call begin_episode(instance) first")
-        return self._instance
-
     def _require_episodes(self) -> _MultiEpisodeStatics:
         if self._multi is None:
-            raise RuntimeError("call begin_episodes(instances) first")
+            raise RuntimeError("call begin_episode(instance) or "
+                               "begin_episodes(instances) first")
         return self._multi
 
-    # ------------------------------------------------------------------ #
-    def _assigned_embedding_mean(self, assigned) -> nn.Tensor:
-        d = self.net.config.d_model
-        if not assigned:
-            return nn.Tensor(np.zeros(d))
-        indices = np.array([self._task_index[t.task_id] for t in assigned])
-        return nn.ops.mean(nn.ops.gather_rows(self._task_emb, indices), axis=0)
-
-    def _worker_state_embeddings(self, state: SelectionState) -> nn.Tensor:
-        rows = []
-        for idx, worker_id in enumerate(self._worker_ids):
-            assigned = state.assignments[worker_id].assigned
-            mean_assigned = self._assigned_embedding_mean(assigned)
-            rows.append(nn.ops.concat([mean_assigned, self._worker_emb[idx]]))
-        return nn.ops.stack(rows)
-
-    # ------------------------------------------------------------------ #
-    def _worker_stage(self, state: SelectionState,
-                      budget_norm: float) -> tuple[nn.Tensor, nn.Tensor]:
-        """Stage 1 forward pass: (log-probs over workers, h_g)."""
-        worker_states = self._worker_state_embeddings(state)
-        feasible = set(state.feasible_worker_ids())
-        mask = np.array([w not in feasible for w in self._worker_ids])
-        if mask.all():
-            raise RuntimeError("no worker has feasible candidates")
-        return self.net.worker_selection(worker_states, budget_norm, mask)
-
-    def _task_stage(self, state: SelectionState, worker_id: int,
-                    worker_idx: int, budget_norm: float,
-                    h_g: nn.Tensor) -> tuple[nn.Tensor, list[int]]:
-        """Stage 2 forward pass for one worker: (log-probs, task id order)."""
-        instance = self._require_episode()
-        candidates = state.candidates.worker_candidates(worker_id)
-        task_ids = sorted(candidates)
-        delta_in = np.array([candidates[t].delta_incentive for t in task_ids])
-        delta_phi = np.array([
-            state.coverage.gain(instance.sensing_task(t)) for t in task_ids])
-        cand_indices = np.array([self._task_index[t] for t in task_ids])
-        assigned = state.assignments[worker_id].assigned
-        assigned_emb = None
-        if assigned:
-            idx = np.array([self._task_index[t.task_id] for t in assigned])
-            assigned_emb = nn.ops.gather_rows(self._task_emb, idx)
-        task_logp = self.net.task_selection(
-            self._worker_emb[worker_idx], assigned_emb, budget_norm, h_g,
-            self._task_mean, self._cand_keys, cand_indices, delta_phi,
-            delta_in)
-        return task_logp, task_ids
-
-    def act(self, state: SelectionState, greedy: bool = True,
-            rng: np.random.Generator | None = None) -> ActionRecord:
-        """Run both selection stages on the current state."""
-        instance = self._require_episode()
-        budget_norm = state.budget_rest / max(instance.budget, 1e-9)
-
-        worker_logp, h_g = self._worker_stage(state, budget_norm)
-        worker_idx = _choose(worker_logp, greedy, rng)
-        worker_id = self._worker_ids[worker_idx]
-
-        task_logp, task_ids = self._task_stage(
-            state, worker_id, worker_idx, budget_norm, h_g)
-        task_idx = _choose(task_logp, greedy, rng)
-
-        log_prob = worker_logp[worker_idx] + task_logp[task_idx]
-        return ActionRecord(worker_id, task_ids[task_idx], log_prob)
-
-    def log_prob_of(self, state: SelectionState, worker_id: int,
-                    task_id: int) -> nn.Tensor:
-        """Log-probability the policy assigns to a given (worker, task) pair.
-
-        Used by imitation pretraining to evaluate teacher actions.
-        """
-        instance = self._require_episode()
-        budget_norm = state.budget_rest / max(instance.budget, 1e-9)
-        worker_logp, h_g = self._worker_stage(state, budget_norm)
-        worker_idx = self._worker_ids.index(worker_id)
-        task_logp, task_ids = self._task_stage(
-            state, worker_id, worker_idx, budget_norm, h_g)
-        task_idx = task_ids.index(task_id)
-        return worker_logp[worker_idx] + task_logp[task_idx]
-
-    # ------------------------------------------------------------------ #
-    # Batched decoding: K rollouts of one instance per forward pass.
-    # ------------------------------------------------------------------ #
     def end_episodes(self) -> None:
-        """Drop the per-run decode state: the cross-instance statics of
+        """Drop the per-run decode state: the statics of
         :meth:`begin_episodes` and the assigned-embedding bank.
 
         Decode runners call this when a run ends, so no autograd graph
-        built during the run outlives it (the single-instance statics of
-        :meth:`begin_episode` stay, for :meth:`act` callers).
+        built during the run outlives it.
         """
         self._multi: _MultiEpisodeStatics | None = None
         self._bank: nn.Tensor | None = None
         self._bank_counts: np.ndarray | None = None
         self._bank_slots: dict[int, tuple[object, int]] = {}
 
+    # ------------------------------------------------------------------ #
     def _assigned_bank_rows(self, states, rows: list[list[int]], w: int,
                             task_emb: nn.Tensor) -> nn.Tensor:
         """Mean-assigned embeddings for K states x ``w`` worker slots.
@@ -491,67 +390,67 @@ class TASNetPolicy:
         flat = slots[:, None] * w + np.arange(w, dtype=np.intp)[None, :]
         return nn.ops.gather_rows(self._bank, flat)
 
-    def _worker_state_embeddings_batch(self, states) -> nn.Tensor:
-        """Worker-state embeddings for K rollouts: (K, n_w, 2d)."""
-        num_states, n_w = len(states), len(self._worker_ids)
-        d = self.net.config.d_model
-        rows: list[list[int]] = []
-        for state in states:
-            for worker_id in self._worker_ids:
-                rows.append([self._task_index[t.task_id]
-                             for t in state.assignments[worker_id].assigned])
-        mean_assigned = self._assigned_bank_rows(
-            states, rows, n_w, self._task_emb)
-        worker_emb = nn.ops.broadcast_to(self._worker_emb,
-                                         (num_states, n_w, d))
-        return nn.ops.concat([mean_assigned, worker_emb], axis=2)
+    def _padded_worker_states(self, states, inst_idx,
+                              multi: _MultiEpisodeStatics
+                              ) -> tuple[nn.Tensor, np.ndarray]:
+        """Padded worker-state embeddings across instances: (K, W_max, 2d).
 
-    def _worker_stage_batch(self, states, budget_norms: np.ndarray
-                            ) -> tuple[nn.Tensor, nn.Tensor]:
-        """Batched stage 1: ((K, n_w) log-probs, (K, 2d) group embeddings)."""
-        worker_states = self._worker_state_embeddings_batch(states)
-        mask = np.empty((len(states), len(self._worker_ids)), dtype=bool)
-        for k, state in enumerate(states):
+        Returns the embeddings plus the (K, W_max) padding mask.  Padded
+        slots gather flat row 0 as a placeholder; the worker-selection
+        forward masks them out of every pooling, glimpse, and pointer
+        term, so they contribute nothing forward and receive exactly zero
+        gradient through the gather's scatter-add backward.
+        """
+        pad_idx = multi.worker_pad_idx[inst_idx]        # (K, W_max)
+        pad_mask = multi.worker_pad_mask[inst_idx]      # (K, W_max)
+        w_max = pad_idx.shape[1]
+        rows: list[list[int]] = []
+        for state, i in zip(states, inst_idx):
+            task_index = multi.task_index[i]
+            base = int(multi.tasks.offsets[i])
+            for worker_id in multi.worker_ids[i]:
+                rows.append([base + task_index[t.task_id]
+                             for t in state.assignments[worker_id].assigned])
+            rows.extend([[]] * (w_max - len(multi.worker_ids[i])))
+        mean_assigned = self._assigned_bank_rows(
+            states, rows, w_max, multi.task_emb)
+        worker_emb = nn.ops.gather_rows(multi.worker_emb, pad_idx)
+        return nn.ops.concat([mean_assigned, worker_emb], axis=2), pad_mask
+
+    def _worker_selection(self, states, inst_idx, budget_norms: np.ndarray,
+                          multi: _MultiEpisodeStatics
+                          ) -> tuple[nn.Tensor, nn.Tensor]:
+        """Stage 1: ((K, W_max) log-probs over workers, (K, 2d) h_g)."""
+        worker_states, pad_mask = self._padded_worker_states(
+            states, inst_idx, multi)
+        mask = pad_mask.copy()
+        for k, (state, i) in enumerate(zip(states, inst_idx)):
             feasible = set(state.feasible_worker_ids())
-            mask[k] = [w not in feasible for w in self._worker_ids]
+            ids = multi.worker_ids[i]
+            mask[k, :len(ids)] = [w not in feasible for w in ids]
             if mask[k].all():
                 raise RuntimeError("no worker has feasible candidates")
         return self.net.worker_selection.forward_batch(
-            worker_states, budget_norms, mask)
+            worker_states, budget_norms, mask, pad_mask=pad_mask)
 
-    def _task_stage_batch(self, states, worker_ids, worker_idxs,
-                          budget_norms: np.ndarray, h_g: nn.Tensor,
-                          multi: _MultiEpisodeStatics | None = None,
-                          inst_idx: np.ndarray | None = None
-                          ) -> tuple[nn.Tensor, list[list[int]]]:
-        """Batched stage 2: ((K, m_max) padded log-probs, task-id orders).
+    def _task_selection(self, states, inst_idx, worker_ids, worker_idxs,
+                        budget_norms: np.ndarray, h_g: nn.Tensor,
+                        multi: _MultiEpisodeStatics
+                        ) -> tuple[nn.Tensor, list[list[int]]]:
+        """Stage 2: ((K, m_max) padded log-probs, task-id orders).
 
-        With ``multi`` / ``inst_idx`` the rollouts belong to different
-        instances and every task index is offset into the flat
-        cross-instance embedding matrices; without them the path is the
-        homogeneous one-instance batch, unchanged.
+        Every task index is offset into the flat cross-instance
+        embedding matrices of state k's instance ``inst_idx[k]``.
         """
-        if multi is None:
-            instance = self._require_episode()
-            task_emb = self._task_emb
-            cand_keys = self._cand_keys
-        else:
-            task_emb = multi.task_emb
-            cand_keys = multi.cand_keys
         num_states = len(states)
         task_id_lists: list[list[int]] = []
         delta_in_rows, delta_phi_rows = [], []
         cand_rows: list[list[int]] = []
         assigned_rows: list[list[int]] = []
-        for k, (state, worker_id) in enumerate(zip(states, worker_ids)):
-            if multi is None:
-                task_index = self._task_index
-                base = 0
-            else:
-                i = inst_idx[k]
-                instance = multi.instances[i]
-                task_index = multi.task_index[i]
-                base = int(multi.tasks.offsets[i])
+        for state, worker_id, i in zip(states, worker_ids, inst_idx):
+            instance = multi.instances[i]
+            task_index = multi.task_index[i]
+            base = int(multi.tasks.offsets[i])
             candidates = state.candidates.worker_candidates(worker_id)
             task_ids = sorted(candidates)
             task_id_lists.append(task_ids)
@@ -579,158 +478,109 @@ class TASNetPolicy:
             for k, row in enumerate(assigned_rows):
                 a_idx[k, :len(row)] = row
                 assigned_mask[k, :len(row)] = False
-            assigned_emb = nn.ops.gather_rows(task_emb, a_idx)
+            assigned_emb = nn.ops.gather_rows(multi.task_emb, a_idx)
 
-        if multi is None:
-            worker_emb = nn.ops.gather_rows(
-                self._worker_emb, np.asarray(worker_idxs, dtype=np.intp))
-            task_mean = nn.ops.broadcast_to(
-                self._task_mean, (num_states, self._task_mean.shape[0]))
-        else:
-            flat_rows = (multi.workers.offsets[inst_idx]
-                         + np.asarray(worker_idxs, dtype=np.intp))
-            worker_emb = nn.ops.gather_rows(multi.worker_emb, flat_rows)
-            task_mean = nn.ops.gather_rows(multi.task_mean, inst_idx)
+        flat_rows = (multi.workers.offsets[inst_idx]
+                     + np.asarray(worker_idxs, dtype=np.intp))
+        worker_emb = nn.ops.gather_rows(multi.worker_emb, flat_rows)
+        task_mean = nn.ops.gather_rows(multi.task_mean, inst_idx)
         task_logp = self.net.task_selection.forward_batch(
             worker_emb, assigned_emb, assigned_mask, budget_norms, h_g,
-            task_mean, cand_keys, cand_idx, cand_mask, delta_phi, delta_in)
+            task_mean, multi.cand_keys, cand_idx, cand_mask, delta_phi,
+            delta_in)
         return task_logp, task_id_lists
 
-    # ------------------------------------------------------------------ #
-    # Cross-instance decoding: B instances x K rollouts per forward pass.
-    # ------------------------------------------------------------------ #
-    def _worker_state_embeddings_multi(self, states, inst_idx,
-                                       multi: _MultiEpisodeStatics
-                                       ) -> tuple[nn.Tensor, np.ndarray]:
-        """Padded worker-state embeddings across instances: (K, W_max, 2d).
+    def _forward(self, states, inst_idx: np.ndarray, greedy, rngs,
+                 action: tuple[int, int] | None = None
+                 ) -> list[ActionRecord]:
+        """The two-stage forward over states k of instances ``inst_idx[k]``.
 
-        Returns the embeddings plus the (K, W_max) padding mask.  Padded
-        slots gather flat row 0 as a placeholder; the worker-selection
-        forward masks them out of every pooling, glimpse, and pointer
-        term, so they contribute nothing forward and receive exactly zero
-        gradient through the gather's scatter-add backward.
+        The one TASNet forward every decision runs through.  State k
+        picks its worker, then its task, with ``greedy[k]`` (argmax) or
+        by drawing from its own ``rngs[k]`` in that order, so its actions
+        never depend on batch companions.  ``action`` (one state only)
+        forces that ``(worker_id, task_id)`` instead of choosing — the
+        path of :meth:`log_prob_of`.
         """
-        pad_idx = multi.worker_pad_idx[inst_idx]        # (K, W_max)
-        pad_mask = multi.worker_pad_mask[inst_idx]      # (K, W_max)
-        w_max = pad_idx.shape[1]
-        rows: list[list[int]] = []
-        for state, i in zip(states, inst_idx):
-            task_index = multi.task_index[i]
-            base = int(multi.tasks.offsets[i])
-            for worker_id in multi.worker_ids[i]:
-                rows.append([base + task_index[t.task_id]
-                             for t in state.assignments[worker_id].assigned])
-            rows.extend([[]] * (w_max - len(multi.worker_ids[i])))
-        mean_assigned = self._assigned_bank_rows(
-            states, rows, w_max, multi.task_emb)
-        worker_emb = nn.ops.gather_rows(multi.worker_emb, pad_idx)
-        return nn.ops.concat([mean_assigned, worker_emb], axis=2), pad_mask
-
-    def _worker_stage_multi(self, states, inst_idx, budget_norms: np.ndarray,
-                            multi: _MultiEpisodeStatics
-                            ) -> tuple[nn.Tensor, nn.Tensor]:
-        """Cross-instance stage 1: ((K, W_max) log-probs, (K, 2d) h_g)."""
-        worker_states, pad_mask = self._worker_state_embeddings_multi(
-            states, inst_idx, multi)
-        mask = pad_mask.copy()
-        for k, (state, i) in enumerate(zip(states, inst_idx)):
-            feasible = set(state.feasible_worker_ids())
-            ids = multi.worker_ids[i]
-            mask[k, :len(ids)] = [w not in feasible for w in ids]
-            if mask[k].all():
-                raise RuntimeError("no worker has feasible candidates")
-        return self.net.worker_selection.forward_batch(
-            worker_states, budget_norms, mask, pad_mask=pad_mask)
-
-    def _act_batch_multi(self, states, greedy, rngs,
-                         instance_idxs) -> list[ActionRecord]:
         multi = self._require_episodes()
         num_states = len(states)
-        inst_idx = np.asarray(instance_idxs, dtype=np.intp)
-        if inst_idx.shape != (num_states,):
-            raise ValueError("instance_idxs must give one index per state")
-        greedy_flags = [greedy] * num_states if isinstance(greedy, bool) \
-            else list(greedy)
-        rng_list = [None] * num_states if rngs is None else list(rngs)
         budget_norms = np.array(
             [s.budget_rest / max(multi.instances[i].budget, 1e-9)
              for s, i in zip(states, inst_idx)])
 
-        worker_logp, h_g = self._worker_stage_multi(
+        worker_logp, h_g = self._worker_selection(
             states, inst_idx, budget_norms, multi)
-        # Slice each row to its instance's real worker count: the padded
-        # tail holds exact zero probability either way, and the slice
-        # keeps _choose's draw identical to the single-instance batch.
-        worker_idxs = [
-            _choose(worker_logp.data[k, :multi.workers.lengths[i]],
-                    greedy_flags[k], rng_list[k])
-            for k, i in enumerate(inst_idx)]
+        if action is None:
+            # Slice each row to its instance's real worker count: the
+            # padded tail holds exact zero probability either way, and the
+            # slice keeps _choose's draw independent of the padding.
+            worker_idxs = [
+                _choose(worker_logp.data[k, :multi.workers.lengths[i]],
+                        greedy[k], rngs[k])
+                for k, i in enumerate(inst_idx)]
+        else:
+            worker_idxs = [multi.worker_ids[inst_idx[0]].index(action[0])]
         worker_ids = [multi.worker_ids[i][w]
                       for i, w in zip(inst_idx, worker_idxs)]
 
-        task_logp, task_id_lists = self._task_stage_batch(
-            states, worker_ids, worker_idxs, budget_norms, h_g,
-            multi=multi, inst_idx=inst_idx)
-
-        task_idxs = [
-            _choose(task_logp.data[k, :len(task_id_lists[k])],
-                    greedy_flags[k], rng_list[k])
-            for k in range(num_states)]
+        task_logp, task_id_lists = self._task_selection(
+            states, inst_idx, worker_ids, worker_idxs, budget_norms, h_g,
+            multi)
+        if action is None:
+            task_idxs = [
+                _choose(task_logp.data[k, :len(task_id_lists[k])],
+                        greedy[k], rngs[k])
+                for k in range(num_states)]
+        else:
+            task_idxs = [task_id_lists[0].index(action[1])]
         log_probs = _extract_log_probs(
             worker_logp, worker_idxs, task_logp, task_idxs)
         return [
             ActionRecord(worker_ids[k], task_id_lists[k][task_idxs[k]],
                          log_probs[k])
             for k in range(num_states)]
+
+    def act(self, state: SelectionState, greedy: bool = True,
+            rng: np.random.Generator | None = None) -> ActionRecord:
+        """Run both selection stages on one state of the episode's
+        instance (the K=1 case of :meth:`act_batch`)."""
+        return self._forward([state], _ONE_STATE, [greedy], [rng])[0]
+
+    def log_prob_of(self, state: SelectionState, worker_id: int,
+                    task_id: int) -> nn.Tensor:
+        """Log-probability the policy assigns to a given (worker, task) pair.
+
+        Used by imitation pretraining to evaluate teacher actions.
+        """
+        return self._forward([state], _ONE_STATE, [True], [None],
+                             action=(worker_id, task_id))[0].log_prob
 
     def act_batch(self, states, greedy=True, rngs=None,
                   instance_idxs=None) -> list[ActionRecord]:
         """Decode one action for each of K concurrent rollouts.
 
-        ``states`` are live :class:`SelectionState` objects over the
-        instance passed to :meth:`begin_episode`.  ``greedy`` is one bool
+        State k belongs to ``instances[instance_idxs[k]]`` of the last
+        :meth:`begin_episodes` call; without ``instance_idxs`` every
+        state is on instance 0.  The whole batch shares one two-stage
+        forward, padded to the widest instance.  ``greedy`` is one bool
         for the whole batch or a per-rollout sequence; ``rngs`` supplies
         each sampled rollout's own generator, consumed in the same
-        worker-then-task order as the serial :meth:`act`, so a rollout's
-        random stream is independent of its batch companions.
-
-        ``instance_idxs`` switches to the cross-instance path: after
-        :meth:`begin_episodes`, each state k belongs to
-        ``instances[instance_idxs[k]]`` and the whole heterogeneous batch
-        shares one two-stage forward, padded to the widest instance.
+        worker-then-task order as :meth:`act`, so a rollout's random
+        stream is independent of its batch companions.
         """
         states = list(states)
         if not states:
             return []
-        if instance_idxs is not None:
-            return self._act_batch_multi(states, greedy, rngs, instance_idxs)
-        instance = self._require_episode()
         num_states = len(states)
+        inst_idx = (np.zeros(num_states, dtype=np.intp)
+                    if instance_idxs is None
+                    else np.asarray(instance_idxs, dtype=np.intp))
+        if inst_idx.shape != (num_states,):
+            raise ValueError("instance_idxs must give one index per state")
         greedy_flags = [greedy] * num_states if isinstance(greedy, bool) \
             else list(greedy)
         rng_list = [None] * num_states if rngs is None else list(rngs)
-        budget_norms = np.array(
-            [s.budget_rest / max(instance.budget, 1e-9) for s in states])
-
-        worker_logp, h_g = self._worker_stage_batch(states, budget_norms)
-        worker_idxs = [
-            _choose(worker_logp.data[k], greedy_flags[k], rng_list[k])
-            for k in range(num_states)]
-        worker_ids = [self._worker_ids[i] for i in worker_idxs]
-
-        task_logp, task_id_lists = self._task_stage_batch(
-            states, worker_ids, worker_idxs, budget_norms, h_g)
-
-        task_idxs = [
-            _choose(task_logp.data[k, :len(task_id_lists[k])],
-                    greedy_flags[k], rng_list[k])
-            for k in range(num_states)]
-        log_probs = _extract_log_probs(
-            worker_logp, worker_idxs, task_logp, task_idxs)
-        return [
-            ActionRecord(worker_ids[k], task_id_lists[k][task_idxs[k]],
-                         log_probs[k])
-            for k in range(num_states)]
+        return self._forward(states, inst_idx, greedy_flags, rng_list)
 
     # ------------------------------------------------------------------ #
     def parameters(self):

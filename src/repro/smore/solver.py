@@ -5,12 +5,14 @@ driven by a trained (or untrained) policy.  Also hosts the "w/o RL-AS"
 ablation: the same iterative framework with a purely greedy
 coverage-gain-first selection rule instead of the learned policy.
 
+Every solve decodes through :class:`~repro.smore.batch.MultiInstanceRunner`.
 Sample-and-select-best inference (``num_samples > 1``) shares one
 :class:`~repro.smore.env.SelectionEnv` across rollouts, so the candidate
 table is initialised once and restored by snapshot copy per rollout; with
-``workers > 1`` the sampled rollouts additionally fan out over a process
-pool (:mod:`repro.parallel`) with per-rollout seeds derived from one root,
-making parallel and serial decoding bit-identical.
+``workers > 1`` contiguous chunks of the rollout schedule additionally
+fan out over a process pool (:mod:`repro.parallel`) with per-rollout
+seeds derived from one root, making parallel and serial decoding
+bit-identical.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from ..obs.profile import scope as profile_scope
 from ..obs.slo import current_slo_tracker
 from ..parallel import derive_seeds, parallel_map
 from ..tsptw.base import RoutePlanner
-from .batch import BatchedEpisodeRunner, BatchFull, DeadlineExpired, \
-    MultiInstanceRunner
+from .batch import BatchFull, DeadlineExpired, MultiInstanceRunner
 from .env import SelectionEnv
 from .policy import FlatSelectionPolicy, TASNetPolicy
 from .state import SelectionState
@@ -41,18 +42,13 @@ __all__ = ["SMORESolver", "SolveBatch", "GreedySelectionRule",
 def run_episode(env: SelectionEnv, policy, greedy: bool = True,
                 rng: np.random.Generator | None = None,
                 record_actions: bool = False):
-    """Roll one full episode; return (state, total_reward, action_records)."""
-    state = env.reset()
-    policy.begin_episode(env.instance)
-    total_reward = 0.0
-    records = []
-    while not state.done:
-        action = policy.act(state, greedy=greedy, rng=rng)
-        state, reward, _ = env.step(action.worker_id, action.task_id)
-        total_reward += reward
-        if record_actions:
-            records.append(action)
-    return state, total_reward, records
+    """Roll one full episode; return (state, total_reward, action_records).
+
+    The B=1, K=1 run of :class:`~repro.smore.batch.MultiInstanceRunner`.
+    """
+    [[episode]] = MultiInstanceRunner([env], policy).run(
+        [[(greedy, rng)]], record_actions)
+    return episode.state, episode.total_reward, episode.records
 
 
 def _chunk(items: list, parts: int) -> list[list]:
@@ -106,14 +102,14 @@ class GreedySelectionRule:
     """
 
     def begin_episode(self, instance: USMDWInstance) -> None:
-        self._instance = instance
+        """Stateless: candidate tasks are read off the state's pool."""
 
     def act(self, state: SelectionState, greedy: bool = True,
             rng: np.random.Generator | None = None):
         from .policy import ActionRecord
 
         def score(task_id, entry):
-            return -state.coverage.gain(self._instance.sensing_task(task_id))
+            return -state.coverage.gain(state.unselected[task_id])
 
         best = _best_candidate_pair(state, score)
         return ActionRecord(best[0], best[1], nn.Tensor(0.0))
@@ -126,7 +122,7 @@ class RatioSelectionRule:
     as a strong deterministic reference policy."""
 
     def begin_episode(self, instance: USMDWInstance) -> None:
-        self._instance = instance
+        """Stateless: candidate tasks are read off the state's pool."""
 
     def act(self, state: SelectionState, greedy: bool = True,
             rng: np.random.Generator | None = None):
@@ -134,7 +130,7 @@ class RatioSelectionRule:
         from .policy import ActionRecord
 
         def score(task_id, entry):
-            gain = state.coverage.gain(self._instance.sensing_task(task_id))
+            gain = state.coverage.gain(state.unselected[task_id])
             return -gain / max(entry.delta_incentive, SOFT_MASK_EPS)
 
         best = _best_candidate_pair(state, score)
@@ -173,8 +169,11 @@ class SMORESolver:
 
         Per-rollout seeds are derived from one root drawn off the caller's
         rng, so the schedule — and therefore the returned solution — is
-        identical whether rollouts run serially or across a pool.
+        identical whether rollouts run serially or across a pool.  Raises
+        ``ValueError`` when ``num_samples < 1``.
         """
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         if num_samples > 1:
             rng = rng or np.random.default_rng()
             root = int(rng.integers(0, 2**63 - 1))
@@ -185,11 +184,32 @@ class SMORESolver:
                      if rng is None else rng)]
         return [(True, None)]
 
+    def _decode(self, envs, plans):
+        """Decode ``plans[i]`` on ``envs[i]`` in one no-grad lock-step run.
+
+        The decode core :meth:`solve` and :meth:`SolveBatch.execute`
+        share.  Each env's perf counters restart so they report only
+        this run (a warm env carries earlier batches' counts, a pool
+        child's env is a fork copy).  A memoising planner's counters are
+        lifetime totals, so their delta over the run is returned too —
+        differencing inside the run is what ships a pool child's cache
+        activity back.  Returns ``(per-env episode lists, delta or
+        None)``.
+        """
+        for env in envs:
+            env.perf = PerfCounters()
+        stats_fn = getattr(self.planner, "stats", None)
+        cache_before = stats_fn() if stats_fn is not None else None
+        with obs.span("select", rollouts=sum(len(plan) for plan in plans)):
+            with nn.no_grad():
+                grouped = MultiInstanceRunner(envs, self.policy).run(plans)
+        cache_delta = (stats_fn().diff(cache_before)
+                       if cache_before is not None else None)
+        return grouped, cache_delta
+
     def solve(self, instance: USMDWInstance, greedy: bool = True,
               rng: np.random.Generator | None = None,
               num_samples: int = 1, workers: int = 1,
-              reuse_candidates: bool = True,
-              batch_rollouts: bool = True,
               shards: int | None = None,
               shard_method: str = "grid",
               shard_pool=None) -> Solution:
@@ -201,8 +221,12 @@ class SMORESolver:
         policy is rolled out stochastically ``num_samples - 1`` times on
         top of one greedy rollout and the best-coverage solution is
         returned.  Candidate initialisation runs once regardless of
-        ``num_samples`` (snapshot reuse); ``workers > 1`` fans the sampled
-        rollouts out over a process pool with identical results.
+        ``num_samples`` (snapshot reuse).  All rollouts advance in
+        lock-step, one batched policy forward per decoding step;
+        ``workers > 1`` splits the rollout schedule into contiguous
+        chunks decoded across a process pool.  Each rollout keeps its
+        own derived seed and rng-draw order, so the returned solution is
+        identical for every ``workers``.
 
         ``shards > 1`` routes the solve through the city-scale
         divide-and-conquer pipeline (:func:`repro.shard.solve_sharded`):
@@ -210,14 +234,6 @@ class SMORESolver:
         a ``shard_pool`` :class:`~repro.parallel.PersistentPool`), then
         boundary repair and merge.  ``shards=1``/``None`` is the plain
         unsharded path.
-
-        ``batch_rollouts=True`` (default) advances all rollouts in
-        lock-step through :class:`BatchedEpisodeRunner`, one batched
-        policy forward per decoding step; with ``workers > 1`` each pool
-        child batch-decodes its contiguous chunk of the rollout schedule.
-        Because each rollout keeps its own derived seed and rng-draw
-        order, the returned solution is identical either way — set
-        ``batch_rollouts=False`` to force the per-episode reference loop.
         """
         if shards is not None and shards > 1:
             from ..shard import solve_sharded
@@ -230,98 +246,45 @@ class SMORESolver:
         solve_span = obs.span("solve", method=self.name,
                               num_samples=num_samples, workers=workers)
         with solve_span, profile_scope("solve"):
-            env = SelectionEnv(instance, self.planner,
-                               reuse_candidates=reuse_candidates)
-            rollouts = self._rollout_plan(greedy, rng, num_samples)
-            # A memoising planner's counters are cumulative over its whole
-            # lifetime; scope them to this solve by differencing around
-            # each unit of work.  Differencing *inside* roll/roll_chunk —
-            # which execute in the pool children — is what ships child-side
-            # cache activity back instead of losing it with the fork.
-            stats_fn = getattr(self.planner, "stats", None)
-
-            def roll(spec):
-                use_greedy, seed = spec
-                roll_rng = None
-                if not use_greedy:
-                    roll_rng = (seed if isinstance(seed, np.random.Generator)
-                                else np.random.default_rng(seed))
-                # Fresh counters per rollout: a pool child may run several
-                # rollouts on its copy of the env, and each must report only
-                # its own episode.
-                env.perf = PerfCounters()
-                cache_before = stats_fn() if stats_fn is not None else None
-                with obs.span("select", rollouts=1):
-                    with nn.no_grad():
-                        state, _, _ = run_episode(env, self.policy,
-                                                  greedy=use_greedy,
-                                                  rng=roll_rng)
-                if cache_before is not None:
-                    env.perf.merge(stats_fn().diff(cache_before))
-                return (state.phi(), state.assignments.routes(),
-                        state.assignments.incentives(), env.perf)
-
-            def roll_chunk(chunk):
-                # One batched decode over a contiguous slice of the schedule;
-                # fresh counters so the chunk reports only its own episodes.
-                env.perf = PerfCounters()
-                cache_before = stats_fn() if stats_fn is not None else None
-                with obs.span("select", rollouts=len(chunk)):
-                    runner = BatchedEpisodeRunner(env, self.policy)
-                    with nn.no_grad():
-                        episodes = runner.run(chunk)
-                if cache_before is not None:
-                    env.perf.merge(stats_fn().diff(cache_before))
-                return ([(ep.state.phi(), ep.state.assignments.routes(),
-                          ep.state.assignments.incentives())
-                         for ep in episodes], env.perf)
-
+            env = SelectionEnv(instance, self.planner)
+            chunks = _chunk(self._rollout_plan(greedy, rng, num_samples),
+                            workers)
             perf = PerfCounters()
-            batched = batch_rollouts and len(rollouts) > 1
-            if workers > 1 and len(rollouts) > 1:
+            if len(chunks) > 1:
                 # Warm the candidate snapshot before forking so every child
                 # inherits it instead of re-running the O(W x S) init sweep.
+                stats_fn = getattr(self.planner, "stats", None)
                 cache_before = stats_fn() if stats_fn is not None else None
                 env.reset()  # emits the env's "init" span on first compute
                 env.perf.rollouts = 0  # the warm-up reset is not an episode
                 perf.merge(env.perf)
                 if cache_before is not None:
                     perf.merge(stats_fn().diff(cache_before))
-                if batched:
-                    chunks = _chunk(rollouts, workers)
-                    chunk_results = parallel_map(roll_chunk, chunks,
-                                                 workers=workers)
-                    results = []
-                    for episodes, chunk_perf in chunk_results:
-                        results.extend(
-                            (phi, routes, incentives, PerfCounters())
-                            for phi, routes, incentives in episodes)
-                        perf.merge(chunk_perf)
-                else:
-                    results = parallel_map(roll, rollouts, workers=workers)
-            elif batched:
-                episodes, chunk_perf = roll_chunk(rollouts)
-                results = [(phi, routes, incentives, PerfCounters())
-                           for phi, routes, incentives in episodes]
-                perf.merge(chunk_perf)
-            else:
-                results = [roll(spec) for spec in rollouts]
-            for _, _, _, episode_perf in results:
-                perf.merge(episode_perf)
+
+            def decode_chunk(chunk):
+                [episodes], cache_delta = self._decode([env], [chunk])
+                if cache_delta is not None:
+                    env.perf.merge(cache_delta)
+                return ([(ep.state.phi(), ep.state.assignments.routes(),
+                          ep.state.assignments.incentives())
+                         for ep in episodes], env.perf)
 
             best = None
             best_phi = -float("inf")
-            for phi, routes, incentives, _ in results:
-                if phi > best_phi:
-                    best_phi = phi
-                    best = (routes, incentives)
+            for episodes, chunk_perf in parallel_map(decode_chunk, chunks,
+                                                     workers=workers):
+                perf.merge(chunk_perf)
+                for phi, routes, incentives in episodes:
+                    if phi > best_phi:
+                        best_phi = phi
+                        best = (routes, incentives)
 
             elapsed = time.perf_counter() - start
             obs.count("solve.count")
             obs.record_perf(perf, prefix="solve.")
             obs.gauge("solve.best_phi", best_phi)
             obs.event("solve.done", method=self.name, phi=best_phi,
-                      rollouts=len(rollouts),
+                      rollouts=sum(len(chunk) for chunk in chunks),
                       planner_calls=perf.planner_calls,
                       wall_time=round(elapsed, 6))
         return Solution(
@@ -338,8 +301,7 @@ class SMORESolver:
                       rng: np.random.Generator | None = None,
                       num_samples: int = 1, workers: int = 1,
                       repair: bool = True,
-                      worker_arrivals: dict[int, float] | None = None,
-                      reuse_candidates: bool = True):
+                      worker_arrivals: dict[int, float] | None = None):
         """Solve one instance under a streaming arrival schedule.
 
         Same sampling surface as :meth:`solve` — one greedy rollout plus
@@ -365,8 +327,7 @@ class SMORESolver:
                       repair=repair), profile_scope("solve"):
             env = DynamicSelectionEnv(
                 instance, self.planner, schedule, repair=repair,
-                worker_arrivals=worker_arrivals,
-                reuse_candidates=reuse_candidates)
+                worker_arrivals=worker_arrivals)
             rollouts = self._rollout_plan(greedy, rng, num_samples)
             stats_fn = getattr(self.planner, "stats", None)
 
@@ -434,8 +395,7 @@ class SMORESolver:
             arrived=best[5], events=best[6], solver_name=self.name,
             wall_time=elapsed, perf=perf)
 
-    def open_batch(self, max_size: int | None = None,
-                   reuse_candidates: bool = True, env_factory=None,
+    def open_batch(self, max_size: int | None = None, env_factory=None,
                    clock=time.monotonic) -> "SolveBatch":
         """Open an incrementally assembled cross-instance decode batch.
 
@@ -445,13 +405,11 @@ class SMORESolver:
         closes; :meth:`solve_many` is this surface with the whole request
         list admitted up front.
         """
-        return SolveBatch(self, max_size=max_size,
-                          reuse_candidates=reuse_candidates,
-                          env_factory=env_factory, clock=clock)
+        return SolveBatch(self, max_size=max_size, env_factory=env_factory,
+                          clock=clock)
 
     def solve_many(self, instances, greedy: bool = True, rngs=None,
-                   num_samples: int = 1,
-                   reuse_candidates: bool = True) -> list[Solution]:
+                   num_samples: int = 1) -> list[Solution]:
         """Solve B instances in one cross-instance batched decode.
 
         Each instance's rollout schedule comes from the same
@@ -485,7 +443,7 @@ class SMORESolver:
         if len(rng_list) != len(instances):
             raise ValueError(
                 f"got {len(rng_list)} rngs for {len(instances)} instances")
-        batch = self.open_batch(reuse_candidates=reuse_candidates)
+        batch = self.open_batch()
         for instance, rng in zip(instances, rng_list):
             batch.admit(instance, greedy=greedy, rng=rng,
                         num_samples=num_samples)
@@ -535,13 +493,11 @@ class SolveBatch:
     """
 
     def __init__(self, solver: SMORESolver, max_size: int | None = None,
-                 reuse_candidates: bool = True, env_factory=None,
-                 clock=time.monotonic):
+                 env_factory=None, clock=time.monotonic):
         if max_size is not None and max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         self._solver = solver
         self._max_size = max_size
-        self._reuse_candidates = reuse_candidates
         self._env_factory = env_factory
         self._clock = clock
         self._requests: list[_BatchRequest] = []
@@ -583,8 +539,7 @@ class SolveBatch:
     def _make_env(self, instance: USMDWInstance) -> SelectionEnv:
         if self._env_factory is not None:
             return self._env_factory(instance)
-        return SelectionEnv(instance, self._solver.planner,
-                            reuse_candidates=self._reuse_candidates)
+        return SelectionEnv(instance, self._solver.planner)
 
     def execute(self) -> list[Solution | None]:
         """Decode every live admitted request in one lock-step batch.
@@ -619,25 +574,8 @@ class SolveBatch:
         many_span = obs.span("solve_many", method=solver.name,
                              instances=len(live), rollouts=total_rollouts)
         with many_span, profile_scope("solve"):
-            envs, env_seen = [], set()
-            for i in live:
-                env = self._make_env(requests[i].instance)
-                envs.append(env)
-                if id(env) not in env_seen:
-                    env_seen.add(id(env))
-                    # Scope the env's counters to this batch: warm envs
-                    # supplied by a factory carry earlier batches' perf.
-                    env.perf = PerfCounters()
-            stats_fn = getattr(solver.planner, "stats", None)
-            cache_before = stats_fn() if stats_fn is not None else None
-            runner = MultiInstanceRunner([], solver.policy)
-            for env, plan in zip(envs, plans):
-                runner.admit(env, plan)
-            with obs.span("select", rollouts=total_rollouts):
-                with nn.no_grad():
-                    grouped = runner.run_admitted()
-            cache_delta = (stats_fn().diff(cache_before)
-                           if cache_before is not None else None)
+            envs = [self._make_env(requests[i].instance) for i in live]
+            grouped, cache_delta = solver._decode(envs, plans)
             elapsed = time.perf_counter() - start
             shared_time = elapsed / len(live)
 

@@ -5,11 +5,11 @@ The PR's headline guarantees, asserted here rather than eyeballed:
 * profiler-on runs are numerically bit-identical to profiler-off
   (forward values, gradients, Adam updates on a seeded TASNet step);
 * ``no_grad`` decoding records zero backward samples;
-* per-episode (``batch_rollouts=False``) op call counts and FLOP totals
-  are identical serial vs. across the fork pool — the profiler deltas
-  ship back with each item and merge in item order, like PR 3's
-  telemetry.  (The *batched* decode path is exempt by design: pool
-  chunking changes batch widths, so padded op shapes differ.)
+* op call counts and FLOP totals are identical serial vs. across the
+  fork pool when both decode the same contiguous chunks of the rollout
+  schedule — the profiler deltas ship back with each item and merge in
+  item order, like the telemetry.  (Chunking sets batch widths, so
+  padded op shapes depend on it.)
 """
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.obs.profile import (
     render_stacks,
     scope,
 )
+import repro.parallel
 from repro.parallel import fork_available
 from repro.smore import SMORESolver, TASNet, TASNetConfig, TASNetPolicy
 from repro.smore.train import TASNetTrainer, TrainingConfig
@@ -307,17 +308,20 @@ class TestNumericTransparency:
 
 class TestPoolParity:
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")
-    def test_per_episode_profile_identical_serial_vs_pool(self, instance):
-        def profiled_solve(workers):
+    def test_per_episode_profile_identical_serial_vs_pool(self, instance,
+                                                          monkeypatch):
+        def profiled_solve():
             profiler = OpProfiler()
             with profiling(profiler=profiler):
                 solution = _make_solver().solve(
                     instance, greedy=False, rng=np.random.default_rng(7),
-                    num_samples=4, workers=workers, batch_rollouts=False)
+                    num_samples=4, workers=2)
             return solution, profiler
 
-        serial_solution, serial = profiled_solve(1)
-        pool_solution, pooled = profiled_solve(2)
+        pool_solution, pooled = profiled_solve()
+        # Without fork, parallel_map runs the same two chunks in-process.
+        monkeypatch.setattr(repro.parallel, "fork_available", lambda: False)
+        serial_solution, serial = profiled_solve()
         assert pool_solution.objective == serial_solution.objective
         assert pooled.ops.keys() == serial.ops.keys()
         for name in serial.ops:

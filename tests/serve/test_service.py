@@ -305,6 +305,27 @@ class TestDeadlinesAndAdmission:
         assert len(answers) == 6
         assert all(a.routes is not None for a in answers)
 
+    def test_bad_num_samples_fails_alone(self, instances):
+        """A num_samples=0 request fails before queuing; its concurrent
+        companions are answered and the service keeps serving."""
+        want = [_solver(instances).solve(inst) for inst in instances]
+        requests = [SolveRequest(instance=instances[0]),
+                    SolveRequest(instance=instances[1], num_samples=0),
+                    SolveRequest(instance=instances[2])]
+        result = drive_requests(_engine(instances), requests,
+                                config=ServeConfig(max_wait_us=20_000.0))
+        first, bad, last = result.outcomes
+        assert isinstance(bad, ValueError)
+        assert _identical(want[0], first) and _identical(want[2], last)
+
+        async def run():
+            async with SolverService(_engine(instances)) as service:
+                with pytest.raises(ValueError, match="num_samples"):
+                    await service.solve(instances[0], num_samples=0)
+                return await service.solve(instances[1])
+
+        assert _identical(want[1], asyncio.run(run()))
+
 
 class TestConfigValidation:
     def test_bad_batch_size(self):

@@ -1,11 +1,11 @@
-"""Batched decode engine vs. the serial reference paths.
+"""Lock-step decode runner vs. the per-episode reference loop.
 
-The contract of PR 2: advancing K rollouts in lock-step — one batched
-two-stage TASNet forward per decoding step — must reproduce the serial
-per-episode loop exactly, action for action, for greedy decoding, for
-seeded sampling, through the solver facade, and composed with the fork
-pool.  Policies without ``act_batch`` must ride the same runner via the
-per-state fallback.
+Advancing K rollouts in lock-step — one batched two-stage TASNet forward
+per decoding step — must reproduce the per-episode oracle loop
+(``tests/smore/oracle.py``) exactly, action for action, for greedy
+decoding, for seeded sampling, through the solver facade, and composed
+with the fork pool.  Policies without ``act_batch`` ride the same runner
+one env at a time.
 """
 
 import numpy as np
@@ -17,15 +17,16 @@ from repro.smore import (
     BatchedEpisodeRunner,
     FlatSelectionNet,
     FlatSelectionPolicy,
+    MultiInstanceRunner,
     RatioSelectionRule,
     SelectionEnv,
     SMORESolver,
     TASNetTrainer,
     TrainingConfig,
-    run_episode,
 )
 
 from .conftest import GRID_NX, GRID_NY
+from .oracle import SerialTASNetPolicy, run_serial_episode
 
 
 def _actions(records):
@@ -71,13 +72,14 @@ def test_act_batch_seeded_sampling_matches_serial(small_instance, planner,
 
 
 # --------------------------------------------------------------------- #
-# Runner vs. run_episode
+# Runner vs. the per-episode oracle loop
 # --------------------------------------------------------------------- #
 def test_runner_greedy_matches_run_episode(small_instance, planner, policy):
     env = SelectionEnv(small_instance, planner)
     with nn.no_grad():
-        ref_state, ref_reward, ref_records = run_episode(
-            env, policy, greedy=True, record_actions=True)
+        ref_state, ref_reward, ref_records = run_serial_episode(
+            env, SerialTASNetPolicy(policy.net), greedy=True,
+            record_actions=True)
 
     env2 = SelectionEnv(small_instance, planner)
     runner = BatchedEpisodeRunner(env2, policy)
@@ -99,16 +101,16 @@ def test_runner_seeded_sampling_matches_run_episode(small_instance, planner,
     env = SelectionEnv(small_instance, planner)
     with nn.no_grad():
         for seed in seeds:
-            state, _, records = run_episode(
-                env, policy, greedy=False, rng=np.random.default_rng(seed),
-                record_actions=True)
+            state, _, records = run_serial_episode(
+                env, SerialTASNetPolicy(policy.net), greedy=False,
+                rng=np.random.default_rng(seed), record_actions=True)
             serial.append((state.phi(), _actions(records)))
 
     env2 = SelectionEnv(small_instance, planner)
-    runner = BatchedEpisodeRunner(env2, policy)
+    runner = MultiInstanceRunner([env2], policy)
     with nn.no_grad():
-        episodes = runner.run([(False, seed) for seed in seeds],
-                              record_actions=True)
+        (episodes,) = runner.run([[(False, seed) for seed in seeds]],
+                                 record_actions=True)
     batched = [(ep.state.phi(), _actions(ep.records)) for ep in episodes]
     assert batched == serial
 
@@ -117,12 +119,12 @@ def test_runner_fallback_policy_without_act_batch(small_instance, planner):
     """Selection rules have no act_batch; the runner falls back to act."""
     rule = RatioSelectionRule()
     env = SelectionEnv(small_instance, planner)
-    ref_state, ref_reward, ref_records = run_episode(
+    ref_state, ref_reward, ref_records = run_serial_episode(
         env, rule, greedy=True, record_actions=True)
 
     env2 = SelectionEnv(small_instance, planner)
-    episodes = BatchedEpisodeRunner(env2, rule).run(
-        [(True, None)] * 2, record_actions=True)
+    (episodes,) = MultiInstanceRunner([env2], rule).run(
+        [[(True, None)] * 2], record_actions=True)
     for episode in episodes:
         assert _actions(episode.records) == _actions(ref_records)
         assert episode.state.phi() == ref_state.phi()
@@ -137,13 +139,13 @@ def test_runner_flat_policy_fallback(small_instance, planner):
     flat = FlatSelectionPolicy(net)
     env = SelectionEnv(small_instance, planner)
     with nn.no_grad():
-        ref_state, _, ref_records = run_episode(
+        ref_state, _, ref_records = run_serial_episode(
             env, flat, greedy=True, record_actions=True)
 
     env2 = SelectionEnv(small_instance, planner)
     with nn.no_grad():
-        episodes = BatchedEpisodeRunner(env2, flat).run(
-            [(True, None)], record_actions=True)
+        (episodes,) = MultiInstanceRunner([env2], flat).run(
+            [[(True, None)]], record_actions=True)
     assert _actions(episodes[0].records) == _actions(ref_records)
     assert episodes[0].state.phi() == ref_state.phi()
 
@@ -152,17 +154,29 @@ def test_runner_flat_policy_fallback(small_instance, planner):
 # Solver routing
 # --------------------------------------------------------------------- #
 def test_solver_batched_matches_loop_path(small_instance, planner, policy):
+    """solve() == the oracle loop over the same rollout schedule, best
+    coverage first (ties keep the earlier rollout)."""
     solver = SMORESolver(planner, policy)
-    loop = solver.solve(small_instance, num_samples=4,
-                        rng=np.random.default_rng(5), batch_rollouts=False)
     batched = solver.solve(small_instance, num_samples=4,
                            rng=np.random.default_rng(5))
-    assert batched.objective == loop.objective
-    assert batched.routes == loop.routes
-    assert batched.incentives == loop.incentives
-    assert batched.perf.planner_calls == loop.perf.planner_calls
-    assert batched.perf.init_planner_calls == loop.perf.init_planner_calls
-    assert batched.perf.rollouts == loop.perf.rollouts == 4
+
+    plan = solver._rollout_plan(True, np.random.default_rng(5), 4)
+    env = SelectionEnv(small_instance, planner)
+    serial = SerialTASNetPolicy(policy.net)
+    best = None
+    with nn.no_grad():
+        for use_greedy, seed in plan:
+            rng = None if use_greedy else np.random.default_rng(seed)
+            state, _, _ = run_serial_episode(env, serial, greedy=use_greedy,
+                                             rng=rng)
+            if best is None or state.phi() > best.phi():
+                best = state
+    assert batched.objective == best.phi()
+    assert batched.routes == best.assignments.routes()
+    assert batched.incentives == best.assignments.incentives()
+    assert batched.perf.planner_calls == env.perf.planner_calls
+    assert batched.perf.init_planner_calls == env.perf.init_planner_calls
+    assert batched.perf.rollouts == env.perf.rollouts == 4
 
 
 @pytest.mark.skipif(not fork_available(),
@@ -171,7 +185,7 @@ def test_solver_batched_with_workers_matches_serial(small_instance, planner,
                                                     policy):
     solver = SMORESolver(planner, policy)
     serial = solver.solve(small_instance, num_samples=4,
-                          rng=np.random.default_rng(6), batch_rollouts=False)
+                          rng=np.random.default_rng(6))
     pooled = solver.solve(small_instance, num_samples=4,
                           rng=np.random.default_rng(6), workers=2)
     assert pooled.objective == serial.objective

@@ -2,9 +2,8 @@
 
 Two invariants pinned here:
 
-* the candidate-table snapshot is taken **only** when ``reuse_candidates``
-  is on — with it off, every reset replans and the env must not hold a
-  (potentially live) table object it would later hand back corrupted;
+* the env's candidate-table snapshot is never the live table an episode
+  mutates, so every reset hands back the pristine initial table;
 * the ``unselected`` pool maintained incrementally on the state (one dict
   pop per step) stays bit-identical — same members, same iteration
   order — to filtering the instance task list from scratch.
@@ -24,29 +23,16 @@ def _instance(seed=11):
 
 
 class TestSnapshotOnlyWhenReusing:
-    def test_no_snapshot_without_reuse(self):
-        instance = _instance()
-        env = SelectionEnv(instance, InsertionSolver(speed=instance.speed),
-                           reuse_candidates=False)
-        env.reset()
-        assert env._snapshot is None
-        # Every reset replans: init planner calls keep accruing.
-        calls_after_first = env.perf.init_planner_calls
-        env.reset()
-        assert env.perf.init_planner_calls == 2 * calls_after_first
-
     def test_snapshot_is_not_the_live_table(self):
         instance = _instance()
-        env = SelectionEnv(instance, InsertionSolver(speed=instance.speed),
-                           reuse_candidates=True)
+        env = SelectionEnv(instance, InsertionSolver(speed=instance.speed))
         state = env.reset()
         assert env._snapshot is not None
         assert state.candidates is not env._snapshot
 
     def test_episode_mutation_cannot_corrupt_snapshot(self):
         instance = _instance()
-        env = SelectionEnv(instance, InsertionSolver(speed=instance.speed),
-                           reuse_candidates=True)
+        env = SelectionEnv(instance, InsertionSolver(speed=instance.speed))
         policy = GreedySelectionRule()
         state = env.reset()
         pristine = [(wid, list(row))
@@ -60,6 +46,12 @@ class TestSnapshotOnlyWhenReusing:
         fresh = env.reset()
         assert [(wid, list(row))
                 for wid, row in fresh.candidates._table.items()] == pristine
+        # The full-replan oracle: a fresh env per rollout.
+        replanned = SelectionEnv(
+            instance, InsertionSolver(speed=instance.speed)).reset()
+        assert [(wid, list(row))
+                for wid, row in replanned.candidates._table.items()] \
+            == pristine
 
 
 class TestIncrementalUnselectedPool:

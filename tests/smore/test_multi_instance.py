@@ -17,7 +17,6 @@ import pytest
 
 from repro.datasets.instances import InstanceOptions, generate_instances
 from repro.smore import (
-    BatchedEpisodeRunner,
     GreedySelectionRule,
     MultiInstanceRunner,
     SMORESolver,
@@ -30,7 +29,8 @@ from repro.smore import (
 )
 from repro.tsptw import CachedPlanner, InsertionSolver
 
-from .oracle import PerInstanceTrainer
+from .oracle import PerInstanceTrainer, SerialTASNetPolicy, \
+    run_serial_episode
 
 CONFIG = TASNetConfig(d_model=16, num_heads=2, num_layers=1, conv_channels=4)
 
@@ -171,18 +171,21 @@ class TestMultiInstanceRunner:
             runner.run([[(True, None)]])
 
     def test_matches_per_instance_batched_runner(self, instances):
-        """B instances x K seeded rollouts == K rollouts per instance run
-        separately, rollout-for-rollout (the RNG threading contract)."""
+        """B instances x K seeded rollouts == each rollout decoded alone
+        by the per-state oracle (the RNG threading contract)."""
         net = _make_net(instances)
         specs = [[(False, 100 + 10 * e + k) for k in range(3)]
                  for e in range(len(instances))]
 
-        policy = TASNetPolicy(net)
+        serial = SerialTASNetPolicy(net)
         expected = []
         for inst, env_specs in zip(instances, specs):
             env = SelectionEnv(inst, InsertionSolver())
-            expected.append(BatchedEpisodeRunner(env, policy).run(
-                env_specs, record_actions=True))
+            expected.append([
+                run_serial_episode(env, serial, greedy=False,
+                                   rng=np.random.default_rng(seed),
+                                   record_actions=True)
+                for _, seed in env_specs])
 
         policy = TASNetPolicy(net)
         planner = InsertionSolver()
@@ -191,10 +194,10 @@ class TestMultiInstanceRunner:
             specs, record_actions=True)
 
         for env_expected, env_got in zip(expected, grouped):
-            for a, b in zip(env_expected, env_got):
-                assert [(r.worker_id, r.task_id) for r in a.records] == \
+            for (_, reward, records), b in zip(env_expected, env_got):
+                assert [(r.worker_id, r.task_id) for r in records] == \
                     [(r.worker_id, r.task_id) for r in b.records]
-                assert a.total_reward == b.total_reward
+                assert reward == b.total_reward
 
     def test_fallback_for_policy_without_begin_episodes(self, instances):
         """Policies lacking the multi protocol run per-env, same results."""
@@ -204,9 +207,9 @@ class TestMultiInstanceRunner:
             [[(True, None)] for _ in instances], record_actions=True)
         for inst, results in zip(instances, grouped):
             env = SelectionEnv(inst, InsertionSolver())
-            solo = BatchedEpisodeRunner(env, GreedySelectionRule()).run(
-                [(True, None)], record_actions=True)
-            assert [(r.worker_id, r.task_id) for r in solo[0].records] == \
+            _, _, solo = run_serial_episode(env, GreedySelectionRule(),
+                                            record_actions=True)
+            assert [(r.worker_id, r.task_id) for r in solo] == \
                 [(r.worker_id, r.task_id) for r in results[0].records]
 
 

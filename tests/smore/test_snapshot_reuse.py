@@ -4,7 +4,8 @@ The initial candidate table depends only on the (immutable) instance and
 the planner, so ``SelectionEnv.reset()`` computes it once and restores it
 by structural copy afterwards.  These tests pin the three guarantees:
 no planner calls on later resets, bit-identical tables, and identical
-solutions with and without reuse.
+solutions with reuse and with a fresh env per rollout (the full-replan
+oracle).
 """
 
 import numpy as np
@@ -73,9 +74,7 @@ class TestSnapshotReuse:
                                                 planner):
         reused = SelectionEnv(small_instance, planner)
         reused.reset()
-        fresh = SelectionEnv(small_instance, planner,
-                             reuse_candidates=False)
-        fresh.reset()
+        fresh = SelectionEnv(small_instance, planner)
         assert table_signature(reused.reset()) == table_signature(
             fresh.reset())
 

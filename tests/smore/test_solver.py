@@ -63,6 +63,15 @@ class TestSMORESolver:
         assert sampled.objective >= greedy.objective - 1e-9
         assert sampled.validate() == []
 
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_non_positive_num_samples_raises(self, policy, small_instance,
+                                             planner, num_samples):
+        solver = SMORESolver(planner, policy)
+        with pytest.raises(ValueError, match="num_samples"):
+            solver.solve(small_instance, num_samples=num_samples)
+        with pytest.raises(ValueError, match="num_samples"):
+            solver.solve_many([small_instance], num_samples=num_samples)
+
 
 class TestSelectionRules:
     def test_greedy_rule_picks_max_gain(self, small_instance, planner):

@@ -46,13 +46,22 @@ class TestCacheMechanics:
     def test_repeat_episode_hits_and_skips_reencoding(self, instances):
         policy = _policy(instances)
         policy.statics_cache = cache = EpisodeStaticsCache(max_instances=4)
+        encoder = policy.net.worker_encoder
+        encoded = []
+
+        def counting_encoder(grids):
+            encoded.append(encoder(grids))
+            return encoded[-1]
+
+        policy.net.worker_encoder = counting_encoder
         policy.begin_episode(instances[0])
         assert (cache.hits, cache.misses) == (0, 1)
-        first = policy._worker_emb
         policy.begin_episode(instances[0])
         assert (cache.hits, cache.misses) == (1, 1)
-        # The cached statics are the very objects the cold pass produced.
-        assert policy._worker_emb is first
+        # The repeat episode never re-ran the encoder: its statics are
+        # the very objects the cold pass produced.
+        assert len(encoded) == 1
+        assert cache.get(instances[0]).worker_emb is encoded[0]
 
     def test_lru_eviction_keeps_most_recent(self, instances):
         policy = _policy(instances)
