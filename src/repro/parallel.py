@@ -59,6 +59,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 import traceback
 import weakref
@@ -259,7 +260,7 @@ class SharedArrays:
     of the array payload.
     """
 
-    __slots__ = ("arrays", "spec", "nbytes", "_shm", "_owner")
+    __slots__ = ("arrays", "spec", "nbytes", "_shm", "_owner", "_idle_refs")
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         shm_mod = _shm_module()
@@ -275,6 +276,7 @@ class SharedArrays:
             total += arr.nbytes
         self._shm = shm_mod.SharedMemory(create=True, size=max(1, total))
         self._owner = True
+        self._idle_refs = self._mapping_refs()
         views: dict[str, np.ndarray] = {}
         for name, arr in normalised.items():
             offset, shape, dtype = layout[name]
@@ -294,6 +296,7 @@ class SharedArrays:
         self = object.__new__(cls)
         self._shm = shm
         self._owner = False
+        self._idle_refs = self._mapping_refs()
         self.arrays = {
             name: np.ndarray(shape, dtype=np.dtype(dtype),
                              buffer=shm.buf, offset=offset)
@@ -303,15 +306,28 @@ class SharedArrays:
         self.nbytes = spec["nbytes"]
         return self
 
-    def close(self) -> None:
-        """Drop this process's mapping (the block itself survives)."""
+    def _mapping_refs(self) -> int:
+        # Every ndarray view of the block (and every view derived from
+        # one) holds a reference to the mapping; numpy keeps no buffer
+        # export, so the mapping cannot tell on its own.
+        mapping = getattr(self._shm, "_mmap", None)
+        return 0 if mapping is None else sys.getrefcount(mapping)
+
+    def close(self) -> bool:
+        """Drop this process's mapping (the block itself survives).
+
+        Returns False, keeping the mapping, while a view that escaped
+        still points into it (unmapping would leave that view dangling);
+        calling again once the view is gone completes the close.
+        """
         self.arrays = {}
+        if self._mapping_refs() > self._idle_refs:
+            return False
         try:
             self._shm.close()
         except BufferError:
-            # A view escaped and still pins the buffer; process exit will
-            # release the mapping.
-            pass
+            return False
+        return True
 
     def unlink(self) -> None:
         """Destroy the block (creator only; call after :meth:`close`)."""
@@ -336,19 +352,36 @@ class WorkerCrashError(RuntimeError):
 
 
 def _pool_worker_main(conn, registry: dict, shared_specs: dict) -> None:
-    """Resident worker loop: attach shares, then serve chunks until stop."""
+    """Resident worker loop: attach shares, then serve chunks until stop.
+
+    A share under a key already attached replaces that block, and the
+    worker closes its mapping of the old one.  A block whose views are
+    still held (e.g. by an object rebuilt around them) stays mapped
+    until its holder lets go; the close is retried after every message.
+    """
     global _IN_WORKER
     _IN_WORKER = True
-    attached: list[SharedArrays] = []
+    attached: dict[str, SharedArrays] = {}
+    pinned: list[SharedArrays] = []
 
     def attach(key: str, spec: dict) -> None:
         block = SharedArrays.attach(spec)
         _WORKER_SHARED[key] = block.arrays
-        attached.append(block)
+        old = attached.pop(key, None)
+        attached[key] = block
+        if old is not None and not old.close():
+            pinned.append(old)
 
+    # The fork copied the parent's own mappings of every pool's blocks;
+    # this worker attaches its own below, so unmap the copies.
+    for pool in list(PersistentPool._ACTIVE):
+        for key, block in pool._shared_blocks.items():
+            _PARENT_SHARED.pop(key, None)
+            block.close()
     for key, spec in shared_specs.items():
         attach(key, spec)
     while True:
+        pinned[:] = [block for block in pinned if not block.close()]
         try:
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
@@ -398,7 +431,7 @@ def _pool_worker_main(conn, registry: dict, shared_specs: dict) -> None:
             elapsed = time.perf_counter() - began
             conn.send(("done", call_id, start, pairs, elapsed))
     _WORKER_SHARED.clear()
-    for block in attached:
+    for block in [*attached.values(), *pinned]:
         block.close()
     conn.close()
 
@@ -503,6 +536,8 @@ class PersistentPool:
         parent writes before a map are visible to workers without any
         copy.  Only call between maps, never concurrently with one.
         """
+        if self._closed:
+            raise RuntimeError("pool is closed")
         arrays = {name: np.asarray(a) for name, a in arrays.items()}
         self._shared_keys.add(key)
         _PARENT_SHARED[key] = arrays

@@ -9,16 +9,19 @@
 2. **Solve** each shard as its own USMDW sub-problem — serially through
    the caller's solver, or fanned out over a
    :class:`~repro.parallel.PersistentPool` whose resident workers read
-   the shard's packed arrays zero-copy from shared memory.
+   the shard's packed arrays and the policy's weights zero-copy from
+   shared memory.  After its solve, each shard sweeps its own workers'
+   routes against the boundary tasks it left unserved (the ones a
+   spatial split treats worst), so the repair's per-worker sweeps run
+   in the parallel phase.
 3. **Merge**: shard worker sets are disjoint, so routes and incentives
-   union without translation; then a **boundary-repair** pass sweeps the
-   unassigned boundary tasks (the ones a spatial split treats worst)
-   against *every* worker's current route with the batched insertion
-   kernels, greedily applying the best coverage-per-incentive insertions
-   until the leftover budget is exhausted.  The merged solution observes
-   exactly the invariants of an unsharded solve — feasible routes, no
-   task served twice, Definition-6 incentives, total spend within the
-   one global budget — checkable via
+   union without translation; then a **boundary-repair** pass offers
+   the still-unassigned boundary tasks to *every* worker, greedily
+   applying the best coverage-per-incentive insertions until the
+   leftover budget is exhausted.  The merged solution observes exactly
+   the invariants of an unsharded solve — feasible routes, no task
+   served twice, Definition-6 incentives, total spend within the one
+   global budget — checkable via
    :meth:`repro.core.solution.Solution.validate`.
 
 Per-shard solves bind their *own* packed sub-instance, so candidate
@@ -32,9 +35,11 @@ the output is bit-identical to the unsharded path.
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +50,8 @@ from ..core.packed import PackedInstance
 from ..core.perf import PerfCounters
 from ..core.route import WorkingRoute
 from ..core.solution import Solution
-from ..parallel import PersistentPool, derive_seeds, shared_arrays
+from ..parallel import (PersistentPool, _shm_module, derive_seeds,
+                        shared_arrays)
 from ..tsptw.insertion import InsertionSolver
 from .partition import ShardPlan, partition_instance, sub_instance
 
@@ -101,7 +107,97 @@ class ShardReport:
 
 
 # ---------------------------------------------------------------------- #
-# Per-shard solving (serial + pool payload)
+# Publishing the policy to a pool
+# ---------------------------------------------------------------------- #
+#: Per pool: the (skeleton bytes, parameter layout) last published to it.
+_PUBLISHED: "weakref.WeakKeyDictionary[PersistentPool, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+#: Worker side, per policy key: the published array set and the policy
+#: rebuilt around it (rebuilt again when a new block replaces the set).
+_REBUILT: dict[str, tuple[dict, object]] = {}
+
+
+class _SkeletonPickler(pickle.Pickler):
+    """Pickles a policy without its weights: each parameter's ``data``
+    becomes its index, and gradients are dropped."""
+
+    def __init__(self, file, params):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._slots = {id(p.data): i for i, p in enumerate(params)}
+        self._grads = {id(p.grad) for p in params if p.grad is not None}
+
+    def persistent_id(self, obj):
+        ident = id(obj)
+        if ident in self._slots:
+            return self._slots[ident]
+        return -1 if ident in self._grads else None
+
+
+class _SkeletonUnpickler(pickle.Unpickler):
+    def __init__(self, file, params: list):
+        super().__init__(file)
+        self._params = params
+
+    def persistent_load(self, pid):
+        return None if pid < 0 else self._params[pid]
+
+
+def _publish_policy(pool: PersistentPool, policy) -> str | None:
+    """Make ``policy`` current in ``pool``'s workers; its key, or None.
+
+    The policy travels as a parameter-free skeleton plus one shared
+    array per parameter.  Every call re-pickles the skeleton (cheap) and
+    re-publishes when it or any parameter's shape or dtype changed;
+    otherwise it copies the current weights into the shared views, so
+    in-place updates, rebound ``.data`` arrays and changed
+    hyperparameters all reach the workers.  None — solve serially — when
+    the skeleton cannot be pickled or the platform lacks shared memory.
+    """
+    if _shm_module() is None:
+        return None
+    params = list(policy.parameters()) if hasattr(policy, "parameters") \
+        else []
+    buf = io.BytesIO()
+    try:
+        _SkeletonPickler(buf, params).dump(policy)
+    except Exception:
+        return None
+    skeleton = buf.getvalue()
+    layout = tuple((p.data.shape, p.data.dtype.str) for p in params)
+    # One key per pool: the parent-side view registry is process-wide.
+    key = f"shard:policy:{id(pool):x}"
+    views = shared_arrays(key) \
+        if _PUBLISHED.get(pool) == (skeleton, layout) else None
+    if views is not None:
+        for i, param in enumerate(params):
+            np.copyto(views[f"p{i}"], param.data)
+        return key
+    arrays = {"skeleton": np.frombuffer(skeleton, dtype=np.uint8)}
+    arrays.update((f"p{i}", param.data) for i, param in enumerate(params))
+    if not pool.share_arrays(key, arrays):
+        _PUBLISHED.pop(pool, None)
+        return None
+    _PUBLISHED[pool] = (skeleton, layout)
+    return key
+
+
+def _published_policy(key: str):
+    """The policy published under ``key``, rebuilt once per block; its
+    parameters are views of the shared block, not copies."""
+    arrays = shared_arrays(key)
+    cached = _REBUILT.get(key)
+    if cached is None or cached[0] is not arrays:
+        _REBUILT.pop(key, None)  # release the old block's views first
+        params = [arrays[f"p{i}"] for i in range(len(arrays) - 1)]
+        skeleton = io.BytesIO(arrays["skeleton"].tobytes())
+        cached = _REBUILT[key] = (
+            arrays, _SkeletonUnpickler(skeleton, params).load())
+    return cached[1]
+
+
+# ---------------------------------------------------------------------- #
+# Per-shard solving
 # ---------------------------------------------------------------------- #
 def _shard_seeds(rng, greedy: bool, num_samples: int, count: int) -> list:
     """One derived seed per shard, or all-None for pure greedy decoding.
@@ -117,92 +213,139 @@ def _shard_seeds(rng, greedy: bool, num_samples: int, count: int) -> list:
     return list(derive_seeds(root, count))
 
 
-def _solve_one_local(solver, sub: USMDWInstance, seed, greedy: bool,
-                     num_samples: int):
-    rng = None if seed is None else np.random.default_rng(seed)
-    solution = solver.solve(sub, greedy=greedy, rng=rng,
-                            num_samples=num_samples)
-    return (solution.routes, solution.incentives, solution.perf,
-            solution.objective)
+@dataclass
+class _ShardJob:
+    """One shard solve: the sub-instance plus everything to solve it.
 
-
-def _solve_shard_worker(payload):
-    """Pool-side shard solve (module-level: picklable to a started pool).
-
-    When the parent shared the shard's packed arrays, the worker attaches
-    them zero-copy (:func:`repro.parallel.shared_arrays`) and rebuilds
-    the :class:`PackedInstance` view around them; distances are the same
-    ``math.hypot`` over the same floats, so results are bit-identical to
-    a local solve.
+    ``solver`` is the caller's solver and never leaves the process: a
+    pool worker receives the job without it and rebuilds the solver
+    around the published policy (``policy_key``) and the shard's packed
+    arrays (``packed_key``).  ``boundary`` holds the tasks to sweep for
+    the repair, empty when there is no repair.
     """
-    (sub, greedy, seed, num_samples, shared_key, planner_cfg, policy,
-     name) = payload
-    from ..smore.solver import SMORESolver
 
-    if shared_key is not None:
-        arrays = shared_arrays(shared_key)
+    sub: USMDWInstance
+    seed: object
+    greedy: bool
+    num_samples: int
+    planner_cfg: dict | None
+    boundary: tuple
+    solver: object = None
+    policy_key: str | None = None
+    packed_key: str | None = None
+    name: str = ""
+
+    def __getstate__(self):
+        return {**self.__dict__, "solver": None}
+
+
+def _solve_shard(job: _ShardJob):
+    """Solve one shard, then sweep its workers for the boundary repair.
+
+    The serial and the pooled path both run this.  Returns ``(routes,
+    incentives, perf, objective, repair_rows)``: ``repair_rows[wid]`` is
+    None when the worker's base route is infeasible, else ``(base_rtt,
+    order, {task_id: (pos, rtt)})`` — its final order swept against the
+    boundary tasks this shard left unserved, with a fresh unbound
+    :class:`InsertionSolver` (the planner :func:`_boundary_repair` uses,
+    so the floats match).  In a worker, the shard's packed arrays are
+    attached zero-copy (:func:`repro.parallel.shared_arrays`); distances
+    are the same ``math.hypot`` over the same floats, so results are
+    bit-identical to an in-process solve.
+    """
+    sub, solver = job.sub, job.solver
+    if solver is None:
+        from ..smore.solver import SMORESolver
+
+        arrays = shared_arrays(job.packed_key) \
+            if job.packed_key is not None else None
         if arrays is not None:
             packed = PackedInstance.from_arrays(sub.workers, arrays)
             object.__setattr__(sub, "_packed", packed)
-    planner = InsertionSolver(**planner_cfg)
-    solver = SMORESolver(planner, policy, name=name)
-    rng = None if seed is None else np.random.default_rng(seed)
-    solution = solver.solve(sub, greedy=greedy, rng=rng,
-                            num_samples=num_samples)
+        solver = SMORESolver(InsertionSolver(**job.planner_cfg),
+                             _published_policy(job.policy_key),
+                             name=job.name)
+    rng = None if job.seed is None else np.random.default_rng(job.seed)
+    solution = solver.solve(sub, greedy=job.greedy, rng=rng,
+                            num_samples=job.num_samples)
+    rows = {}
+    if job.boundary:
+        planner = InsertionSolver(**job.planner_cfg)
+        served = {t.task_id for route in solution.routes.values()
+                  for t in route.sensing_tasks}
+        tasks = [t for t in job.boundary if t.task_id not in served]
+        rows = {w.worker_id: _repair_row(planner, w,
+                                         solution.routes.get(w.worker_id),
+                                         tasks)
+                for w in sub.workers}
     return (solution.routes, solution.incentives, solution.perf,
-            solution.objective)
+            solution.objective, rows)
 
 
-def _pool_solve(pool: PersistentPool, solver, subs: list[USMDWInstance],
-                seeds: list, greedy: bool, num_samples: int):
-    """Fan the shard solves out over a persistent pool, or None.
+def _pool_solve(pool: PersistentPool, solver, jobs: list[_ShardJob]):
+    """Fan the shard jobs out over a persistent pool, or None.
 
     Returns None — falling back to the serial path — when the solver's
-    planner or policy cannot be reconstructed in a worker (only
-    :class:`InsertionSolver` planners and picklable policies ship).
+    planner is not an :class:`InsertionSolver` or its policy cannot be
+    published (:func:`_publish_policy`).  Shard arrays are keyed by
+    slot, so a pool holds at most one block per shard plus the policy.
     """
-    planner = solver.planner
-    if type(planner) is not InsertionSolver:
+    if jobs[0].planner_cfg is None:
         return None
-    planner_cfg = dict(speed=planner.speed,
-                       improvement_rounds=planner.improvement_rounds,
-                       use_two_opt=planner.use_two_opt,
-                       use_kernels=planner.use_kernels)
-    payloads = []
-    for i, (sub, seed) in enumerate(zip(subs, seeds)):
-        key = f"shard:{sub.name}"
-        packed = PackedInstance(sub.workers, sub.sensing_tasks)
-        shared = pool.share_arrays(key, packed.export_arrays())
-        payloads.append((sub, greedy, seed, num_samples,
-                         key if shared else None, planner_cfg,
-                         solver.policy, solver.name))
-    try:
-        pickle.dumps(payloads)
-    except Exception:
+    policy_key = _publish_policy(pool, solver.policy)
+    if policy_key is None:
         return None
-    try:
-        return pool.map(_solve_shard_worker, payloads)
-    except TypeError:
-        return None
+    for slot, job in enumerate(jobs):
+        key = f"shard:{slot}"
+        packed = PackedInstance(job.sub.workers, job.sub.sensing_tasks)
+        job.packed_key = key if pool.share_arrays(
+            key, packed.export_arrays()) else None
+        job.policy_key = policy_key
+    return pool.map(_solve_shard, jobs)
 
 
 # ---------------------------------------------------------------------- #
 # Boundary repair
 # ---------------------------------------------------------------------- #
-def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
-                     plan: ShardPlan, routes: dict, incentives: dict):
-    """Cross-shard insertion sweeps over the unassigned boundary tasks.
+def _sweep(planner: InsertionSolver, worker, order: tuple,
+           tasks: list) -> dict:
+    """``{task_id: (pos, rtt)}`` of every feasible single insertion of
+    ``tasks`` into ``order`` (batched insertion kernels underneath)."""
+    if not tasks:
+        return {}
+    results = planner.plan_insertions_many(worker, order, tasks)
+    return {task.task_id: (result.pos, result.route_travel_time)
+            for task, result in zip(tasks, results) if result.feasible}
 
-    Every worker — recruited or not, from any shard — is swept against
-    the boundary pool with the batched insertion kernels
-    (:meth:`InsertionSolver.plan_insertions_many`, running
-    :func:`repro.tsptw.kernels.sweep_insertions` underneath), then the
-    best coverage-gain-per-incentive insertions apply greedily until no
-    feasible candidate fits the leftover global budget.  Gains are
-    re-read from the live merged coverage state at every pick, and only
-    the changed worker is re-swept (other workers' routes — and hence
-    their candidate positions and rtts — are untouched), so the loop
-    stays O(picks x pool) after the initial sweep.
+
+def _repair_row(planner: InsertionSolver, worker, route, tasks: list):
+    """A worker's repair row: None when its base route is infeasible,
+    else ``(base_rtt, order, sweep)`` — its ``route`` (the base route
+    when None) swept against ``tasks``."""
+    base = planner.plan(worker, [])
+    if not base.feasible:
+        return None
+    order = tuple((base.route if route is None else route).tasks)
+    return (base.route_travel_time, order,
+            _sweep(planner, worker, order, tasks))
+
+
+def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
+                     plan: ShardPlan, routes: dict, incentives: dict,
+                     rows: dict):
+    """Cross-shard insertions of the unassigned boundary tasks.
+
+    Every worker — recruited or not, from any shard — is a candidate
+    for every unassigned boundary task.  Its initial sweep comes from
+    ``rows`` (the shard solves swept their own workers, see
+    :func:`_solve_shard`), filtered to the still-unassigned pool; only
+    workers without a row — those of shards with no tasks — are swept
+    here.  Then the best coverage-gain-per-incentive insertions apply
+    greedily until no feasible candidate fits the leftover global
+    budget.  Gains are re-read from the live merged coverage state at
+    every pick, and only the changed worker is re-swept (other workers'
+    routes — and hence their candidate positions and rtts — are
+    untouched), so the loop stays O(picks x pool).
 
     Incentives are maintained against Definition 6 exactly (the sweep's
     rtt is bit-identical to the merged route's simulation), so the
@@ -222,41 +365,26 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
     if not pool_by_id:
         return stats
 
-    order: dict[int, tuple] = {}
-    cur_inc: dict[int, float] = {}
-    for wid, worker in workers.items():
-        base = planner.plan(worker, [])
-        if not base.feasible:
-            continue
-        model.set_base_rtt(worker, base.route_travel_time)
-        if wid in routes:
-            order[wid] = tuple(routes[wid].tasks)
-            cur_inc[wid] = incentives.get(wid, 0.0)
-        else:
-            order[wid] = tuple(base.route.tasks)
-            cur_inc[wid] = 0.0
-
     state = instance.coverage.new_state()
     for route in routes.values():
         for task in route.sensing_tasks:
             state.add(task)
     remaining = instance.budget - sum(incentives.values())
 
-    def sweep(wid: int) -> dict:
-        tasks = list(pool_by_id.values())
-        if not tasks:
-            return {}
-        row = {}
-        results = planner.plan_insertions_many(workers[wid], order[wid],
-                                               tasks)
-        for task, result in zip(tasks, results):
-            if result.feasible:
-                row[task.task_id] = (task, result.pos,
-                                     result.route_travel_time)
-        return row
-
     with obs.span("shard.repair", pool=len(pool_by_id)):
-        cand = {wid: sweep(wid) for wid in order}
+        order: dict[int, tuple] = {}
+        cur_inc: dict[int, float] = {}
+        cand: dict[int, dict] = {}
+        for wid, worker in workers.items():
+            row = rows[wid] if wid in rows else _repair_row(
+                planner, worker, routes.get(wid), list(pool_by_id.values()))
+            if row is None:
+                continue
+            base_rtt, order[wid], swept = row
+            cand[wid] = {tid: hit for tid, hit in swept.items()
+                         if tid in pool_by_id}
+            model.set_base_rtt(worker, base_rtt)
+            cur_inc[wid] = incentives.get(wid, 0.0)
         stats["candidates"] = sum(len(row) for row in cand.values())
         touched: set[int] = set()
         while True:
@@ -264,30 +392,31 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
             best_key = None
             for wid, row in cand.items():
                 worker = workers[wid]
-                for tid, (task, pos, rtt_new) in row.items():
+                for tid, (pos, rtt_new) in row.items():
                     inc_new = model.incentive(worker, rtt_new)
                     delta = inc_new - cur_inc[wid]
                     if delta > remaining + 1e-9:
                         continue
-                    gain = state.gain(task)
+                    gain = state.gain(pool_by_id[tid])
                     if gain <= 0.0:
                         continue
                     key = (-gain / max(delta, _EPS), delta, tid, wid)
                     if best_key is None or key < best_key:
                         best_key = key
-                        best = (wid, tid, task, pos, rtt_new, inc_new)
+                        best = (wid, tid, pos, inc_new)
             if best is None:
                 break
-            wid, tid, task, pos, rtt_new, inc_new = best
+            wid, tid, pos, inc_new = best
+            task = pool_by_id.pop(tid)
             order[wid] = order[wid][:pos] + (task,) + order[wid][pos:]
             remaining -= inc_new - cur_inc[wid]
             stats["spent"] += inc_new - cur_inc[wid]
             cur_inc[wid] = inc_new
             state.add(task)
-            del pool_by_id[tid]
             for row in cand.values():
                 row.pop(tid, None)
-            cand[wid] = sweep(wid)
+            cand[wid] = _sweep(planner, workers[wid], order[wid],
+                               list(pool_by_id.values()))
             touched.add(wid)
             stats["added"] += 1
 
@@ -353,33 +482,6 @@ def solve_sharded(solver, instance: USMDWInstance, shards: int,
         subs = [sub_instance(instance, s, shares[s.index]) for s in active]
         seeds = _shard_seeds(rng, greedy, num_samples, len(subs))
 
-        t0 = time.perf_counter()
-        results = None
-        used_pool = False
-        if pool is not None and subs:
-            results = _pool_solve(pool, solver, subs, seeds, greedy,
-                                  num_samples)
-            used_pool = results is not None
-        if results is None:
-            results = [_solve_one_local(solver, sub, seed, greedy,
-                                        num_samples)
-                       for sub, seed in zip(subs, seeds)]
-        wall_solve = time.perf_counter() - t0
-
-        routes: dict[int, WorkingRoute] = {}
-        incentives: dict[int, float] = {}
-        perf = PerfCounters()
-        phi_shards = []
-        for shard_routes, shard_inc, shard_perf, shard_phi in results:
-            routes.update(shard_routes)
-            incentives.update(shard_inc)
-            if shard_perf is not None:
-                perf.merge(shard_perf)
-            phi_shards.append(shard_phi)
-
-        phi_before = instance.coverage.phi(
-            [t for route in routes.values() for t in route.sensing_tasks])
-
         planner = solver.planner
         if type(planner) is InsertionSolver:
             planner_cfg = dict(speed=planner.speed,
@@ -388,12 +490,44 @@ def solve_sharded(solver, instance: USMDWInstance, shards: int,
                                use_kernels=planner.use_kernels)
         else:
             planner_cfg = None
+        boundary = tuple(instance.sensing_task(tid)
+                         for tid in plan.boundary_task_ids()) \
+            if repair and planner_cfg is not None else ()
+        jobs = [_ShardJob(sub, seed, greedy, num_samples, planner_cfg,
+                          boundary, solver=solver, name=solver.name)
+                for sub, seed in zip(subs, seeds)]
+
+        t0 = time.perf_counter()
+        results = None
+        if pool is not None and jobs:
+            results = _pool_solve(pool, solver, jobs)
+        used_pool = results is not None
+        if results is None:
+            results = [_solve_shard(job) for job in jobs]
+        wall_solve = time.perf_counter() - t0
+
+        routes: dict[int, WorkingRoute] = {}
+        incentives: dict[int, float] = {}
+        rows: dict[int, tuple | None] = {}
+        perf = PerfCounters()
+        phi_shards = []
+        for shard_routes, shard_inc, shard_perf, shard_phi, shard_rows \
+                in results:
+            routes.update(shard_routes)
+            incentives.update(shard_inc)
+            rows.update(shard_rows)
+            if shard_perf is not None:
+                perf.merge(shard_perf)
+            phi_shards.append(shard_phi)
+
+        phi_before = instance.coverage.phi(
+            [t for route in routes.values() for t in route.sensing_tasks])
 
         t0 = time.perf_counter()
         stats = {"candidates": 0, "added": 0, "spent": 0.0}
         if repair and planner_cfg is not None:
             stats = _boundary_repair(instance, planner_cfg, plan, routes,
-                                     incentives)
+                                     incentives, rows)
         wall_repair = time.perf_counter() - t0
 
         phi_after = instance.coverage.phi(

@@ -37,6 +37,24 @@ def read_shared_sum(key):
     return None if arrays is None else float(arrays["data"].sum())
 
 
+_HELD_VIEWS = []
+
+
+def hold_view(key):
+    _HELD_VIEWS[:] = [shared_arrays(key)["data"]]
+    return True
+
+
+def release_views(_):
+    _HELD_VIEWS.clear()
+    return True
+
+
+def own_psm_mappings(_):
+    with open("/proc/self/maps") as maps:
+        return sum("psm_" in line for line in maps)
+
+
 def crash_on_odd(x):
     if x % 2 == 1:
         os._exit(13)
@@ -243,6 +261,36 @@ class TestZeroCopyShares:
 
     def test_unknown_key_returns_none(self):
         assert shared_arrays("never-shared") is None
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_replaced_blocks_are_unmapped(self):
+        """A re-share under one key leaves each worker one mapping; a
+        block still pinned by a held view is unmapped once it is let go."""
+        pool = PersistentPool(workers=2)
+        try:
+            pool.share_arrays("zc-d", {"data": np.zeros(4)})
+            pool.map(square, range(2))  # start the pool
+            assert pool.map(own_psm_mappings, range(2)) == [1, 1]
+            for value in range(10):
+                pool.share_arrays("zc-d", {"data": np.full(4, value)})
+            assert pool.map(own_psm_mappings, range(2)) == [1, 1]
+            assert pool.map(read_shared_sum, ["zc-d"] * 2) == [36.0] * 2
+
+            pool.map(hold_view, ["zc-d"] * 2)
+            pool.share_arrays("zc-d", {"data": np.ones(4)})
+            assert pool.map(own_psm_mappings, range(2)) == [2, 2]
+            pool.map(release_views, range(2))
+            assert pool.map(own_psm_mappings, range(2)) == [1, 1]
+            assert len(pool._shared_blocks) == 1
+        finally:
+            pool.close()
+
+    def test_share_on_closed_pool_rejected(self):
+        pool = PersistentPool(workers=2)
+        pool.close()
+        with pytest.raises(RuntimeError):
+            pool.share_arrays("zc-e", {"data": np.zeros(2)})
 
 
 @needs_fork
