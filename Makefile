@@ -1,22 +1,14 @@
 # SMORE reproduction — common workflows.
 
-.PHONY: install test test-backends bench-tests bench bench-perf bench-route \
-	bench-serve bench-dynamic bench-ops bench-shard \
-	serve-smoke serve-replay-smoke dashboard-smoke profile results \
-	full clean
+.PHONY: install test bench-tests bench bench-perf bench-serve \
+	bench-dynamic bench-ops bench-shard serve-smoke serve-replay-smoke \
+	dashboard-smoke profile results full clean
 
 install:
 	pip install -e .
 
 test:
 	PYTHONPATH=src pytest tests/
-
-# Tier-1 under each repro.nn backend: the suite must pass with the
-# fused graph executor as the process default, not just the reference
-# object-graph autograd.
-test-backends:
-	PYTHONPATH=src REPRO_NN_BACKEND=reference pytest tests/
-	PYTHONPATH=src REPRO_NN_BACKEND=fused pytest tests/
 
 # The outside-in benchmark's own tests (bench/): metric catalogue,
 # compare verdicts, the tracer, and that every callable bench/layers.py
@@ -34,12 +26,6 @@ bench:
 bench-perf:
 	PYTHONPATH=src pytest benchmarks/test_perf_regression.py \
 		benchmarks/test_profile_regression.py --benchmark-only
-
-# Route-kernel regression: packed-array candidate sweep vs the object
-# path (speedup floor + bit-identity; writes results/BENCH_PR5.json).
-bench-route:
-	PYTHONPATH=src pytest benchmarks/test_route_kernel_regression.py \
-		--benchmark-only
 
 # Serving-throughput regression: micro-batched SolverService on a warm
 # engine vs sequential per-request solves at paper scale (speedup floor
@@ -108,14 +94,8 @@ profile:
 	mkdir -p profiles
 	PYTHONPATH=src python -m repro.obs.profile solve \
 		--out profiles/solve.jsonl --collapsed profiles/solve.folded
-	PYTHONPATH=src python -m repro.obs.profile solve --no-kernels \
-		--out profiles/solve_object.jsonl \
-		--collapsed profiles/solve_object.folded
 	PYTHONPATH=src python -m repro.obs.profile train \
 		--out profiles/train.jsonl --collapsed profiles/train.folded
-	PYTHONPATH=src REPRO_NN_BACKEND=fused python -m repro.obs.profile train \
-		--out profiles/train_fused.jsonl \
-		--collapsed profiles/train_fused.folded
 
 # Regenerate every table/figure artifact under results/.
 results: bench

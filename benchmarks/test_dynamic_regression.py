@@ -33,7 +33,7 @@ MIN_REPAIR_SPEEDUP = 3.0
 
 def _episode(instance, schedule, repair):
     """One greedy dynamic episode; returns (state, env, advance_seconds)."""
-    planner = InsertionSolver(speed=instance.speed, use_kernels=True)
+    planner = InsertionSolver(speed=instance.speed)
     env = DynamicSelectionEnv(instance, planner, schedule, repair=repair)
     state, _ = run_dynamic_episode(env, GreedySelectionRule())
     return state, env

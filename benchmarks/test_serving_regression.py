@@ -3,15 +3,16 @@
 Pins the win of the serving stack at paper scale (``delivery`` at the
 paper's task density, the paper's d_model=128 / 8-head / 3-layer
 TASNet): 32 concurrent greedy requests round-robin over 8 distinct
-instances, answered two ways with the *same* network weights:
+instances, answered two ways with the *same* network weights and the
+same ``repro.nn`` kernels:
 
 - ``sequential`` — the pre-serving story: one cold
-  ``SMORESolver.solve`` per request on the reference backend (fresh
-  env, uncached planner: every request re-pays candidate init);
+  ``SMORESolver.solve`` per request (fresh env, uncached planner: every
+  request re-pays candidate init);
 - ``service`` — the micro-batched path: requests coalesced through
-  :class:`SolverService` onto a :class:`WarmEngine` holding the fused
-  backend, a memoising planner, resident TASNet statics, and
-  per-instance candidate snapshots.  The round-robin workload repeats
+  :class:`SolverService` onto a :class:`WarmEngine` holding a memoising
+  planner, resident TASNet statics, and per-instance candidate
+  snapshots.  The round-robin workload repeats
   each instance 4x, so greedy dedup collapses repeats onto one decode
   slot per batch — the artifact records both the request throughput and
   how many decodes actually ran.
@@ -31,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro import nn, obs
+from repro import obs
 from repro.datasets import InstanceOptions, generate_instances
 from repro.serve import ServeConfig, SolveRequest, WarmEngine, drive_requests
 from repro.smore import SMORESolver, TASNet, TASNetConfig, TASNetPolicy
@@ -67,15 +68,13 @@ def test_serving_throughput_regression(benchmark, results_dir):
 
         # -- sequential per-request baseline (cold everything) ---------- #
         baseline_solver = SMORESolver(InsertionSolver(), policy)
-        with nn.use_backend("reference"):
-            start = time.perf_counter()
-            baseline = [baseline_solver.solve(inst) for inst in schedule]
-            sequential_s = time.perf_counter() - start
+        start = time.perf_counter()
+        baseline = [baseline_solver.solve(inst) for inst in schedule]
+        sequential_s = time.perf_counter() - start
 
         # -- micro-batched service on the warm engine ------------------- #
-        with nn.use_backend("fused"):
-            engine = WarmEngine(SMORESolver(CachedPlanner(InsertionSolver()),
-                                            policy))
+        engine = WarmEngine(SMORESolver(CachedPlanner(InsertionSolver()),
+                                        policy))
         requests = [SolveRequest(instance=inst) for inst in schedule]
         with obs.tracing(results_dir / "serve_bench_trace.jsonl") as tracer:
             start = time.perf_counter()
@@ -102,12 +101,10 @@ def test_serving_throughput_regression(benchmark, results_dir):
                       "d_model": NET.d_model, "num_heads": NET.num_heads,
                       "num_layers": NET.num_layers},
             "sequential": {"seconds": sequential_s,
-                           "req_per_s": REQUESTS / sequential_s,
-                           "backend": "reference"},
+                           "req_per_s": REQUESTS / sequential_s},
             "service": {"seconds": service_s,
                         "req_per_s": REQUESTS / service_s,
                         "sustained_req_per_s": stats["sustained_req_per_s"],
-                        "backend": stats["engine"]["backend"],
                         "batch_size": stats["batch_size"],
                         "latency_ms": stats["latency_ms"],
                         "queue_depth_peak": stats["queue_depth_peak"],

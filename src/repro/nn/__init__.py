@@ -23,16 +23,8 @@ Quick example::
 
 from . import flops, init, ops
 from .ops import pad_stack
-from . import backend, fused  # noqa: F401 — fused registers itself
-from .backend import (
-    Backend,
-    available_backends,
-    backend_name,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from . import backend
+from .backend import Backend, backend_name, get_backend
 from .attention import (
     MultiHeadAttention,
     PointerAttention,
@@ -68,8 +60,7 @@ from .tensor import (
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "ops", "init",
     "flops", "pad_stack",
-    "Backend", "backend", "fused", "get_backend", "set_backend",
-    "use_backend", "register_backend", "available_backends", "backend_name",
+    "Backend", "backend", "get_backend", "backend_name",
     "TensorHook", "NULL_HOOK", "get_tensor_hook", "set_tensor_hook",
     "Module", "Parameter", "Linear", "Embedding", "MLP", "LayerNorm",
     "Conv2D", "Sequential", "ReLU", "Tanh",

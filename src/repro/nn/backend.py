@@ -1,76 +1,37 @@
-"""Backend seam for ``repro.nn``: pluggable kernel execution strategies.
+"""Model-level kernels of ``repro.nn``.
 
-PR 4's profiler showed the object-graph autograd spending most of its
-time in Python dispatch — one closure per primitive op — around a small
-set of model-level kernels (affine maps, layer norm, the feed-forward
-block, the attention core, the pointer-logit tail).  This module puts a
-seam behind those kernels so the execution strategy is swappable without
-touching model code:
-
-* :class:`Backend` (the **reference** backend) composes every kernel
-  from the primitive ops in :mod:`repro.nn.ops` — byte-for-byte the
-  graphs the library built before the seam existed.  It is the parity
-  oracle: every other backend is tested against it.
-* :class:`repro.nn.fused.FusedBackend` (**fused**) lowers each kernel to
-  a single autograd node: one numpy forward pass that replays the exact
-  arithmetic of the reference composition (greedy decoding is therefore
-  bit-identical) and one handwritten backward, with scratch buffers
-  reused across iterations.  Registered by :mod:`repro.nn.fused` at
-  import time.
-* :class:`repro.nn.fused.TorchBackend` (**torch**) — same fused kernels
-  with forward GEMMs routed through ``torch`` when it is importable;
-  registered only in environments that ship torch.
-
-Selection
----------
-The active backend resolves lazily on first use from the
-``REPRO_NN_BACKEND`` environment variable (default ``reference``), and
-can be switched programmatically::
-
-    from repro.nn import backend
-    backend.set_backend("fused")
-    with backend.use_backend("reference"):
-        ...  # temporary override
-
-Layers (:mod:`repro.nn.layers`, :mod:`repro.nn.attention`) fetch the
-backend per forward call, so a switch takes effect immediately —
-including mid-test via the ``use_backend`` context manager.
+The op-level profiler (:mod:`repro.obs.profile`) shows the object-graph
+autograd spending most of its time in Python dispatch around a small set
+of model-level kernels (affine maps, layer norm, the feed-forward block,
+the attention core, the pointer-logit tail).  :class:`Backend` names
+those kernels in one place and composes each from the primitive ops in
+:mod:`repro.nn.ops`.  Layers (:mod:`repro.nn.layers`,
+:mod:`repro.nn.attention`) call them through :func:`get_backend`, which
+gives profilers and benchmarks one seam to time every kernel at.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
 from . import ops
 from .tensor import Tensor, as_tensor
 
-__all__ = [
-    "Backend", "ReferenceBackend", "register_backend", "available_backends",
-    "get_backend", "set_backend", "use_backend", "backend_name", "ENV_VAR",
-]
-
-#: Environment variable consulted (once, lazily) for the default backend.
-ENV_VAR = "REPRO_NN_BACKEND"
+__all__ = ["Backend", "get_backend", "backend_name"]
 
 #: Logit value for masked positions — matches ``ops.NEG_INF``.
 NEG_INF = ops.NEG_INF
 
 
 class Backend:
-    """Kernel-level execution strategy; the base class IS the reference.
+    """The model-level kernels, composed from primitive ops.
 
-    Every method composes primitive ops from :mod:`repro.nn.ops` in the
-    exact sequence the layers used before the seam existed, so the
-    reference backend's graphs, profiler op streams, and numerics are
-    unchanged.  Subclasses override methods with accelerated
-    implementations; anything not overridden falls back to the oracle.
-
-    All kernels take/return :class:`Tensor` and are fully
-    differentiable under both strategies.
+    Every method is a fixed sequence of :mod:`repro.nn.ops` primitives,
+    so its graph, profiler op stream and numerics are those of the
+    primitives.  All kernels take/return :class:`Tensor` and are fully
+    differentiable.
     """
 
     name = "reference"
@@ -137,9 +98,7 @@ class Backend:
 
         ``stages`` is a tuple of ``(op,)`` / ``(op, constant)`` entries
         drawn from ``add``, ``mul``, ``tanh``, ``sigmoid``, ``relu``,
-        ``clip_tanh``.  The reference applies one primitive op per
-        stage; the fused backend folds the whole chain into a single
-        numpy pass and one graph node.
+        ``clip_tanh``, applied as one primitive op per stage.
         """
         out = as_tensor(x)
         for stage in stages:
@@ -161,86 +120,14 @@ class Backend:
         return out
 
 
-#: Alias making the oracle's role explicit at call sites.
-ReferenceBackend = Backend
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-_BACKENDS: dict[str, Backend] = {}
-_CURRENT: Backend | None = None
-#: Guards the one-time lazy ``REPRO_NN_BACKEND`` resolution.  Two threads
-#: issuing their first forward concurrently (e.g. the serving dispatcher
-#: racing a benchmark's warm-up) must both observe the same single
-#: resolution instead of racing the read-check-write in ``get_backend``.
-_RESOLVE_LOCK = threading.Lock()
-
-
-def register_backend(name: str, backend: Backend) -> None:
-    """Register ``backend`` under ``name`` (later wins on collision)."""
-    backend.name = name
-    _BACKENDS[name] = backend
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_BACKENDS)
+_BACKEND = Backend()
 
 
 def get_backend() -> Backend:
-    """The active backend; resolves ``REPRO_NN_BACKEND`` on first call.
-
-    The first resolution is guarded by a lock (double-checked), so
-    concurrent first calls from multiple threads all return the one
-    backend the environment names — never two racing resolutions.
-    """
-    global _CURRENT
-    backend = _CURRENT
-    if backend is None:
-        with _RESOLVE_LOCK:
-            backend = _CURRENT
-            if backend is None:
-                name = os.environ.get(ENV_VAR, "reference")
-                if name not in _BACKENDS:
-                    raise ValueError(
-                        f"{ENV_VAR}={name!r} is not a registered backend "
-                        f"(available: {available_backends()})")
-                backend = _CURRENT = _BACKENDS[name]
-    return backend
-
-
-def set_backend(name: str) -> Backend:
-    """Make ``name`` the active backend; returns it."""
-    global _CURRENT
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r} (available: {available_backends()})")
-    _CURRENT = _BACKENDS[name]
-    return _CURRENT
+    """The one kernel implementation every layer calls through."""
+    return _BACKEND
 
 
 def backend_name() -> str:
-    """Name of the active backend."""
-    return get_backend().name
-
-
-class use_backend:
-    """Context manager that temporarily activates a backend by name."""
-
-    def __init__(self, name: str):
-        self._name = name
-        self._previous: Backend | None = None
-
-    def __enter__(self) -> Backend:
-        global _CURRENT
-        self._previous = get_backend()
-        return set_backend(self._name)
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        global _CURRENT
-        _CURRENT = self._previous
-        return False
-
-
-register_backend("reference", Backend())
+    """Name of the kernel implementation (recorded with measurements)."""
+    return _BACKEND.name

@@ -86,52 +86,9 @@ def _elements(shape) -> int:
     return int(np.prod(shape)) if shape else 1
 
 
-def _fused_flop_count(kind: str, in_shapes, out_shape) -> int:
-    """Forward FLOPs for a ``fused.*`` kernel (same conventions as the
-    unfused compositions it replaces, so profiles stay comparable
-    across backends)."""
-    out_elems = _elements(out_shape) if out_shape is not None else 0
-    if kind == "linear":
-        if len(in_shapes) < 2:
-            return 0
-        k = in_shapes[0][-1] if in_shapes[0] else 1
-        flops = 2 * out_elems * k
-        if len(in_shapes) > 2:                   # bias operand present
-            flops += out_elems
-        return flops
-    if kind == "layernorm":
-        x_elems = _elements(in_shapes[0]) if in_shapes else out_elems
-        return 8 * x_elems    # mean/center/square/var/sqrt/div/scale/shift
-    if kind == "ffn":
-        if len(in_shapes) < 5:
-            return 0
-        x_shape, w1_shape, w2_shape = in_shapes[0], in_shapes[1], in_shapes[3]
-        rows = _elements(x_shape[:-1])
-        k, f, n = x_shape[-1], w1_shape[-1], w2_shape[-1]
-        return (2 * rows * k * f + 2 * rows * f       # gemm1 + bias + relu
-                + 2 * rows * f * n + rows * n)        # gemm2 + bias
-    if kind == "attention":
-        if len(in_shapes) < 2:
-            return 0
-        q_shape, k_shape = in_shapes[0], in_shapes[1]
-        d = q_shape[-1] if q_shape else 1
-        scores = _elements(q_shape[:-1]) * (k_shape[-2] if len(k_shape) > 1
-                                            else 1)
-        return 4 * scores * d + scores + SOFTMAX_COST["softmax"] * scores
-    if kind == "pointer_tail":
-        return 4 * out_elems                     # scale + tanh + clip + mask
-    if kind == "masked_mean":
-        return _elements(in_shapes[0]) if in_shapes else out_elems
-    if kind == "chain":
-        return 2 * out_elems
-    return out_elems
-
-
 def flop_count(name: str, in_shapes, out_shape) -> int:
     """Estimated forward FLOPs for op ``name`` given its shapes."""
     out_elems = _elements(out_shape) if out_shape is not None else 0
-    if name.startswith("fused."):
-        return _fused_flop_count(name[len("fused."):], in_shapes, out_shape)
     if name == "matmul":
         if len(in_shapes) < 2:
             return 0

@@ -113,7 +113,7 @@ def abs(a) -> Tensor:  # noqa: A001 - mirrors numpy naming
     return Tensor._make(out_data, (a,), backward)
 
 
-def flat_matmul(a: np.ndarray, b: np.ndarray, mm=np.matmul) -> np.ndarray:
+def flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` with a stacked-``a`` x 2D-``b`` product folded flat.
 
     numpy dispatches ``(B, m, k) @ (k, n)`` as B separate GEMM calls; for
@@ -125,18 +125,13 @@ def flat_matmul(a: np.ndarray, b: np.ndarray, mm=np.matmul) -> np.ndarray:
     """
     if a.ndim > 2 and b.ndim == 2:
         lead = a.shape[:-1]
-        return mm(a.reshape(-1, a.shape[-1]), b).reshape(*lead, b.shape[-1])
-    return mm(a, b)
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*lead, b.shape[-1])
+    return a @ b
 
 
 def matmul_backward(grad: np.ndarray, a_data: np.ndarray,
                     b_data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``a @ b`` w.r.t. both operands (numpy @ semantics).
-
-    Shared by :func:`matmul` and the fused kernels in
-    :mod:`repro.nn.fused`, so every backend differentiates matrix
-    products with the identical formulas.
-    """
+    """Gradients of ``a @ b`` w.r.t. both operands (numpy @ semantics)."""
     if a_data.ndim == 1 and b_data.ndim == 1:
         grad_a = grad * b_data
         grad_b = grad * a_data

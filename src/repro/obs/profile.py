@@ -506,8 +506,7 @@ def _solve_workload(args, profiler: OpProfiler) -> None:
     from ..tsptw import InsertionSolver
 
     instance = generate_instances(args.dataset, 1, seed=args.seed)[0]
-    planner = InsertionSolver(use_kernels=not args.no_kernels)
-    solver = SMORESolver(planner, _make_policy(args))
+    solver = SMORESolver(InsertionSolver(), _make_policy(args))
     with profiling(profiler=profiler):
         with scope("workload.solve"):
             solver.solve(instance, greedy=False,
@@ -548,10 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--samples", type=int, default=4,
                         help="solve: rollouts per solve")
-    parser.add_argument("--no-kernels", action="store_true",
-                        help="solve: loop the object-path planner instead "
-                             "of the packed route kernels (for before/"
-                             "after profile comparisons)")
     parser.add_argument("--epochs", type=int, default=2,
                         help="train: REINFORCE epochs")
     parser.add_argument("--d-model", type=int, default=32)

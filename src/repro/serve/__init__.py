@@ -4,9 +4,8 @@ An asyncio front-end over a warm :class:`~repro.smore.solver.SMORESolver`:
 requests (instance + decode mode + optional deadline) are coalesced by a
 micro-batcher into heterogeneous cross-instance decode batches
 (:meth:`SMORESolver.open_batch` / :class:`SolveBatch`) and executed on a
-:class:`WarmEngine` that keeps TASNet weights, the resolved nn backend,
-the (memoising) planner, and per-instance candidate-table snapshots
-resident across requests.
+:class:`WarmEngine` that keeps TASNet weights, the (memoising) planner,
+and per-instance candidate-table snapshots resident across requests.
 
 Batching is an execution strategy only: a greedy request answered
 through the service is bit-identical to ``SMORESolver.solve`` on the

@@ -95,8 +95,7 @@ def _render_stats(stats: dict) -> str:
         lines.append(f"latency ms          p50={lat['p50']:.1f} "
                      f"p95={lat['p95']:.1f} p99={lat['p99']:.1f}")
     engine = stats["engine"]
-    lines.append(f"engine              backend={engine['backend']} "
-                 f"warm={engine['warm_instances']} "
+    lines.append(f"engine              warm={engine['warm_instances']} "
                  f"hits={engine['env_hits']} misses={engine['env_misses']}")
     stages = stats.get("stages")
     if stages:

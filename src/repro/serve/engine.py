@@ -1,16 +1,13 @@
 """The warm engine: solver state kept resident across requests.
 
-A cold ``SMORESolver.solve`` call pays three start-up costs on every
-request: the nn backend is re-resolved, the planner starts with an empty
-memo, and the instance's candidate table is rebuilt from scratch (the
-O(W x S) init sweep).  :class:`WarmEngine` keeps all three hot:
+A cold ``SMORESolver.solve`` call pays two start-up costs on every
+request: the planner starts with an empty memo, and the instance's
+candidate table is rebuilt from scratch (the O(W x S) init sweep).
+:class:`WarmEngine` keeps both hot:
 
 * the **policy weights** and the **planner** live on the wrapped solver
   for the engine's whole lifetime — a memoising planner's cache keeps
   paying off across requests;
-* the **backend** is resolved once at construction and re-activated
-  around every batch, so the service keeps decoding through the backend
-  it warmed up with even if the process-global default is flipped;
 * a bounded LRU of :class:`~repro.smore.env.SelectionEnv` objects keyed
   by instance identity keeps **candidate-table snapshots** resident —
   a repeat request for a known instance restores its table by copy
@@ -26,7 +23,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..nn import backend as nn_backend
 from ..smore.env import SelectionEnv
 from ..smore.policy import EpisodeStaticsCache
 from ..smore.solver import SMORESolver, SolveBatch
@@ -73,10 +69,6 @@ class WarmEngine:
                 f"max_warm_instances must be >= 1, got {max_warm_instances}")
         self.solver = solver
         self.max_warm_instances = max_warm_instances
-        # Resolve eagerly: the first request should not pay (or race on)
-        # lazy backend resolution, and the engine keeps serving through
-        # this backend even if the global default is flipped later.
-        self.backend = nn_backend.get_backend()
         # Keep the static encoder pass resident too: serving weights are
         # frozen, so per-instance TASNet statics (travel-grid conv, task
         # encoder, pointer keys) stay valid across requests.  Policies
@@ -147,9 +139,8 @@ class WarmEngine:
                                       env_factory=self.env_for, **kwargs)
 
     def execute(self, batch: SolveBatch):
-        """Run ``batch`` under the engine's resident backend."""
-        with nn_backend.use_backend(self.backend.name):
-            return batch.execute()
+        """Run ``batch`` on the resident solver state."""
+        return batch.execute()
 
     def execute_traced(self, batch: SolveBatch):
         """Run ``batch`` and also return a :class:`BatchReport`.
@@ -181,7 +172,6 @@ class WarmEngine:
     def stats(self) -> dict:
         """Engine-side residency counters."""
         stats = {
-            "backend": self.backend.name,
             "warm_instances": self.warm_instances,
             "env_hits": self.env_hits,
             "env_misses": self.env_misses,
@@ -194,5 +184,4 @@ class WarmEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WarmEngine(solver={self.solver.name!r}, "
-                f"backend={self.backend.name!r}, "
                 f"warm={self.warm_instances}/{self.max_warm_instances})")

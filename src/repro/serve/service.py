@@ -232,8 +232,7 @@ class SolverService:
             self._dispatch_loop(), name="repro-serve-dispatch")
         self._running = True
         self._started_at = time.monotonic()
-        obs.event("serve.start", backend=self.engine.backend.name,
-                  max_batch_size=self.config.max_batch_size,
+        obs.event("serve.start", max_batch_size=self.config.max_batch_size,
                   max_wait_us=self.config.max_wait_us)
         return self
 

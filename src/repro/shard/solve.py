@@ -486,8 +486,7 @@ def solve_sharded(solver, instance: USMDWInstance, shards: int,
         if type(planner) is InsertionSolver:
             planner_cfg = dict(speed=planner.speed,
                                improvement_rounds=planner.improvement_rounds,
-                               use_two_opt=planner.use_two_opt,
-                               use_kernels=planner.use_kernels)
+                               use_two_opt=planner.use_two_opt)
         else:
             planner_cfg = None
         boundary = tuple(instance.sensing_task(tid)

@@ -10,24 +10,18 @@ window start — each at the position minimising the route travel time among
 all *feasible* positions.  Improvement then relocates single tasks (or-opt
 with segment length 1) while feasibility holds.
 
-Two engines implement the position scoring:
+Batched candidate checks (:meth:`InsertionSolver.plan_insertions_many`)
+run one vectorized :func:`repro.tsptw.kernels.sweep_insertions` over the
+packed arrays of a bound instance (:meth:`InsertionSolver.bind_instance`),
+scoring every (position, task) lane at once, and per-result timings
+materialise lazily.  Single-insertion scans run the scalar
+:func:`cheapest_insertion_position` — one task against one route has no
+lanes to amortize a pack over, and the pure-Python scan measures faster
+than numpy element access at every route size.
 
-* the object path (``use_kernels=False``): every candidate check is an
-  independent per-position suffix re-propagation over Python objects —
-  the original reference implementation;
-* the kernel path (default): batched candidate checks
-  (:meth:`InsertionSolver.plan_insertions_many`) run one vectorized
-  :func:`repro.tsptw.kernels.sweep_insertions` over the packed arrays of
-  a bound instance (:meth:`InsertionSolver.bind_instance`), scoring every
-  (position, task) lane at once, and per-result timings materialise
-  lazily.  Single-insertion scans keep the scalar engine in both modes —
-  one task against one route has no lanes to amortize a pack over, and
-  the pure-Python scan measures faster than numpy element access at
-  every route size.
-
-Both engines produce bit-identical results (same floats, same argmin
-tie-breaking), verified by randomized parity tests, so seeded rollouts,
-cached plans and the fork pool are unaffected by the switch.
+The kernels are bit-identical (same floats, same argmin tie-breaking) to
+looping the scalar scan and re-simulating every result, which the test
+suite keeps as the planner oracle.
 """
 
 from __future__ import annotations
@@ -244,19 +238,13 @@ class InsertionSolver(PlannerBase):
         Worker speed (m/min).
     improvement_rounds:
         Maximum or-opt sweeps after construction; 0 disables improvement.
-    use_kernels:
-        Batched candidate checks scored by the vectorized packed-array
-        sweep (default) or by looped object-path scans.  Results are
-        bit-identical; the flag exists so the object path stays available
-        as a reference and for A/B benchmarking.
     """
 
     def __init__(self, speed: float = DEFAULT_SPEED, improvement_rounds: int = 2,
-                 use_two_opt: bool = False, use_kernels: bool = True):
+                 use_two_opt: bool = False):
         self.speed = speed
         self.improvement_rounds = improvement_rounds
         self.use_two_opt = use_two_opt
-        self.use_kernels = use_kernels
         self._packed = None
         # id(packed) -> packed, LRU-ordered; bounds how many instances'
         # bindings a long-lived solver retains.
@@ -317,8 +305,8 @@ class InsertionSolver(PlannerBase):
 
     def _cheapest(self, worker: Worker, tasks: list, new_task,
                   min_position: int = 0) -> tuple[int, float] | None:
-        # Single-insertion scans run the scalar engine in BOTH modes: one
-        # position against one task has no lanes to vectorize, and the
+        # Single-insertion scans run the scalar engine: one position
+        # against one task has no lanes to vectorize, and the
         # pure-Python scan (C-level math.hypot, unboxed floats) measures
         # faster than numpy element access at every route size.  The
         # packed kernels take over exactly where vectorization pays —
@@ -341,7 +329,7 @@ class InsertionSolver(PlannerBase):
         (inserting a sensing task cannot change travel-task membership).
         """
         route = WorkingRoute(worker, tuple(tasks), speed=self.speed)
-        if known is not None and self.use_kernels:
+        if known is not None:
             windows_ok, rtt = known
             if covers is None:
                 covers = route.covers_all_travel_tasks()
@@ -394,10 +382,8 @@ class InsertionSolver(PlannerBase):
         position, rtt = best
         tasks = list(base_tasks)
         tasks.insert(position, new_task)
-        if self.use_kernels:
-            return self._route_result(worker, tasks, known=(True, rtt),
-                                      pos=position)
-        return self._route_result(worker, tasks, pos=position)
+        return self._route_result(worker, tasks, known=(True, rtt),
+                                  pos=position)
 
     def plan_insertions_many(self, worker: Worker, base_tasks: Sequence,
                              new_tasks: Sequence,
@@ -405,15 +391,13 @@ class InsertionSolver(PlannerBase):
         """Check many single-task insertions into one base order.
 
         The batched entry point behind ``CandidateTable``'s init/recompute
-        sweeps.  Available in *both* engine modes — with kernels one
-        vectorized sweep scores every (position, task) lane at once; the
-        object path loops :meth:`plan_with_insertion` — so perf counters
-        and results are identical whichever engine runs.  ``min_position``
-        restricts every lane to positions at or past a worker's committed
-        mid-route position, identically in both engines.
+        sweeps: one vectorized sweep scores every (position, task) lane at
+        once (small batches loop :meth:`plan_with_insertion`).
+        ``min_position`` restricts every lane to positions at or past a
+        worker's committed mid-route position.
         """
         new_tasks = list(new_tasks)
-        if not self.use_kernels or len(new_tasks) < _SWEEP_MIN_TASKS:
+        if len(new_tasks) < _SWEEP_MIN_TASKS:
             return [self.plan_with_insertion(worker, base_tasks, task,
                                              min_position=min_position)
                     for task in new_tasks]

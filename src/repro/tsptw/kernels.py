@@ -18,9 +18,9 @@ stop-by-stop.  This module packs one route into flat numpy arrays
   slack-pruned task rows skipped entirely;
 * :func:`nearest_neighbor_order_packed` — matrix-backed NN construction.
 
-Bit-identity contract (the reason the object path can stay available as a
-``use_kernels=False`` reference): every observable float is produced by the
-same IEEE operation sequence the object path executes.  Distances come from
+Bit-identity contract (the test suite keeps the object path as the planner
+oracle): every observable float is produced by the same IEEE operation
+sequence the object path executes.  Distances come from
 the ``math.hypot`` matrix of :class:`~repro.core.packed.PackedInstance`;
 the vectorized sweep advances each insertion position as an independent
 lane, so per-lane accumulation order matches the scalar scan exactly;

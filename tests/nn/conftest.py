@@ -1,11 +1,9 @@
 """Shared fixtures for the nn test package.
 
-``nn_backend`` parametrizes a test over every numpy execution backend
-(reference object-graph autograd and the fused graph executor), so the
-layer/attention/batched-op suites pin both strategies.  The torch
-backend, registered only when torch is importable, is exercised by
-``test_backend.py`` separately at tolerance level — its GEMMs reorder
-reductions, so it cannot join bit-identity assertions.
+``nn_backend`` hands a test the one kernel implementation every layer
+calls through (:func:`repro.nn.get_backend`).  It is parametrized by
+:func:`repro.nn.backend_name`, so each test id records which
+implementation the layer/attention/batched-op suites ran on.
 """
 
 import pytest
@@ -13,8 +11,7 @@ import pytest
 from repro import nn
 
 
-@pytest.fixture(params=["reference", "fused"])
+@pytest.fixture(params=[nn.backend_name()])
 def nn_backend(request):
-    """Activate one registered backend for the duration of the test."""
-    with nn.use_backend(request.param):
-        yield request.param
+    """The kernel implementation under test."""
+    return nn.get_backend()

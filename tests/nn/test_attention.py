@@ -7,9 +7,8 @@ from repro import nn
 from repro.nn import ops
 from repro.nn.attention import scaled_dot_product_attention
 
-#: Every test runs under both numpy backends (reference object
-#: graph and fused executor); forwards are bit-identical by
-#: contract, so shared assertions need no tolerance changes.
+#: Every test runs on the one kernel implementation; the fixture
+#: records its name in the test id.
 pytestmark = pytest.mark.usefixtures("nn_backend")
 
 

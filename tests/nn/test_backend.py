@@ -1,16 +1,9 @@
-"""Backend seam: registry mechanics, kernel parity, FLOP reconciliation.
+"""The model-level kernels of :class:`repro.nn.backend.Backend`.
 
-The reference backend composes each kernel from primitive ops and is the
-parity oracle; the fused backend lowers each kernel to one graph node.
-These tests pin the seam's contract:
-
-* forwards are **bit-identical** between reference and fused (the fused
-  forward replays the reference arithmetic in the same order);
-* backwards agree with the reference graph *and* with central
-  finite differences under both backends;
-* the profiler's ``fused.*`` FLOP entries reconcile with the closed
-  forms the unfused compositions record, so cross-backend profiles stay
-  comparable.
+Every kernel's backward must agree with central finite differences, the
+empty elementwise chain is the identity, and ``no_grad`` builds no
+graph.  Layers reach the kernels through the one module-level instance
+:func:`repro.nn.get_backend` returns.
 """
 
 import math
@@ -19,14 +12,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import backend as backend_mod
-from repro.nn import ops
-from repro.nn.fused import scratch_pool
-from repro.obs.profile import OpProfiler, profiling
 
 from .gradcheck import numeric_gradient
-
-BACKENDS = ["reference", "fused"]
 
 
 @pytest.fixture
@@ -35,78 +22,7 @@ def rng():
 
 
 # --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-class TestRegistry:
-    def test_both_numpy_backends_registered(self):
-        names = nn.available_backends()
-        assert "reference" in names and "fused" in names
-
-    def test_set_backend_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            nn.set_backend("no-such-backend")
-
-    def test_use_backend_restores_previous(self):
-        before = nn.backend_name()
-        with nn.use_backend("fused"):
-            assert nn.backend_name() == "fused"
-            with nn.use_backend("reference"):
-                assert nn.backend_name() == "reference"
-            assert nn.backend_name() == "fused"
-        assert nn.backend_name() == before
-
-    def test_env_var_resolution_validates(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_CURRENT", None)
-        monkeypatch.setenv(backend_mod.ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="not a registered backend"):
-            nn.get_backend()
-        monkeypatch.setenv(backend_mod.ENV_VAR, "fused")
-        monkeypatch.setattr(backend_mod, "_CURRENT", None)
-        assert nn.get_backend().name == "fused"
-
-    def test_concurrent_first_resolution_is_single(self, monkeypatch):
-        """Two first calls racing from different threads must resolve
-        the environment exactly once (regression: the unguarded
-        read-check-write let both threads run the resolution)."""
-        import threading
-
-        class CountingBackends(dict):
-            def __init__(self, base):
-                super().__init__(base)
-                self.lookups = 0
-
-            def __getitem__(self, name):
-                self.lookups += 1
-                return super().__getitem__(name)
-
-        counting = CountingBackends(backend_mod._BACKENDS)
-        monkeypatch.setattr(backend_mod, "_BACKENDS", counting)
-        monkeypatch.setattr(backend_mod, "_CURRENT", None)
-        monkeypatch.setenv(backend_mod.ENV_VAR, "fused")
-
-        num_threads = 8
-        barrier = threading.Barrier(num_threads)
-        resolved = [None] * num_threads
-
-        def resolve(i):
-            barrier.wait()
-            resolved[i] = backend_mod.get_backend()
-
-        threads = [threading.Thread(target=resolve, args=(i,))
-                   for i in range(num_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert all(b is resolved[0] for b in resolved)
-        assert resolved[0].name == "fused"
-        # The registry was consulted exactly once: one resolution total.
-        assert counting.lookups == 1
-
-
-# --------------------------------------------------------------------- #
-# Kernel catalogue: (name, builder) pairs used by parity and FD checks.
+# Kernel catalogue: (name, builder) pairs used by the FD checks.
 # Builders return (inputs, run) where run(backend) -> output Tensor and
 # `inputs` are the leaf tensors whose gradients the tests compare.
 # --------------------------------------------------------------------- #
@@ -160,36 +76,20 @@ def _case_ids(rng=np.random.default_rng(3)):
 
 
 class TestKernelParity:
-    @pytest.mark.parametrize("case", range(len(_case_ids())),
-                             ids=_case_ids())
-    def test_forward_bit_identical_and_grads_match(self, case, rng):
-        ref_cases = _kernel_cases(rng)
-        name, inputs, run = ref_cases[case]
-        ref = run(nn.backend._BACKENDS["reference"])
-        ref.sum().backward()
-        ref_grads = [np.array(t.grad) for t in inputs]
-        for t in inputs:
-            t.grad = None
-        fused = run(nn.backend._BACKENDS["fused"])
-        # Forward contract: the fused kernel replays the reference
-        # arithmetic, so values are byte-for-byte equal.
-        np.testing.assert_array_equal(fused.data, ref.data, err_msg=name)
-        fused.sum().backward()
-        for t, g in zip(inputs, ref_grads):
-            np.testing.assert_allclose(t.grad, g, rtol=1e-12, atol=1e-12,
-                                       err_msg=name)
+    """Analytic kernel gradients against finite differences."""
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("nn_backend", [nn.backend_name()],
+                             indirect=True)
     @pytest.mark.parametrize("case", range(len(_case_ids())),
                              ids=_case_ids())
-    def test_finite_difference_gradients(self, backend_name, case, rng):
+    def test_finite_difference_gradients(self, case, nn_backend, rng):
         cases = _kernel_cases(rng)
         name, inputs, run = cases[case]
         if name == "pointer_tail_masked":
             # Masked logits are the NEG_INF constant; their magnitude
             # (1e9) swamps central-difference precision on the sum.
             pytest.skip("NEG_INF fill defeats finite-difference precision")
-        be = nn.backend._BACKENDS[backend_name]
+        be = nn_backend
         out = run(be)
         out.sum().backward()
         for t in inputs:
@@ -206,122 +106,12 @@ class TestKernelParity:
 
     def test_chain_empty_stages_is_identity(self):
         x = nn.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        for backend_name in BACKENDS:
-            out = nn.backend._BACKENDS[backend_name].chain(x, ())
-            np.testing.assert_array_equal(out.data, x.data)
+        out = nn.get_backend().chain(x, ())
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_no_grad_builds_no_graph(self, rng):
         x = nn.Tensor(rng.normal(size=(3, 8)), requires_grad=True)
         w = nn.Tensor(rng.normal(size=(8, 2)), requires_grad=True)
-        for backend_name in BACKENDS:
-            with nn.no_grad():
-                out = nn.backend._BACKENDS[backend_name].linear(x, w)
-            assert not out.requires_grad
-
-
-# --------------------------------------------------------------------- #
-# End-to-end layer parity (the seam is fetched per forward call)
-# --------------------------------------------------------------------- #
-class TestLayerParity:
-    def test_transformer_encoder_forward_bit_identical(self, rng):
-        enc = nn.TransformerEncoder(8, 2, 2, rng=rng)
-        x = nn.Tensor(rng.normal(size=(6, 8)))
-        with nn.use_backend("reference"):
-            ref = enc(x).data.copy()
-        with nn.use_backend("fused"):
-            fused = enc(x).data.copy()
-        np.testing.assert_array_equal(fused, ref)
-
-    def test_transformer_encoder_param_grads_close(self, rng):
-        enc = nn.TransformerEncoder(8, 2, 2, rng=rng)
-        x = nn.Tensor(rng.normal(size=(6, 8)))
-        grads = {}
-        for backend_name in BACKENDS:
-            enc.zero_grad()
-            with nn.use_backend(backend_name):
-                enc(x).sum().backward()
-            grads[backend_name] = [np.array(p.grad)
-                                   for p in enc.parameters()]
-        for ref, fused in zip(grads["reference"], grads["fused"]):
-            np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-12)
-
-
-# --------------------------------------------------------------------- #
-# FLOP reconciliation: fused.* entries match the unfused closed forms
-# --------------------------------------------------------------------- #
-class TestFusedFlops:
-    def _profile(self, run):
-        profiler = OpProfiler()
-        with profiling(profiler=profiler):
-            run()
-        return profiler
-
-    def test_fused_linear_matches_layer_closed_form(self, rng):
-        layer = nn.Linear(16, 4, rng=rng)
-        x = nn.Tensor(rng.normal(size=(8, 16)))
-        with nn.use_backend("fused"):
-            profiler = self._profile(lambda: layer(x))
-        assert profiler.ops["fused.linear"].flops == layer.forward_flops(8)
-
-    def test_fused_attention_matches_reference_composition(self, rng):
-        q = nn.Tensor(rng.normal(size=(2, 5, 8)))
-        k = nn.Tensor(rng.normal(size=(2, 7, 8)))
-        v = nn.Tensor(rng.normal(size=(2, 7, 8)))
-        ref = nn.backend._BACKENDS["reference"]
-        with nn.use_backend("reference"):
-            p_ref = self._profile(lambda: ref.attention(q, k, v))
-        reference_total = sum(stat.flops for stat in p_ref.ops.values())
-        fused = nn.backend._BACKENDS["fused"]
-        with nn.use_backend("fused"):
-            p_fused = self._profile(lambda: fused.attention(q, k, v))
-        assert p_fused.ops["fused.attention"].flops == reference_total
-
-    def test_fused_ops_record_nonzero_bytes(self, rng):
-        layer = nn.Linear(8, 8, rng=rng)
-        x = nn.Tensor(rng.normal(size=(4, 8)))
-        with nn.use_backend("fused"):
-            profiler = self._profile(lambda: layer(x))
-        assert profiler.ops["fused.linear"].nbytes > 0
-
-
-# --------------------------------------------------------------------- #
-# Scratch pool
-# --------------------------------------------------------------------- #
-class TestScratchPool:
-    def test_backward_populates_pool_and_clear_empties(self, rng):
-        pool = scratch_pool()
-        pool.clear()
-        q = nn.Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
-        k = nn.Tensor(rng.normal(size=(2, 7, 8)), requires_grad=True)
-        v = nn.Tensor(rng.normal(size=(2, 7, 8)), requires_grad=True)
-        out = nn.backend._BACKENDS["fused"].attention(q, k, v)
-        out.sum().backward()
-        assert pool.cached_bytes() > 0
-        pool.clear()
-        assert pool.cached_bytes() == 0
-
-    def test_pool_reuses_buffers_across_iterations(self, rng):
-        pool = scratch_pool()
-        pool.clear()
-        def step():
-            q = nn.Tensor(rng.normal(size=(1, 4, 8)), requires_grad=True)
-            k = nn.Tensor(rng.normal(size=(1, 6, 8)), requires_grad=True)
-            v = nn.Tensor(rng.normal(size=(1, 6, 8)), requires_grad=True)
-            nn.backend._BACKENDS["fused"].attention(q, k, v).sum().backward()
-        step()
-        after_first = pool.cached_bytes()
-        for _ in range(3):
-            step()
-        # Steady state: same shapes recycle the same buffers.
-        assert pool.cached_bytes() == after_first
-
-
-@pytest.mark.skipif("torch" not in nn.available_backends(),
-                    reason="torch backend registers only when torch imports")
-class TestTorchBackend:  # pragma: no cover - exercised only with torch
-    def test_linear_close_to_reference(self, rng):
-        x = nn.Tensor(rng.normal(size=(5, 8)))
-        w = nn.Tensor(rng.normal(size=(8, 4)))
-        ref = nn.backend._BACKENDS["reference"].linear(x, w)
-        tb = nn.backend._BACKENDS["torch"].linear(x, w)
-        np.testing.assert_allclose(tb.data, ref.data, rtol=1e-12, atol=1e-12)
+        with nn.no_grad():
+            out = nn.get_backend().linear(x, w)
+        assert not out.requires_grad

@@ -1,7 +1,6 @@
 """FLOP/byte cost models and their agreement with recorded profiles."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.nn import flops, ops
@@ -65,18 +64,7 @@ class TestFlopCount:
 
 
 class TestClosedFormAgreement:
-    """Profiler-recorded matmul FLOPs match the layer-level closed forms.
-
-    These reconcile the *reference* op compositions (``matmul`` entries
-    in the profile), so they pin the reference backend regardless of
-    ``REPRO_NN_BACKEND``; the fused backend's ``fused.*`` entries are
-    reconciled against the same closed forms in ``test_backend.py``.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _reference_backend(self):
-        with nn.use_backend("reference"):
-            yield
+    """Profiler-recorded matmul FLOPs match the layer-level closed forms."""
 
     def _recorded_matmul_flops(self, run) -> int:
         profiler = OpProfiler()

@@ -8,9 +8,8 @@ from repro.nn import ops
 
 from .gradcheck import numeric_gradient
 
-#: Every test runs under both numpy backends (reference object
-#: graph and fused executor); forwards are bit-identical by
-#: contract, so shared assertions need no tolerance changes.
+#: Every test runs on the one kernel implementation; the fixture
+#: records its name in the test id.
 pytestmark = pytest.mark.usefixtures("nn_backend")
 
 

@@ -1,10 +1,9 @@
-"""WarmEngine: resident backend, env LRU, candidate-snapshot reuse."""
+"""WarmEngine: env LRU, candidate-snapshot reuse."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.instances import InstanceOptions, generate_instances
-from repro.nn import backend as nn_backend
 from repro.serve import WarmEngine
 from repro.smore import SMORESolver, TASNet, TASNetConfig, TASNetPolicy
 from repro.tsptw import CachedPlanner, InsertionSolver
@@ -91,31 +90,3 @@ class TestEnvResidency:
         engine.execute(batch)
         assert planner.stats().cache_hits > hits_before
 
-
-class TestResidentBackend:
-    def test_backend_resolved_at_construction(self, instances):
-        engine = WarmEngine(_solver(instances))
-        assert engine.backend is nn_backend.get_backend()
-        assert engine.stats()["backend"] == engine.backend.name
-
-    def test_execute_uses_engine_backend_despite_global_flip(self, instances):
-        """The engine keeps decoding through the backend it warmed up
-        with even if the process-global default changes under it."""
-        engine = WarmEngine(_solver(instances))
-        direct = engine.solver.solve(instances[0])
-        resident = engine.backend.name
-        other = next(name for name in nn_backend.available_backends()
-                     if name != resident)
-        previous = nn_backend.get_backend()
-        nn_backend.set_backend(other)
-        try:
-            batch = engine.open_batch()
-            batch.admit(instances[0])
-            (solution,) = engine.execute(batch)
-            # The global flip survives the batch; the answer matches the
-            # resident-backend decode bit-for-bit.
-            assert nn_backend.backend_name() == other
-            assert _routes(solution) == _routes(direct)
-            assert solution.incentives == direct.incentives
-        finally:
-            nn_backend.set_backend(previous.name)

@@ -4,16 +4,17 @@
 tasks inside the shard solves and keeps only the greedy pick loop in
 the parent.  ``oracle_repair`` is the repair it replaced: every worker
 of the instance gets its base route planned and its order swept against
-the still-unassigned boundary pool here, with one unbound
-``InsertionSolver``, before the same greedy coverage-per-incentive pick
-loop.  Applied to the unrepaired merge (``solve_sharded(...,
-repair=False)``) it must reproduce the library's repaired routes,
-incentives and objective bitwise.
+the still-unassigned boundary pool here, with one unbound object-path
+planner (the planner oracle of ``tests/tsptw/oracle.py``), before the
+same greedy coverage-per-incentive pick loop.  Applied to the unrepaired
+merge (``solve_sharded(..., repair=False)``) it must reproduce the
+library's repaired routes, incentives and objective bitwise.
 """
 
 from repro.core.incentive import IncentiveModel
 from repro.core.route import WorkingRoute
-from repro.tsptw.insertion import InsertionSolver
+
+from ..tsptw.oracle import ObjectInsertionSolver
 
 _EPS = 1e-9
 
@@ -24,7 +25,7 @@ def oracle_repair(instance, planner_cfg, plan, routes, incentives):
     Returns ``(candidates, added)``: feasible (worker, task) insertions
     of the initial sweep, and insertions applied.
     """
-    planner = InsertionSolver(**planner_cfg)
+    planner = ObjectInsertionSolver(**planner_cfg)
     model = IncentiveModel(mu=instance.mu)
     workers = {w.worker_id: w for w in instance.workers}
 

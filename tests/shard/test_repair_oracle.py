@@ -55,8 +55,7 @@ def assert_matches_oracle(instance, num_shards, method, pool=None):
     planner = solver.planner
     planner_cfg = dict(speed=planner.speed,
                        improvement_rounds=planner.improvement_rounds,
-                       use_two_opt=planner.use_two_opt,
-                       use_kernels=planner.use_kernels)
+                       use_two_opt=planner.use_two_opt)
     candidates, added = oracle_repair(instance, planner_cfg, plan, routes,
                                       incentives)
 

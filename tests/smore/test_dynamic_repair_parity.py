@@ -7,7 +7,8 @@ incentive deltas, same recorded insertion positions — a from-scratch
 anchored build over the current task pool and committed worker states.
 
 The sweep runs 200+ randomized configurations: seeds x arrival process x
-planner backend (vectorized kernels on/off) x memoised vs. raw planner.
+planner (vectorized kernels or the object-path oracle) x memoised vs. raw
+planner.
 Each configuration replays a full greedy dynamic episode and checks the
 invariant at every epoch, so arrivals, expiries, mid-route re-anchoring
 and within-episode selection all hit the repair paths.
@@ -27,15 +28,17 @@ from repro.smore.candidates import CandidateTable
 from repro.tsptw import InsertionSolver
 from repro.tsptw.cache import CachedPlanner
 
+from ..tsptw.oracle import ObjectInsertionSolver
+
 SEEDS = range(25)
 SCHEDULES = {"poisson": poisson_arrivals, "burst": burst_arrivals}
 BACKENDS = {
-    "kernels": lambda speed: InsertionSolver(speed=speed, use_kernels=True),
-    "object": lambda speed: InsertionSolver(speed=speed, use_kernels=False),
+    "kernels": lambda speed: InsertionSolver(speed=speed),
+    "object": lambda speed: ObjectInsertionSolver(speed=speed),
     "cached-kernels": lambda speed: CachedPlanner(
-        InsertionSolver(speed=speed, use_kernels=True)),
+        InsertionSolver(speed=speed)),
     "cached-object": lambda speed: CachedPlanner(
-        InsertionSolver(speed=speed, use_kernels=False)),
+        ObjectInsertionSolver(speed=speed)),
 }
 # 25 seeds x 2 schedules x 4 backends = 200 configurations.
 CONFIGS = [(seed, sched, backend) for seed in SEEDS

@@ -27,6 +27,7 @@ from repro.tsptw.kernels import (
 from repro.tsptw.nearest import nearest_neighbor_order
 
 from .conftest import SPEED, random_sensing, random_worker
+from .oracle import ObjectInsertionSolver
 
 N_CONFIGS = 200
 
@@ -124,8 +125,8 @@ def test_sweep_insertions_matches_per_task_scans():
 
 def _bound_pair(worker, sensing, bind):
     """(kernel solver, object solver), optionally bound to one instance."""
-    on = InsertionSolver(speed=SPEED, use_kernels=True)
-    off = InsertionSolver(speed=SPEED, use_kernels=False)
+    on = InsertionSolver(speed=SPEED)
+    off = ObjectInsertionSolver(speed=SPEED)
     if bind:
         instance = SimpleNamespace(workers=(worker,),
                                    sensing_tasks=tuple(sensing))

@@ -16,6 +16,8 @@ from repro.tsptw import InsertionSolver
 from repro.tsptw.cache import CachedPlanner
 from repro.tsptw.insertion import cheapest_insertion_position
 
+from .oracle import ObjectInsertionSolver
+
 
 def _setup(seed=0, density=0.04):
     instance = generate_instances(
@@ -48,8 +50,8 @@ def test_scalar_scan_respects_anchor():
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_matches_scalar_under_every_anchor(seed):
     instance, worker, _, _ = _setup(seed=seed)
-    on = InsertionSolver(speed=instance.speed, use_kernels=True)
-    off = InsertionSolver(speed=instance.speed, use_kernels=False)
+    on = InsertionSolver(speed=instance.speed)
+    off = ObjectInsertionSolver(speed=instance.speed)
     base_tasks = list(on.base_route(worker).route.tasks)
     tasks = list(instance.sensing_tasks)
     for anchor in range(len(base_tasks) + 2):
