@@ -11,7 +11,8 @@ report into.  Three pieces:
   The default tracer is a no-op; instrumentation costs nothing when off.
 * :func:`capture_child` / :func:`absorb` — fork-pool propagation: worker
   telemetry is snapshotted per item, shipped back with the result, and
-  merged deterministically in item order by :func:`repro.parallel.parallel_map`.
+  merged deterministically in item order by
+  :class:`repro.parallel.PersistentPool`.
 * :class:`OpProfiler` / :func:`profiling` (:mod:`repro.obs.profile`) —
   op-level autograd profiling below the span layer: per-op call counts,
   wall time, estimated FLOPs/bytes, live-tensor peak memory, and

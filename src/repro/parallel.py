@@ -1,34 +1,28 @@
 """Process-pool fan-out for rollouts, evaluation grids, and benchmarks.
 
 SMORE's hot loops — sample-and-select-best inference, the experiment
-method grid, and trainer evaluation — are embarrassingly parallel over
+method grid, and sharded city solves — are embarrassingly parallel over
 items that share large read-only state (instances, trained policies,
-candidate-table snapshots).  :func:`parallel_map` runs them across a
-``fork``-based process pool so that shared state is inherited copy-on-write
-instead of pickled, while keeping three guarantees:
+candidate-table snapshots).  :class:`PersistentPool` is the one process
+pool: workers are forked once and fed work chunks over pipes, so repeated
+maps (shard solves, benchmark sweeps, serving loops) skip the per-call
+fork/teardown, and state reachable at fork time is inherited
+copy-on-write instead of pickled.  :func:`parallel_map` is a one-shot map
+on a pool that closes when the map returns.  Every map keeps these
+guarantees:
 
 * **Determinism** — per-item RNGs are derived from one root seed via
   :func:`numpy.random.SeedSequence.spawn`, so results are bit-identical
   whether items run serially, in any pool size, or in any schedule.
 * **Graceful fallback** — with ``workers <= 1``, a single item, a platform
-  without ``fork`` (e.g. Windows/macOS spawn-only configurations), or when
-  already inside a pool worker (pool workers are daemonic and cannot fork
-  again), the map degrades to an ordinary serial loop with the *same*
-  per-item seeds.
-* **Chunking** — items are dispatched in contiguous chunks to amortise IPC
-  overhead; ``chunksize`` is derived from the item count when not given.
-
-Only the item index is sent to workers; the function, items, and seed
-sequences are inherited through the fork, so closures over unpicklable
-state (policies, planners, environments) work transparently.  Item
-*results* must be picklable.
-
-Two further guarantees:
-
+  without ``fork`` (e.g. Windows/macOS spawn-only configurations), a
+  failed pool construction, or when already inside a pool worker (pool
+  workers are daemonic and cannot fork again), the map degrades to an
+  ordinary serial loop with the *same* per-item seeds.
 * **Failures propagate** — an exception raised by ``fn`` inside a worker
-  re-raises in the parent (with the worker traceback attached by
-  ``multiprocessing``).  Only *pool construction* failures fall back to
-  the serial path; a failing ``fn`` is never silently re-executed.
+  re-raises in the parent with the worker traceback attached; a worker
+  that *dies* mid-chunk raises :class:`WorkerCrashError`.  Lost or failed
+  items are never silently re-executed.
 * **Telemetry propagates** — each worker item runs under
   :func:`repro.obs.capture_child`, and its counter/span/event snapshot is
   shipped back with the result and merged in item order
@@ -39,18 +33,9 @@ Two further guarantees:
   rejection rates survive the fork boundary too.  With all telemetry
   disabled the snapshots are ``None`` and cost nothing.
 
-On top of the per-call fan-out, :class:`PersistentPool` keeps a fork pool
-*resident* across calls: workers are forked once and fed work chunks over
-pipes, so repeated maps (shard solves, benchmark sweeps, serving loops)
-skip the per-call fork/teardown.  Large read-only arrays are published to
-the resident workers zero-copy through ``multiprocessing.shared_memory``
-(:meth:`PersistentPool.share_arrays` / :func:`shared_arrays`), with plain
-fork copy-on-write inheritance as the fallback for state that exists
-before the pool starts.  The pool preserves ``parallel_map``'s contract —
-identical per-item seed derivation, telemetry snapshots absorbed in item
-order, exceptions propagated — and adds explicit worker-crash detection:
-a chunk lost to a dying worker raises :class:`WorkerCrashError` and is
-never silently re-executed.
+Large read-only arrays are published to resident workers zero-copy
+through ``multiprocessing.shared_memory``
+(:meth:`PersistentPool.share_arrays` / :func:`shared_arrays`).
 """
 
 from __future__ import annotations
@@ -60,7 +45,6 @@ import multiprocessing
 import os
 import pickle
 import sys
-import time
 import traceback
 import weakref
 from collections import deque
@@ -78,10 +62,7 @@ __all__ = ["parallel_map", "derive_seeds", "derive_rngs", "fork_available",
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: State inherited by fork workers; only ever populated around a pool run.
-_FORK_STATE: dict = {}
-
-#: Set inside pool workers so nested parallel_map calls degrade to serial.
+#: Set inside pool workers so nested maps degrade to serial.
 _IN_WORKER = False
 
 
@@ -127,94 +108,25 @@ def _default_chunksize(num_items: int, workers: int) -> int:
     return max(1, num_items // (workers * chunks_per_worker))
 
 
-def _run_item(index: int):
-    """Pool worker entry point: everything else arrives via the fork.
-
-    Returns ``(result, telemetry_snapshot)``: worker-side counters and
-    spans would otherwise die with the child process, so each item ships
-    its delta back for the parent to merge (``None`` when tracing is off).
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    fn = _FORK_STATE["fn"]
-    item = _FORK_STATE["items"][index]
-    seeds = _FORK_STATE["seeds"]
-    with obs.capture_child() as telemetry:
-        if seeds is None:
-            result = fn(item)
-        else:
-            result = fn(item, np.random.default_rng(seeds[index]))
-    return result, telemetry.snapshot
-
-
 def parallel_map(fn: Callable[..., R], items: Iterable[T],
                  workers: int | None = None,
                  seed: int | None = None,
-                 chunksize: int | None = None,
                  use_seeds: bool = False) -> list[R]:
-    """Map ``fn`` over ``items``, optionally across a fork process pool.
+    """Map ``fn`` over ``items`` on a one-shot :class:`PersistentPool`.
 
-    Parameters
-    ----------
-    fn:
-        Called as ``fn(item)`` — or ``fn(item, rng)`` when seeding is
-        enabled — in an arbitrary process.  May close over unpicklable
-        state; the closure is inherited through the fork.
-    items:
-        Work items (materialised once; order defines result order).
-    workers:
-        Pool size.  ``None`` or ``<= 1`` runs serially in-process.
-    seed:
-        Root seed for per-item RNG derivation.  Passing a seed (or setting
-        ``use_seeds``) switches to the two-argument ``fn(item, rng)`` form;
-        ``seed=None`` with ``use_seeds=True`` derives from OS entropy.
-    chunksize:
-        Items per pool task; derived from the item count when omitted.
-
-    Returns results in item order.  Serial and parallel execution produce
-    identical results for deterministic ``fn``.
+    ``fn`` is called as ``fn(item)`` — or ``fn(item, rng)`` when a
+    ``seed`` is given or ``use_seeds`` is set — and may close over
+    unpicklable state: only item indices cross the pipe, while ``fn``
+    and ``items`` reach the workers through the fork.  ``workers=None``
+    or ``<= 1`` runs serially in-process.  Returns results in item
+    order, identical for every ``workers`` when ``fn`` is deterministic.
     """
     items = list(items)
-    seeds = derive_seeds(seed, len(items)) if (use_seeds or seed is not None) \
-        else None
-    if not items:
-        return []
-
-    run_parallel = (workers is not None and workers > 1 and len(items) > 1
-                    and not _IN_WORKER and fork_available())
-    if run_parallel:
-        workers = min(workers, len(items))
-        _FORK_STATE.update(fn=fn, items=items, seeds=seeds)
-        try:
-            # Only pool *construction* may fall back to the serial path
-            # (fork can fail under memory pressure; daemonic pool workers
-            # cannot fork again).  Exceptions raised by ``fn`` inside a
-            # worker propagate out of ``pool.map`` untouched — retrying
-            # them serially would duplicate side effects and mask the
-            # failure.
-            try:
-                ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(processes=workers)
-            except (OSError, AssertionError):
-                pool = None  # fall through to the serial path below
-            if pool is not None:
-                with pool:
-                    pairs = pool.map(
-                        _run_item, range(len(items)),
-                        chunksize=chunksize or _default_chunksize(len(items),
-                                                                  workers))
-                results = []
-                for result, telemetry in pairs:
-                    obs.absorb(telemetry)  # item order -> deterministic
-                    results.append(result)
-                return results
-        finally:
-            _FORK_STATE.clear()
-
-    if seeds is None:
-        return [fn(item) for item in items]
-    return [fn(item, np.random.default_rng(s))
-            for item, s in zip(items, seeds)]
+    with PersistentPool(workers=min(workers or 1, len(items))) as pool:
+        if use_seeds or seed is not None:
+            return pool.map(lambda i, rng: fn(items[i], rng),
+                            range(len(items)), seed=seed, use_seeds=True)
+        return pool.map(lambda i: fn(items[i]), range(len(items)))
 
 
 # ---------------------------------------------------------------------- #
@@ -395,7 +307,7 @@ def _pool_worker_main(conn, registry: dict, shared_specs: dict) -> None:
                 pickle.dumps(exc)
             except Exception:
                 exc = RuntimeError(f"undecodable pool message: {exc!r}")
-            conn.send(("error", -1, -1, exc, note, 0.0))
+            conn.send(("error", -1, -1, exc, note))
             continue
         kind = msg[0]
         if kind == "stop":
@@ -407,7 +319,6 @@ def _pool_worker_main(conn, registry: dict, shared_specs: dict) -> None:
             continue
         # ("chunk", call_id, start, fn_spec, payload, seeds)
         _, call_id, start, fn_spec, payload, seeds = msg
-        began = time.perf_counter()
         try:
             fn = registry[fn_spec[1]] if fn_spec[0] == "name" else fn_spec[1]
             pairs = []
@@ -420,16 +331,14 @@ def _pool_worker_main(conn, registry: dict, shared_specs: dict) -> None:
                                     np.random.default_rng(seeds[offset]))
                 pairs.append((result, telemetry.snapshot))
         except Exception as exc:
-            elapsed = time.perf_counter() - began
             note = traceback.format_exc()
             try:
                 pickle.dumps(exc)
             except Exception:
                 exc = RuntimeError(f"unpicklable worker exception: {exc!r}")
-            conn.send(("error", call_id, start, exc, note, elapsed))
+            conn.send(("error", call_id, start, exc, note))
         else:
-            elapsed = time.perf_counter() - began
-            conn.send(("done", call_id, start, pairs, elapsed))
+            conn.send(("done", call_id, start, pairs))
     _WORKER_SHARED.clear()
     for block in [*attached.values(), *pinned]:
         block.close()
@@ -452,23 +361,21 @@ class PersistentPool:
     * **pickling** — map items (and, after start, unregistered functions)
       travel over the pipe and must be picklable.
 
-    Semantics mirror :func:`parallel_map`: per-item seeds derived from one
-    root (bit-identical serial/parallel), results in item order, telemetry
-    snapshots absorbed in item order, worker exceptions re-raised in the
-    parent.  Additionally a worker that *dies* mid-chunk raises
+    Every map keeps the module's guarantees: per-item seeds derived from
+    one root (bit-identical serial/parallel), results in item order,
+    telemetry snapshots absorbed in item order, worker exceptions
+    re-raised in the parent, and a worker that *dies* mid-chunk raising
     :class:`WorkerCrashError` — lost items are reported, never silently
     re-executed.  ``workers <= 1``, a single item, a fork-less platform,
-    or a nested call from inside a pool worker all degrade to the serial
-    path with the same per-item seeds.
+    a failed construction, or a nested call from inside a pool worker
+    all degrade to the serial path with the same per-item seeds.
     """
 
     _ACTIVE: "weakref.WeakSet[PersistentPool]" = weakref.WeakSet()
 
-    def __init__(self, workers: int | None = None,
-                 chunksize: int | None = None):
+    def __init__(self, workers: int | None = None):
         self.workers = max(1, int(workers if workers is not None
                                   else default_workers()))
-        self._chunksize = chunksize
         self._registry: dict[str, Callable] = {}
         self._procs: list = []
         self._conns: list = []
@@ -552,8 +459,6 @@ class PersistentPool:
             self._shared_specs[key] = block.spec
             _PARENT_SHARED[key] = block.arrays
             spec = block.spec
-            obs.gauge("pool.shared_bytes",
-                      sum(b.nbytes for b in self._shared_blocks.values()))
         if not self._started:
             return True
         if spec is None:
@@ -571,8 +476,9 @@ class PersistentPool:
         """Fork the resident workers; True when the pool is running.
 
         Idempotent.  Returns False — leaving every map on the serial
-        path — when fork is unavailable or construction fails (the same
-        construction-only fallback :func:`parallel_map` makes).
+        path — when fork is unavailable or construction fails.  Only
+        construction falls back: an exception raised by a mapped
+        function is never retried serially.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -580,8 +486,8 @@ class PersistentPool:
             return True
         if not fork_available() or _IN_WORKER:
             return False
-        ctx = multiprocessing.get_context("fork")
         try:
+            ctx = multiprocessing.get_context("fork")
             for index in range(self.workers):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
@@ -599,8 +505,6 @@ class PersistentPool:
             return False
         self._started = True
         self._owner_pid = os.getpid()
-        obs.count("pool.starts")
-        obs.gauge("pool.workers", self.workers)
         return True
 
     def map(self, fn: Callable[..., R] | str, items: Iterable[T],
@@ -609,9 +513,9 @@ class PersistentPool:
         """Map ``fn`` over ``items`` on the resident workers.
 
         ``fn`` is a callable or the name of a :meth:`register`-ed
-        function.  Seeding follows :func:`parallel_map`: a ``seed`` (or
-        ``use_seeds``) switches to the two-argument ``fn(item, rng)``
-        form with the identical per-item derivation.  Items and results
+        function.  A ``seed`` (or ``use_seeds``) switches to the
+        two-argument ``fn(item, rng)`` form, item ``i`` drawing from
+        ``derive_seeds(seed, n)[i]``.  Items and results
         travel over pipes and must be picklable; a callable ``fn`` must
         be picklable too once the pool is already running (the map that
         *starts* the pool hands it to workers through the fork).
@@ -633,8 +537,7 @@ class PersistentPool:
             fn_spec = self._resolve_spec(fn)
         if not parallel:
             return self._serial(fn, items, seeds)
-        return self._dispatch(fn_spec, items, seeds,
-                              chunksize or self._chunksize)
+        return self._dispatch(fn_spec, items, seeds, chunksize)
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers and release shared blocks (idempotent).
@@ -726,8 +629,6 @@ class PersistentPool:
         errors: list[tuple[int, BaseException, str]] = []
         crashes: list[tuple[int, int, object]] = []
         busy: dict = {}
-        busy_time = 0.0
-        began = time.perf_counter()
 
         def send_next(conn) -> None:
             start = pending.popleft()
@@ -760,13 +661,11 @@ class PersistentPool:
                     continue
                 start, count = busy.pop(conn)
                 if msg[0] == "done":
-                    _, _, msg_start, pairs, elapsed = msg
+                    _, _, msg_start, pairs = msg
                     out[msg_start:msg_start + len(pairs)] = pairs
-                    busy_time += elapsed
                 else:
-                    _, _, msg_start, exc, note, elapsed = msg
+                    _, _, msg_start, exc, note = msg
                     errors.append((msg_start, exc, note))
-                    busy_time += elapsed
                 # Dynamic load balancing: the first worker to finish gets
                 # the next chunk.  Results reassemble by index, so the
                 # schedule cannot affect the output.  After a failure no
@@ -774,12 +673,6 @@ class PersistentPool:
                 if pending and not errors and not crashes:
                     send_next(conn)
 
-        wall = time.perf_counter() - began
-        obs.count("pool.maps")
-        obs.count("pool.items", n)
-        if wall > 0:
-            obs.gauge("pool.utilization",
-                      busy_time / (wall * len(self._conns)))
         if crashes:
             lost = ", ".join(f"items {s}..{s + c - 1} (exit {code})"
                              for s, c, code in sorted(crashes))

@@ -207,6 +207,27 @@ class SMORESolver:
                        if cache_before is not None else None)
         return grouped, cache_delta
 
+    def _fan_out(self, env, fn, items, workers: int,
+                 perf: PerfCounters) -> list:
+        """``[fn(item) for item in items]``, across a pool when
+        ``workers > 1`` and there is more than one item.
+
+        Before forking, the env's initial snapshot is warmed so every
+        child inherits it instead of re-running the O(W x S) init sweep;
+        the warm-up's env counters and planner-cache delta go to
+        ``perf``.
+        """
+        if workers <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        stats_fn = getattr(self.planner, "stats", None)
+        cache_before = stats_fn() if stats_fn is not None else None
+        env.reset()  # emits the env's "init" span on first compute
+        env.perf.rollouts = 0  # the warm-up reset is not an episode
+        perf.merge(env.perf)
+        if cache_before is not None:
+            perf.merge(stats_fn().diff(cache_before))
+        return parallel_map(fn, items, workers=workers)
+
     def solve(self, instance: USMDWInstance, greedy: bool = True,
               rng: np.random.Generator | None = None,
               num_samples: int = 1, workers: int = 1,
@@ -250,16 +271,6 @@ class SMORESolver:
             chunks = _chunk(self._rollout_plan(greedy, rng, num_samples),
                             workers)
             perf = PerfCounters()
-            if len(chunks) > 1:
-                # Warm the candidate snapshot before forking so every child
-                # inherits it instead of re-running the O(W x S) init sweep.
-                stats_fn = getattr(self.planner, "stats", None)
-                cache_before = stats_fn() if stats_fn is not None else None
-                env.reset()  # emits the env's "init" span on first compute
-                env.perf.rollouts = 0  # the warm-up reset is not an episode
-                perf.merge(env.perf)
-                if cache_before is not None:
-                    perf.merge(stats_fn().diff(cache_before))
 
             def decode_chunk(chunk):
                 [episodes], cache_delta = self._decode([env], [chunk])
@@ -271,8 +282,8 @@ class SMORESolver:
 
             best = None
             best_phi = -float("inf")
-            for episodes, chunk_perf in parallel_map(decode_chunk, chunks,
-                                                     workers=workers):
+            for episodes, chunk_perf in self._fan_out(env, decode_chunk,
+                                                      chunks, workers, perf):
                 perf.merge(chunk_perf)
                 for phi, routes, incentives in episodes:
                     if phi > best_phi:
@@ -352,18 +363,7 @@ class SMORESolver:
                         env.perf)
 
             perf = PerfCounters()
-            if workers > 1 and len(rollouts) > 1:
-                # Warm the epoch-zero snapshot before forking, as solve()
-                # does, so children inherit the initial table.
-                cache_before = stats_fn() if stats_fn is not None else None
-                env.reset()
-                env.perf.rollouts = 0
-                perf.merge(env.perf)
-                if cache_before is not None:
-                    perf.merge(stats_fn().diff(cache_before))
-                results = parallel_map(roll, rollouts, workers=workers)
-            else:
-                results = [roll(spec) for spec in rollouts]
+            results = self._fan_out(env, roll, rollouts, workers, perf)
             for result in results:
                 perf.merge(result[-1])
 

@@ -19,12 +19,13 @@ from .. import nn, obs
 from ..core.instance import USMDWInstance
 from ..obs import TrainingHistory
 from ..obs.profile import scope as profile_scope
-from ..parallel import parallel_map
 from ..tsptw.base import RoutePlanner
 from .batch import MultiInstanceRunner
 from .critic import CriticNetwork, critic_features
 from .env import SelectionEnv
-from .solver import run_episode
+# Unused here, but kept importable as ``repro.smore.train.run_episode``:
+# the benchmark's layer table wraps the decode loop under this name.
+from .solver import run_episode  # noqa: F401
 
 __all__ = ["TrainingConfig", "TASNetTrainer", "imitation_pretrain"]
 
@@ -114,10 +115,6 @@ class TrainingConfig:
     #: iteration batch (batch_size instances x K rollouts) decodes as one
     #: cross-instance lock-step run, each rollout on its own seed.
     rollouts_per_instance: int = 1
-    #: Process-pool size for greedy validation rollouts (repro.parallel).
-    #: Training rollouts stay in-process — their autograd graphs cannot
-    #: cross a process boundary.
-    eval_workers: int = 1
 
     def __post_init__(self):
         if self.baseline not in ("critic", "rollout", "none"):
@@ -195,13 +192,22 @@ class TASNetTrainer:
                                 len(episode.records), instance))
         return samples
 
-    def _greedy_rollout_value(self, instance: USMDWInstance) -> float:
-        """Self-critic baseline: coverage of the current policy decoded
-        greedily on the same instance (Kool et al.'s rollout baseline)."""
-        env = self._env(instance)
+    def _greedy_phis(self, instances) -> list[float]:
+        """Coverage of the current policy decoded greedily on each instance.
+
+        Every distinct instance decodes once, all of them in one no-grad
+        lock-step run over the cached envs; a repeated instance reuses
+        its decode.  Serves validation (:meth:`evaluate`) and the
+        self-critic rollout baseline of Kool et al.
+        """
+        distinct = list({id(inst): inst for inst in instances}.values())
         with nn.no_grad():
-            state, _, _ = run_episode(env, self.policy, greedy=True)
-        return state.phi()
+            grouped = MultiInstanceRunner(
+                [self._env(inst) for inst in distinct], self.policy).run(
+                    [[(True, None)]] * len(distinct))
+        phi_of = {id(inst): episodes[0].state.phi()
+                  for inst, episodes in zip(distinct, grouped)}
+        return [phi_of[id(inst)] for inst in instances]
 
     def train_iteration(self, instances: Sequence[USMDWInstance]) -> float:
         """One REINFORCE update over a batch sampled from ``instances``.
@@ -248,12 +254,8 @@ class TASNetTrainer:
                 baselines = values.data
                 critic_loss = nn.ops.sum((values - nn.Tensor(phis)) ** 2.0)
             elif cfg.baseline == "rollout":
-                # Greedy decode once per distinct instance, not per sample.
-                cache: dict[int, float] = {}
-                baselines = np.array([
-                    cache[id(inst)] if id(inst) in cache else cache.setdefault(
-                        id(inst), self._greedy_rollout_value(inst))
-                    for _, _, _, inst in samples])
+                baselines = np.array(
+                    self._greedy_phis([inst for _, _, _, inst in samples]))
             else:
                 baselines = np.zeros(len(samples))
             total = len(batch_idx) * cfg.rollouts_per_instance
@@ -404,21 +406,9 @@ class TASNetTrainer:
 
     # ------------------------------------------------------------------ #
     def evaluate(self, instances: Sequence[USMDWInstance]) -> float:
-        """Mean greedy-rollout coverage over held-out instances.
-
-        Greedy decoding is deterministic, so fanning the instances out over
-        ``config.eval_workers`` processes returns exactly the serial score.
-        """
-
-        def score_one(instance: USMDWInstance) -> float:
-            env = self._env(instance)
-            with nn.no_grad():
-                state, _, _ = run_episode(env, self.policy, greedy=True)
-            return state.phi()
-
+        """Mean greedy-rollout coverage over held-out instances."""
         with obs.span("train.eval", instances=len(instances)):
-            scores = parallel_map(score_one, instances,
-                                  workers=self.config.eval_workers)
+            scores = self._greedy_phis(instances)
         score = float(np.mean(scores)) if scores else 0.0
         self.history.record(eval=score)
         obs.event("train.eval", coverage=score)

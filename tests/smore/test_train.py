@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.datasets.instances import InstanceOptions, generate_instances
 from repro.smore import (
     CriticNetwork,
     SelectionEnv,
+    TASNet,
+    TASNetConfig,
+    TASNetPolicy,
     TASNetTrainer,
     TrainingConfig,
     critic_features,
     imitation_pretrain,
+    run_episode,
 )
 from repro.smore.critic import NUM_CRITIC_FEATURES
+from repro.tsptw import InsertionSolver
 
 
 class TestCritic:
@@ -157,8 +164,38 @@ class TestBaselineVariants:
                                                small_instance):
         trainer = TASNetTrainer(
             policy, planner, TrainingConfig(baseline="rollout"))
-        value = trainer._greedy_rollout_value(small_instance)
+        [value] = trainer._greedy_phis([small_instance])
         assert value == pytest.approx(trainer.evaluate([small_instance]))
+
+
+class TestGreedyPhis:
+    """Validation and the rollout baseline decode in one lock-step run."""
+
+    @pytest.fixture
+    def setup(self):
+        opts = InstanceOptions(task_density=0.04, budget=120.0)
+        a, b = generate_instances("delivery", 2, seed=7, options=opts)
+        grid = a.coverage.grid
+        net = TASNet(TASNetConfig(d_model=16, num_heads=2, num_layers=1,
+                                  conv_channels=4),
+                     grid_nx=grid.nx, grid_ny=grid.ny,
+                     rng=np.random.default_rng(0))
+        return a, b, TASNetPolicy(net)
+
+    @staticmethod
+    def _solo_phi(policy, instance):
+        with nn.no_grad():
+            state, _, _ = run_episode(
+                SelectionEnv(instance, InsertionSolver()), policy,
+                greedy=True)
+        return state.phi()
+
+    def test_batched_matches_solo_decodes(self, setup):
+        a, b, policy = setup
+        expected = [self._solo_phi(policy, inst) for inst in (a, b, a)]
+        trainer = TASNetTrainer(policy, InsertionSolver(), TrainingConfig())
+        assert trainer._greedy_phis([a, b, a]) == expected
+        assert trainer.evaluate([a, b, a]) == float(np.mean(expected))
 
 
 class TestCheckpointing:

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import os
+
 from repro import parallel
 from repro.parallel import (
+    PersistentPool,
+    WorkerCrashError,
     derive_rngs,
     derive_seeds,
     fork_available,
@@ -18,6 +22,12 @@ def square(x):
 
 def draw(x, rng):
     return x + int(rng.integers(0, 1_000_000))
+
+
+def crash_on_odd(x):
+    if x % 2 == 1:
+        os._exit(13)
+    return x
 
 
 class TestSerialPath:
@@ -45,10 +55,6 @@ class TestParallelPath:
         serial = parallel_map(square, range(20), workers=1)
         fanned = parallel_map(square, range(20), workers=4)
         assert fanned == serial
-
-    def test_chunksize_accepted(self):
-        assert parallel_map(square, range(8), workers=2, chunksize=3) == \
-            [x * x for x in range(8)]
 
     def test_closures_cross_fork(self):
         big = list(range(1000))
@@ -96,7 +102,7 @@ class TestFallbacks:
 
     def test_fork_state_cleared_after_run(self):
         parallel_map(square, range(4), workers=2)
-        assert parallel._FORK_STATE == {}
+        assert PersistentPool.active_pools() == []
 
     @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
     def test_pool_construction_failure_falls_back(self, monkeypatch):
@@ -106,7 +112,7 @@ class TestFallbacks:
         monkeypatch.setattr(parallel.multiprocessing, "get_context", refuse)
         assert parallel_map(square, range(5), workers=4) == \
             [x * x for x in range(5)]
-        assert parallel._FORK_STATE == {}
+        assert PersistentPool.active_pools() == []
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
@@ -148,8 +154,7 @@ class TestFailurePropagation:
             return x
 
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(record_and_maybe_explode, range(6), workers=3,
-                         chunksize=1)
+            parallel_map(record_and_maybe_explode, range(6), workers=3)
         executions = log.read_text().split()
         # Each item ran at most once: the failure was not retried serially.
         assert len(executions) == len(set(executions))
@@ -160,7 +165,13 @@ class TestFailurePropagation:
 
         with pytest.raises(RuntimeError):
             parallel_map(explode, range(4), workers=2)
-        assert parallel._FORK_STATE == {}
+        assert PersistentPool.active_pools() == []
+
+    def test_worker_crash_raises(self):
+        # A worker that dies mid-item is reported, not waited on forever.
+        with pytest.raises(WorkerCrashError):
+            parallel_map(crash_on_odd, range(4), workers=2)
+        assert PersistentPool.active_pools() == []
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")

@@ -314,6 +314,15 @@ class TestLifecycle:
             pool.close()
         assert pool not in PersistentPool.active_pools()
 
+    def test_construction_failure_falls_back(self, monkeypatch):
+        def refuse(method):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        with PersistentPool(workers=4) as pool:
+            assert pool.map(square, range(5)) == [x * x for x in range(5)]
+            assert not pool.started
+
     def test_map_after_close_rejected(self):
         pool = PersistentPool(workers=2)
         pool.close()
