@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.datasets import InstanceOptions, generate_instances, poisson_arrivals
 from repro.smore import DynamicSelectionEnv, GreedySelectionRule, \
-    run_dynamic_episode
+    run_episode
 from repro.tsptw import InsertionSolver
 
 from .conftest import write_bench
@@ -35,7 +35,7 @@ def _episode(instance, schedule, repair):
     """One greedy dynamic episode; returns (state, env, advance_seconds)."""
     planner = InsertionSolver(speed=instance.speed)
     env = DynamicSelectionEnv(instance, planner, schedule, repair=repair)
-    state, _ = run_dynamic_episode(env, GreedySelectionRule())
+    state, _ = run_episode(env, GreedySelectionRule())[:2]
     return state, env
 
 

@@ -17,7 +17,6 @@ classic mobile-crowdsensing arrival model) and :func:`burst_arrivals`
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,30 +85,6 @@ class ArrivalSchedule:
     def streamed(self) -> tuple[TaskArrival, ...]:
         """Records that arrive strictly after departure, in event order."""
         return tuple(a for a in self.arrivals if a.arrival > 0.0)
-
-    def event_times(self) -> list[float]:
-        """Sorted distinct epochs at which the pool changes.
-
-        Every strictly-positive arrival time and every expiry time of a
-        scheduled task, deduplicated; the final horizon is appended so
-        the episode always closes with a terminal epoch.
-        """
-        times: list[float] = []
-        seen: set[float] = set()
-        for record in self.arrivals:
-            for t in (record.arrival, record.expiry):
-                if 0.0 < t <= self.horizon and t not in seen:
-                    seen.add(t)
-                    insort(times, t)
-        if self.horizon not in seen:
-            insort(times, self.horizon)
-        return times
-
-    def record_for(self, task_id: int) -> TaskArrival | None:
-        for record in self.arrivals:
-            if record.task_id == task_id:
-                return record
-        return None
 
     def validate(self, instance: USMDWInstance) -> None:
         """Check every record refers to a task of ``instance``."""

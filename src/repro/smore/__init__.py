@@ -30,7 +30,6 @@ from .dynamic import (
     DynamicResult,
     DynamicSelectionEnv,
     DynamicSelectionState,
-    run_dynamic_episode,
 )
 from .env import SelectionEnv
 from .heuristics import coverage_incentive_ratio, soft_mask
@@ -67,7 +66,6 @@ __all__ = [
     "CandidateEntry", "CandidateTable",
     "SelectionEnv",
     "DynamicSelectionEnv", "DynamicSelectionState", "DynamicResult",
-    "run_dynamic_episode",
     "AssignmentState", "SelectionState", "WorkerAssignment",
     "coverage_incentive_ratio", "soft_mask",
     "TASNet", "TASNetConfig", "WorkerEncoder", "SensingTaskEncoder",

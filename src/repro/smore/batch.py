@@ -13,7 +13,9 @@ its generator is consumed in exactly the per-state order (worker choice,
 then task choice, per step), so a rollout decodes the same actions
 whatever its batch companions.  Episodes that finish early simply drop
 out of the active set; the stragglers keep stepping in ever-smaller
-batches.
+batches.  A drained rollout first asks its env to
+:meth:`~repro.smore.env.SelectionEnv.advance` to a next event epoch
+(streaming episodes), so dynamic episodes run this loop too.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ class MultiInstanceRunner:
             policy.begin_episode(self.envs[env_of[0]].instance)
         results = [EpisodeResult(state=s, total_reward=0.0) for s in states]
 
-        active = [k for k, s in enumerate(states) if not s.done]
+        active = [k for k in range(len(states))
+                  if self._live(self.envs[env_of[k]], states[k])]
         while active:
             if batched:
                 actions = policy.act_batch(
@@ -168,5 +171,14 @@ class MultiInstanceRunner:
                 results[k].total_reward += reward
                 if record_actions:
                     results[k].records.append(action)
-            active = [k for k in active if not states[k].done]
+            active = [k for k in active
+                      if self._live(self.envs[env_of[k]], states[k])]
         return results
+
+    @staticmethod
+    def _live(env: SelectionEnv, state: SelectionState) -> bool:
+        """Advance until a candidate appears; False when epochs run out."""
+        while state.candidates.empty:
+            if not env.advance(state):
+                return False
+        return True

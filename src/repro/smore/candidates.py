@@ -364,11 +364,6 @@ class CandidateTable:
                 if entry is not None:
                     self._add_entry(worker.worker_id, task.task_id, entry)
 
-    def add_task(self, task: SensingTask, worker_states: Iterable[tuple],
-                 budget_rest: float) -> None:
-        """Single-arrival convenience wrapper over :meth:`add_tasks`."""
-        self.add_tasks([task], worker_states, budget_rest)
-
     def expire_task(self, task_id: int) -> bool:
         """Repair after an expiry: drop the task from every row.
 

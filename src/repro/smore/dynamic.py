@@ -33,21 +33,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .. import obs
 from ..core.entities import Worker
 from ..core.instance import USMDWInstance
 from ..core.perf import PerfCounters
 from ..core.route import WorkingRoute
 from ..datasets.dynamic import ArrivalSchedule, TaskArrival
-from ..obs.profile import scope as profile_scope
 from ..obs.slo import current_slo_tracker
 from ..tsptw.base import RoutePlanner
-from .candidates import CandidateTable
 from .env import SelectionEnv
 from .state import AssignmentState, SelectionState
 
-__all__ = ["DynamicSelectionEnv", "DynamicSelectionState", "DynamicResult",
-           "run_dynamic_episode"]
+__all__ = ["DynamicSelectionEnv", "DynamicSelectionState", "DynamicResult"]
 
 
 @dataclass
@@ -59,7 +55,8 @@ class DynamicSelectionState(SelectionState):
     event order — is the pool order every candidate row is a subsequence
     of.  ``locks[w]`` is worker ``w``'s committed route position: the
     number of route stops already departed toward, below which no
-    insertion may land.
+    insertion may land.  ``epoch_selected``: ``len(selected)`` when the
+    current epoch opened.
     """
 
     now: float = 0.0
@@ -71,12 +68,19 @@ class DynamicSelectionState(SelectionState):
     rejected: list[int] = field(default_factory=list)
     arrived: int = 0
     events: int = 0
+    epoch_selected: int = 0
 
     @property
     def done(self) -> bool:  # type: ignore[override]
         """Episode over: nothing selectable now and nothing still to come."""
         return (self.candidates.empty and not self.unselected
                 and not self.pending_arrivals and not self.pending_workers)
+
+    def outcome(self) -> tuple:
+        """Static outcome + (selected ids, rejected ids, arrived, events)."""
+        return super().outcome() + (
+            tuple(t.task_id for t in self.selected), tuple(self.rejected),
+            self.arrived, self.events)
 
 
 class DynamicSelectionEnv(SelectionEnv):
@@ -115,7 +119,6 @@ class DynamicSelectionEnv(SelectionEnv):
         super().__init__(instance, planner)
         self._tasks_by_id = {s.task_id: s for s in instance.sensing_tasks}
         self._base_routes: dict[int, WorkingRoute | None] = {}
-        self.events_processed = 0
         self.repair_time = 0.0
 
     # ------------------------------------------------------------------ #
@@ -123,22 +126,10 @@ class DynamicSelectionEnv(SelectionEnv):
         return [w for w in self.instance.workers
                 if self.worker_arrivals.get(w.worker_id, 0.0) <= 0.0]
 
-    def _initial_table(self) -> CandidateTable:
-        """Epoch-zero table: present workers x schedule-initial tasks."""
-        if self._snapshot is not None:
-            return self._snapshot.copy()
-        initial_tasks = [self._tasks_by_id[r.task_id]
-                         for r in self.schedule.initial]
-        present = self._present_workers()
-        with obs.span("init", workers=len(present),
-                      tasks=len(initial_tasks)), \
-                profile_scope("env.init"):
-            table = CandidateTable(self.planner, self.incentives)
-            table.initialize(present, initial_tasks, self.instance.budget)
-        self.perf.planner_calls += table.planner_calls
-        self.perf.init_planner_calls += table.planner_calls
-        self._snapshot = table
-        return table.copy()
+    def _initial_pool(self) -> tuple:
+        """Epoch zero: present workers x schedule-initial tasks."""
+        return self._present_workers(), [self._tasks_by_id[r.task_id]
+                                         for r in self.schedule.initial]
 
     def reset(self) -> DynamicSelectionState:
         start = time.perf_counter()
@@ -223,7 +214,7 @@ class DynamicSelectionEnv(SelectionEnv):
         return min(times) if times else None
 
     def advance(self, state: DynamicSelectionState | None = None) -> bool:
-        """Move to the next event epoch; False when no events remain.
+        """Close this epoch, open the next; False when no events remain.
 
         One epoch, in order: (1) expire overdue unselected tasks
         (rejection accounting), (2) admit late workers, (3) advance every
@@ -232,19 +223,30 @@ class DynamicSelectionEnv(SelectionEnv):
         rebuild mode the pool and locks are updated identically and the
         table is then rebuilt from scratch — both orders leave every row
         equal to the anchored sweep over the final pool.
+
+        An installed SLO tracker (:func:`repro.obs.slo.install`) is fed
+        on simulation time: the closing epoch's selections as ``ok`` and
+        one ``maybe_check`` at its time, then the new epoch's expiries
+        and dead arrivals as ``rejected`` and its repair ms, at ``t``.
         """
         if state is None:
             state = self._require_state()
             if not isinstance(state, DynamicSelectionState):
                 raise TypeError("advance() needs a dynamic state")
+        tracker = current_slo_tracker()
+        if tracker is not None:
+            for _ in range(len(state.selected) - state.epoch_selected):
+                tracker.record("ok", now=state.now, check=False)
+            tracker.maybe_check(state.now)
+        state.epoch_selected = len(state.selected)
         t = self._next_event_time(state)
         if t is None:
             return False
         start = time.perf_counter()
         calls_before = state.candidates.planner_calls
+        rejected_before = len(state.rejected)
         state.now = t
         state.events += 1
-        self.events_processed += 1
 
         # (1) Expiries: overdue unselected tasks leave the pool for good.
         overdue = [task_id for task_id in state.unselected
@@ -325,7 +327,12 @@ class DynamicSelectionEnv(SelectionEnv):
 
         self.perf.planner_calls += \
             state.candidates.planner_calls - calls_before
-        self.repair_time += time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        self.repair_time += elapsed
+        if tracker is not None:
+            for _ in range(len(state.rejected) - rejected_before):
+                tracker.record("rejected", now=t, check=False)
+            tracker.observe_latency(elapsed * 1e3, now=t)
         return True
 
     def _worker_states(self, state: DynamicSelectionState,
@@ -379,46 +386,3 @@ class DynamicResult:
     @property
     def total_incentive(self) -> float:
         return sum(self.incentives.values())
-
-
-def run_dynamic_episode(env: DynamicSelectionEnv, policy,
-                        greedy: bool = True, rng=None):
-    """Roll one dynamic episode: select until the table drains, advance
-    to the next event epoch, repeat; returns (state, total_reward).
-
-    When an SLO tracker is installed (:func:`repro.obs.slo.install`),
-    the per-epoch loop feeds it on **simulation time**: every committed
-    selection records ``ok`` and every expiry/dead-on-arrival records
-    ``rejected`` at the epoch it happened, and each epoch's incremental
-    repair cost lands in the latency window (ms) — so the windowed
-    rejection rate and repair percentiles track the arrival process, not
-    wall clock.  Objective checks run at most once per epoch.  With no
-    tracker installed the loop pays one ``None`` test per epoch.
-    """
-    state = env.reset()
-    policy.begin_episode(env.instance)
-    total_reward = 0.0
-    tracker = current_slo_tracker()
-    selected_seen = rejected_seen = 0
-    repair_seen = env.repair_time
-    while True:
-        while not state.candidates.empty:
-            action = policy.act(state, greedy=greedy, rng=rng)
-            state, reward, _ = env.step_state(
-                state, action.worker_id, action.task_id)
-            total_reward += reward
-        if tracker is not None:
-            for _ in range(len(state.selected) - selected_seen):
-                tracker.record("ok", now=state.now, check=False)
-            selected_seen = len(state.selected)
-            for _ in range(len(state.rejected) - rejected_seen):
-                tracker.record("rejected", now=state.now, check=False)
-            rejected_seen = len(state.rejected)
-            if env.repair_time > repair_seen:
-                tracker.observe_latency(
-                    (env.repair_time - repair_seen) * 1e3, now=state.now)
-                repair_seen = env.repair_time
-            tracker.maybe_check(state.now)
-        if not env.advance(state):
-            break
-    return state, total_reward

@@ -65,18 +65,20 @@ class SelectionEnv:
         self._snapshot: CandidateTable | None = None
 
     # ------------------------------------------------------------------ #
+    def _initial_pool(self) -> tuple:
+        """``(workers, tasks)`` the epoch-zero table is built over."""
+        return self.instance.workers, self.instance.sensing_tasks
+
     def _initial_table(self) -> CandidateTable:
         """A copy of the post-initialisation candidate table (the first
         call computes it and keeps the pristine snapshot)."""
         if self._snapshot is not None:
             return self._snapshot.copy()
-        with obs.span("init", workers=len(self.instance.workers),
-                      tasks=len(self.instance.sensing_tasks)), \
+        workers, tasks = self._initial_pool()
+        with obs.span("init", workers=len(workers), tasks=len(tasks)), \
                 profile_scope("env.init"):
             table = CandidateTable(self.planner, self.incentives)
-            table.initialize(self.instance.workers,
-                             self.instance.sensing_tasks,
-                             self.instance.budget)
+            table.initialize(workers, tasks, self.instance.budget)
         self.perf.planner_calls += table.planner_calls
         self.perf.init_planner_calls += table.planner_calls
         # The state gets a copy: handing it the snapshot itself would let
@@ -161,6 +163,10 @@ class SelectionEnv:
         self.perf.planner_calls += state.candidates.planner_calls - calls_before
         self.perf.selection_time += time.perf_counter() - start
         return state, reward, state.done
+
+    def advance(self, state: SelectionState) -> bool:
+        """Open the next event epoch; a static episode has none."""
+        return False
 
     # ------------------------------------------------------------------ #
     def _worker_min_position(self, state: SelectionState,

@@ -228,6 +228,29 @@ class SMORESolver:
             perf.merge(stats_fn().diff(cache_before))
         return parallel_map(fn, items, workers=workers)
 
+    def _sample_best(self, env, greedy: bool, rng, num_samples: int,
+                     workers: int):
+        """Decode the rollout plan on ``env`` in ``workers`` chunks;
+        return ``(first best state.outcome(), perf, rollouts)``."""
+        chunks = _chunk(self._rollout_plan(greedy, rng, num_samples),
+                        workers)
+        perf = PerfCounters()
+
+        def decode_chunk(chunk):
+            [episodes], cache_delta = self._decode([env], [chunk])
+            if cache_delta is not None:
+                env.perf.merge(cache_delta)
+            return [ep.state.outcome() for ep in episodes], env.perf
+
+        best = None
+        for outcomes, chunk_perf in self._fan_out(env, decode_chunk, chunks,
+                                                  workers, perf):
+            perf.merge(chunk_perf)
+            for outcome in outcomes:
+                if best is None or outcome[0] > best[0]:
+                    best = outcome
+        return best, perf, sum(len(chunk) for chunk in chunks)
+
     def solve(self, instance: USMDWInstance, greedy: bool = True,
               rng: np.random.Generator | None = None,
               num_samples: int = 1, workers: int = 1,
@@ -268,40 +291,19 @@ class SMORESolver:
                               num_samples=num_samples, workers=workers)
         with solve_span, profile_scope("solve"):
             env = SelectionEnv(instance, self.planner)
-            chunks = _chunk(self._rollout_plan(greedy, rng, num_samples),
-                            workers)
-            perf = PerfCounters()
-
-            def decode_chunk(chunk):
-                [episodes], cache_delta = self._decode([env], [chunk])
-                if cache_delta is not None:
-                    env.perf.merge(cache_delta)
-                return ([(ep.state.phi(), ep.state.assignments.routes(),
-                          ep.state.assignments.incentives())
-                         for ep in episodes], env.perf)
-
-            best = None
-            best_phi = -float("inf")
-            for episodes, chunk_perf in self._fan_out(env, decode_chunk,
-                                                      chunks, workers, perf):
-                perf.merge(chunk_perf)
-                for phi, routes, incentives in episodes:
-                    if phi > best_phi:
-                        best_phi = phi
-                        best = (routes, incentives)
-
+            (best_phi, routes, incentives), perf, rollouts = \
+                self._sample_best(env, greedy, rng, num_samples, workers)
             elapsed = time.perf_counter() - start
             obs.count("solve.count")
             obs.record_perf(perf, prefix="solve.")
             obs.gauge("solve.best_phi", best_phi)
             obs.event("solve.done", method=self.name, phi=best_phi,
-                      rollouts=sum(len(chunk) for chunk in chunks),
-                      planner_calls=perf.planner_calls,
+                      rollouts=rollouts, planner_calls=perf.planner_calls,
                       wall_time=round(elapsed, 6))
         return Solution(
             instance=instance,
-            routes=best[0],
-            incentives=best[1],
+            routes=routes,
+            incentives=incentives,
             solver_name=self.name,
             wall_time=elapsed,
             perf=perf,
@@ -315,22 +317,20 @@ class SMORESolver:
                       worker_arrivals: dict[int, float] | None = None):
         """Solve one instance under a streaming arrival schedule.
 
-        Same sampling surface as :meth:`solve` — one greedy rollout plus
-        ``num_samples - 1`` stochastic replays of the full dynamic
-        episode, best coverage wins — but each rollout runs the
-        epoch-by-epoch loop of
-        :func:`~repro.smore.dynamic.run_dynamic_episode`: select until
-        the candidate table drains, advance to the next arrival/expiry
-        epoch (incremental table repair by default, per-epoch rebuild
-        with ``repair=False``), repeat until nothing more can arrive.
-        ``workers > 1`` fans sampled rollouts over a process pool with
-        the same derived-seed schedule as :meth:`solve`, so parallel and
-        serial decoding return identical results.  Returns a
-        :class:`~repro.smore.dynamic.DynamicResult` with explicit
+        Same sampling surface and decode path as :meth:`solve` — one
+        greedy rollout plus ``num_samples - 1`` stochastic replays of
+        the full dynamic episode, in lock-step, best coverage wins — on
+        a :class:`~repro.smore.dynamic.DynamicSelectionEnv`.  A rollout
+        whose candidate table drains advances to the next
+        arrival/expiry epoch (incremental table repair by default,
+        per-epoch rebuild with ``repair=False``) until nothing more can
+        arrive.  ``workers > 1`` fans rollout chunks over a process pool
+        with the same derived-seed schedule as :meth:`solve`, so
+        parallel and serial decoding return identical results.  Returns
+        a :class:`~repro.smore.dynamic.DynamicResult` with explicit
         rejection accounting alongside the usual routes/incentives.
         """
-        from .dynamic import DynamicResult, DynamicSelectionEnv, \
-            run_dynamic_episode
+        from .dynamic import DynamicResult, DynamicSelectionEnv
 
         start = time.perf_counter()
         with obs.span("solve_dynamic", method=self.name,
@@ -339,43 +339,17 @@ class SMORESolver:
             env = DynamicSelectionEnv(
                 instance, self.planner, schedule, repair=repair,
                 worker_arrivals=worker_arrivals)
-            rollouts = self._rollout_plan(greedy, rng, num_samples)
-            stats_fn = getattr(self.planner, "stats", None)
-
-            def roll(spec):
-                use_greedy, seed = spec
-                roll_rng = None
-                if not use_greedy:
-                    roll_rng = (seed if isinstance(seed, np.random.Generator)
-                                else np.random.default_rng(seed))
-                env.perf = PerfCounters()
-                cache_before = stats_fn() if stats_fn is not None else None
-                with obs.span("select", rollouts=1):
-                    with nn.no_grad():
-                        state, _ = run_dynamic_episode(
-                            env, self.policy, greedy=use_greedy, rng=roll_rng)
-                if cache_before is not None:
-                    env.perf.merge(stats_fn().diff(cache_before))
-                return (state.phi(), state.assignments.routes(),
-                        state.assignments.incentives(),
-                        tuple(t.task_id for t in state.selected),
-                        tuple(state.rejected), state.arrived, state.events,
-                        env.perf)
-
-            perf = PerfCounters()
-            results = self._fan_out(env, roll, rollouts, workers, perf)
-            for result in results:
-                perf.merge(result[-1])
-
-            best = max(results, key=lambda r: r[0])
+            best, perf, rollouts = self._sample_best(
+                env, greedy, rng, num_samples, workers)
+            phi, routes, incentives, selected, rejected, arrived, events = best
             elapsed = time.perf_counter() - start
             obs.count("solve_dynamic.count")
             obs.record_perf(perf, prefix="solve.")
-            obs.gauge("solve.best_phi", best[0])
-            obs.event("solve_dynamic.done", method=self.name, phi=best[0],
-                      rejected=len(best[4]), events=best[6],
-                      rollouts=len(rollouts), wall_time=round(elapsed, 6))
-            # An installed SLO tracker saw every epoch (run_dynamic_episode
+            obs.gauge("solve.best_phi", phi)
+            obs.event("solve_dynamic.done", method=self.name, phi=phi,
+                      rejected=len(rejected), events=events,
+                      rollouts=rollouts, wall_time=round(elapsed, 6))
+            # An installed SLO tracker saw every epoch (the env's advance
             # feeds it on simulation time; parallel rollouts merge their
             # window deltas back through capture_child/absorb).  Close the
             # run with one final objective check + a report event so the
@@ -390,10 +364,10 @@ class SMORESolver:
                           budget_used=report["budget_used"],
                           alerts_fired=report["alerts_fired"])
         return DynamicResult(
-            instance=instance, phi=best[0], routes=best[1],
-            incentives=best[2], selected_ids=best[3], rejected_ids=best[4],
-            arrived=best[5], events=best[6], solver_name=self.name,
-            wall_time=elapsed, perf=perf)
+            instance=instance, phi=phi, routes=routes,
+            incentives=incentives, selected_ids=selected,
+            rejected_ids=rejected, arrived=arrived, events=events,
+            solver_name=self.name, wall_time=elapsed, perf=perf)
 
     def open_batch(self, max_size: int | None = None, env_factory=None,
                    clock=time.monotonic) -> "SolveBatch":

@@ -101,3 +101,8 @@ class SelectionState:
 
     def phi(self) -> float:
         return self.coverage.phi()
+
+    def outcome(self) -> tuple:
+        """A finished rollout's picklable result, phi first."""
+        return (self.phi(), self.assignments.routes(),
+                self.assignments.incentives())

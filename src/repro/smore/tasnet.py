@@ -114,30 +114,6 @@ class WorkerSelection(nn.Module):
         self.glimpse_q = nn.Linear(3 * d, 2 * d, bias=False, rng=rng)
         self.pointer = nn.PointerAttention(2 * d, 2 * d, clip=config.clip, rng=rng)
 
-    def forward(self, worker_state_emb: nn.Tensor, budget_norm: float,
-                mask: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
-        """Return (log-probs over workers, group worker embedding h_g).
-
-        ``worker_state_emb``: (n_w, 2d) tensors  w~_j = [mean assigned; w_j].
-        ``mask``: True for workers with no feasible candidate.
-        """
-        # Group state: h_g = MeanPool(MHA({w~})), h_c = [h_g; FC(B)].
-        h_g = nn.ops.mean(self.group_mha(worker_state_emb), axis=0)
-        budget_emb = self.budget_fc(nn.Tensor(np.array([budget_norm])))
-        h_c = nn.ops.concat([h_g, budget_emb])
-
-        # Glimpse: dot-product attention from h_c over worker states,
-        # masked so unselectable workers contribute nothing.
-        q = self.glimpse_q(h_c)                                     # (2d,)
-        scores = nn.ops.matmul(worker_state_emb, q)                 # (n_w,)
-        scores = nn.ops.mul(scores, 1.0 / np.sqrt(q.shape[0]))
-        scores = nn.ops.masked_fill(scores, mask, -1e9)
-        attn = nn.ops.softmax(scores)
-        h_c_prime = nn.ops.matmul(attn, worker_state_emb)           # (2d,)
-
-        logits = self.pointer(h_c_prime, worker_state_emb, mask=mask)
-        return nn.ops.log_softmax(logits), h_g
-
     def forward_batch(self, worker_state_emb: nn.Tensor,
                       budget_norm: np.ndarray,
                       mask: np.ndarray,
@@ -149,8 +125,8 @@ class WorkerSelection(nn.Module):
         ``mask``: boolean (K, n_w), True for workers with no feasible
         candidate in that rollout.  Returns ((K, n_w) log-probs, (K, 2d)
         group embeddings).  Every reduction runs along axes whose length
-        matches the serial :meth:`forward`, so per-rollout slices
-        reproduce the one-episode path.
+        matches the per-state forward (the test oracle in
+        ``tests/smore/oracle.py``), so per-rollout slices reproduce it.
 
         ``pad_mask`` marks padded worker slots when rollouts of different
         instances (unequal worker counts) share one batch: the group
@@ -206,38 +182,6 @@ class TaskSelection(nn.Module):
         episode — per-step decoding gathers rows instead of re-projecting
         (see :meth:`~repro.nn.PointerAttention.precompute_keys`)."""
         return self.pointer.precompute_keys(task_emb)
-
-    def forward(self, worker_emb: nn.Tensor, assigned_emb: nn.Tensor | None,
-                budget_norm: float, h_g: nn.Tensor, task_mean: nn.Tensor,
-                key_table: nn.Tensor, cand_idx: np.ndarray,
-                delta_phi: np.ndarray, delta_in: np.ndarray) -> nn.Tensor:
-        """Return log-probs over the selected worker's candidate tasks.
-
-        ``key_table``: :meth:`precompute_keys` output; ``cand_idx`` (m,)
-        picks the rows of the worker's feasible tasks;
-        ``delta_phi`` / ``delta_in``: the heuristic signals (m,).
-        """
-        d = worker_emb.shape[0]
-        if assigned_emb is not None and assigned_emb.shape[0] > 0:
-            attended = self.assigned_attn(assigned_emb)
-            a_j = nn.ops.mean(attended, axis=0)
-        else:
-            a_j = nn.Tensor(np.zeros(d))
-        budget_emb = self.budget_fc(nn.Tensor(np.array([budget_norm])))
-        h_w = nn.ops.concat([a_j, worker_emb, budget_emb, h_g, task_mean])
-
-        # Heuristic signals join the pointer keys (data fusion): the
-        # trailing rows of w_k project them onto the precomputed part.
-        signals = (np.stack([delta_phi, delta_in], axis=1)
-                   if self.use_heuristic_fusion else None)
-        logits = self.pointer.forward_precomputed(h_w, key_table, cand_idx,
-                                                  extra=signals)
-
-        # ...and modulate the logits through the soft mask (Equation 11).
-        if self.use_soft_mask:
-            mask_values = soft_mask(delta_phi, delta_in, lam=self.lam)
-            logits = nn.ops.mul(logits, nn.Tensor(mask_values))
-        return nn.ops.log_softmax(logits)
 
     def forward_batch(self, worker_emb: nn.Tensor,
                       assigned_emb: nn.Tensor | None,

@@ -226,6 +226,68 @@ class TestDynamicLoopIntegration:
         values = tracker.latency.values(now=instance.coverage.time_span)
         assert all(v >= 0.0 for v in values)
 
+    @pytest.mark.parametrize("window_s", [60.0, 120.0])
+    def test_greedy_feed_matches_oracle_loop(self, window_s):
+        """The feed ``advance`` gives an installed tracker is the one the
+        per-state epoch loop gave: same totals, same alert transitions
+        at the same simulation times (60: fire and clear, 120: still
+        firing at the end)."""
+        from repro.datasets import (
+            InstanceOptions,
+            generate_instances,
+            poisson_arrivals,
+        )
+        from repro.smore import (
+            DynamicSelectionEnv,
+            GreedySelectionRule,
+            SMORESolver,
+        )
+        from repro.tsptw import InsertionSolver
+
+        from ..smore.oracle import run_dynamic_episode
+
+        instance = generate_instances(
+            "delivery", 1, seed=3,
+            options=InstanceOptions(task_density=0.03, budget=120.0))[0]
+        schedule = poisson_arrivals(instance, np.random.default_rng(3),
+                                    initial_fraction=0.4, ttl=30.0)
+
+        def tracker():
+            # The run-closing check() reads the clock: pin it to the
+            # horizon so both sides close on simulation time.
+            return SloTracker(
+                SloConfig(window_s=window_s, error_budget=0.2,
+                          min_requests=3, check_interval_s=0.0),
+                clock=lambda: schedule.horizon)
+
+        def transitions(sink):
+            return [(r["name"], r["objective"], r["value"], r["at"])
+                    for r in sink.records
+                    if r.get("name") in ("slo.alert", "slo.clear")]
+
+        solved, solved_sink = tracker(), ListSink()
+        with install(solved), obs.tracing(sink=solved_sink):
+            SMORESolver(InsertionSolver(), GreedySelectionRule()) \
+                .solve_dynamic(instance, schedule)
+        oracle, oracle_sink = tracker(), ListSink()
+        with obs.tracing(sink=oracle_sink):
+            run_dynamic_episode(
+                DynamicSelectionEnv(instance, InsertionSolver(), schedule),
+                GreedySelectionRule(), tracker=oracle)
+            oracle.check()  # solve_dynamic's closing check and report
+            oracle.report()
+        assert solved.alerts_fired >= 1
+        assert solved.totals == oracle.totals
+        assert solved.alerts_fired == oracle.alerts_fired
+        assert solved.active_alerts == oracle.active_alerts
+        assert transitions(solved_sink) == transitions(oracle_sink)
+        # Repair latencies are wall clock: compare where they landed
+        # (the window at the horizon).
+        landed = [sorted((epoch, len(values)) for epoch, values
+                         in tracker.latency.state().items())
+                  for tracker in (solved, oracle)]
+        assert landed[0] and landed[0] == landed[1]
+
     def test_failure_kinds_cover_serving_and_dynamic(self):
         assert set(FAILURE_KINDS) == \
             {"shed_deadline", "overload", "error", "rejected"}

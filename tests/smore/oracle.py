@@ -1,13 +1,14 @@
-"""Test oracles: the per-state TASNet forward and a trainer built on it.
+"""Test oracles: the per-state TASNet forward, the per-state episode
+loops, and a trainer built on them.
 
 The library runs every decision through one batched two-stage forward
 (``TASNetPolicy._forward``) driven by one lock-step runner.  The
-reference it is pinned against lives here:
+references it is pinned against live here:
 
-* ``SerialTASNetPolicy`` scores one state on its own through the
-  per-state module forwards (``WorkerSelection.forward``,
-  ``TaskSelection.forward``): no padding, no assigned-embedding bank, no
-  batch companions.
+* ``worker_selection_forward`` and ``task_selection_forward`` are the
+  per-state forwards of the two selection modules: no padding, no
+  assigned-embedding bank, no batch companions.
+* ``SerialTASNetPolicy`` scores one state on its own through them.
 * ``run_serial_episode`` is the per-episode loop over it.
 * ``PerInstanceTrainer`` decodes every rollout of a REINFORCE iteration
   with that loop, one instance and one rollout at a time.  Seeds are
@@ -15,6 +16,8 @@ reference it is pinned against lives here:
   ``TASNetTrainer``, so the sampled action streams, and therefore the
   mean rewards, must match the production trainer bitwise; parameters
   agree to BLAS-reassociation tolerance.
+* ``run_dynamic_episode`` is the per-state epoch loop of a streaming
+  episode, SLO-tracker feed included.
 """
 
 import numpy as np
@@ -22,8 +25,72 @@ import numpy as np
 from repro import nn
 from repro.smore import TASNetTrainer
 from repro.smore.critic import critic_features
+from repro.smore.heuristics import soft_mask
 from repro.smore.policy import (ActionRecord, _choose,
                                 sensing_task_features, worker_travel_grid)
+
+
+def worker_selection_forward(module, worker_state_emb: nn.Tensor,
+                             budget_norm: float,
+                             mask: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
+    """Return (log-probs over workers, group worker embedding h_g).
+
+    ``module``: a ``WorkerSelection``.
+    ``worker_state_emb``: (n_w, 2d) tensors  w~_j = [mean assigned; w_j].
+    ``mask``: True for workers with no feasible candidate.
+    """
+    # Group state: h_g = MeanPool(MHA({w~})), h_c = [h_g; FC(B)].
+    h_g = nn.ops.mean(module.group_mha(worker_state_emb), axis=0)
+    budget_emb = module.budget_fc(nn.Tensor(np.array([budget_norm])))
+    h_c = nn.ops.concat([h_g, budget_emb])
+
+    # Glimpse: dot-product attention from h_c over worker states,
+    # masked so unselectable workers contribute nothing.
+    q = module.glimpse_q(h_c)                                   # (2d,)
+    scores = nn.ops.matmul(worker_state_emb, q)                 # (n_w,)
+    scores = nn.ops.mul(scores, 1.0 / np.sqrt(q.shape[0]))
+    scores = nn.ops.masked_fill(scores, mask, -1e9)
+    attn = nn.ops.softmax(scores)
+    h_c_prime = nn.ops.matmul(attn, worker_state_emb)           # (2d,)
+
+    logits = module.pointer(h_c_prime, worker_state_emb, mask=mask)
+    return nn.ops.log_softmax(logits), h_g
+
+
+def task_selection_forward(module, worker_emb: nn.Tensor,
+                           assigned_emb: nn.Tensor | None,
+                           budget_norm: float, h_g: nn.Tensor,
+                           task_mean: nn.Tensor, key_table: nn.Tensor,
+                           cand_idx: np.ndarray, delta_phi: np.ndarray,
+                           delta_in: np.ndarray) -> nn.Tensor:
+    """Return log-probs over the selected worker's candidate tasks.
+
+    ``module``: a ``TaskSelection``.  ``key_table``: its
+    ``precompute_keys`` output; ``cand_idx`` (m,) picks the rows of the
+    worker's feasible tasks; ``delta_phi`` / ``delta_in``: the heuristic
+    signals (m,).
+    """
+    d = worker_emb.shape[0]
+    if assigned_emb is not None and assigned_emb.shape[0] > 0:
+        attended = module.assigned_attn(assigned_emb)
+        a_j = nn.ops.mean(attended, axis=0)
+    else:
+        a_j = nn.Tensor(np.zeros(d))
+    budget_emb = module.budget_fc(nn.Tensor(np.array([budget_norm])))
+    h_w = nn.ops.concat([a_j, worker_emb, budget_emb, h_g, task_mean])
+
+    # Heuristic signals join the pointer keys (data fusion): the
+    # trailing rows of w_k project them onto the precomputed part.
+    signals = (np.stack([delta_phi, delta_in], axis=1)
+               if module.use_heuristic_fusion else None)
+    logits = module.pointer.forward_precomputed(h_w, key_table, cand_idx,
+                                                extra=signals)
+
+    # ...and modulate the logits through the soft mask (Equation 11).
+    if module.use_soft_mask:
+        mask_values = soft_mask(delta_phi, delta_in, lam=module.lam)
+        logits = nn.ops.mul(logits, nn.Tensor(mask_values))
+    return nn.ops.log_softmax(logits)
 
 
 class SerialTASNetPolicy:
@@ -64,8 +131,9 @@ class SerialTASNetPolicy:
         mask = np.array([w not in feasible for w in self._worker_ids])
         if mask.all():
             raise RuntimeError("no worker has feasible candidates")
-        return self.net.worker_selection(nn.ops.stack(rows), budget_norm,
-                                         mask)
+        return worker_selection_forward(self.net.worker_selection,
+                                        nn.ops.stack(rows), budget_norm,
+                                        mask)
 
     def _task_stage(self, state, worker_id, worker_idx, budget_norm, h_g):
         """Stage 2 for one worker: (log-probs, task id order)."""
@@ -81,8 +149,8 @@ class SerialTASNetPolicy:
         if assigned:
             idx = np.array([self._task_index[t.task_id] for t in assigned])
             assigned_emb = nn.ops.gather_rows(self._task_emb, idx)
-        task_logp = self.net.task_selection(
-            self._worker_emb[worker_idx], assigned_emb, budget_norm, h_g,
+        task_logp = task_selection_forward(
+            self.net.task_selection, self._worker_emb[worker_idx], assigned_emb, budget_norm, h_g,
             self._task_mean, self._cand_keys, cand_indices, delta_phi,
             delta_in)
         return task_logp, task_ids
@@ -127,6 +195,49 @@ def run_serial_episode(env, policy, greedy=True, rng=None,
         if record_actions:
             records.append(action)
     return state, total_reward, records
+
+
+def run_dynamic_episode(env, policy, greedy: bool = True, rng=None,
+                        tracker=None):
+    """Roll one dynamic episode: select until the table drains, advance
+    to the next event epoch, repeat; returns (state, total_reward).
+
+    When given an SLO ``tracker``, the per-epoch loop feeds it on
+    **simulation time**: every committed selection records ``ok`` and
+    every expiry/dead-on-arrival records ``rejected`` at the epoch it
+    happened, and each epoch's incremental repair cost lands in the
+    latency window (ms) — so the windowed rejection rate and repair
+    percentiles track the arrival process, not wall clock.  Objective
+    checks run at most once per epoch.  The tracker is passed, not
+    installed: ``env.advance`` feeds an installed tracker itself, and
+    this loop is the reference that feed is checked against.
+    """
+    state = env.reset()
+    policy.begin_episode(env.instance)
+    total_reward = 0.0
+    selected_seen = rejected_seen = 0
+    repair_seen = env.repair_time
+    while True:
+        while not state.candidates.empty:
+            action = policy.act(state, greedy=greedy, rng=rng)
+            state, reward, _ = env.step_state(
+                state, action.worker_id, action.task_id)
+            total_reward += reward
+        if tracker is not None:
+            for _ in range(len(state.selected) - selected_seen):
+                tracker.record("ok", now=state.now, check=False)
+            selected_seen = len(state.selected)
+            for _ in range(len(state.rejected) - rejected_seen):
+                tracker.record("rejected", now=state.now, check=False)
+            rejected_seen = len(state.rejected)
+            if env.repair_time > repair_seen:
+                tracker.observe_latency(
+                    (env.repair_time - repair_seen) * 1e3, now=state.now)
+                repair_seen = env.repair_time
+            tracker.maybe_check(state.now)
+        if not env.advance(state):
+            break
+    return state, total_reward
 
 
 class PerInstanceTrainer(TASNetTrainer):

@@ -3,12 +3,14 @@
 Covers the episode mechanics (accounting, termination, lock monotonicity,
 dead-on-arrival handling, late workers), the equivalence of repair and
 per-epoch rebuild at the episode level, the static-schedule degeneration
-to the classic solver, and solve_dynamic's serial-vs-pool determinism.
+to the classic solver, solve_dynamic's serial-vs-pool determinism, and
+its bit-identity with the per-state epoch loop of ``oracle.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.datasets import (
     InstanceOptions,
     burst_arrivals,
@@ -19,11 +21,17 @@ from repro.datasets.dynamic import ArrivalSchedule, TaskArrival
 from repro.smore import (
     DynamicSelectionEnv,
     GreedySelectionRule,
+    RatioSelectionRule,
     SMORESolver,
-    run_dynamic_episode,
+    TASNet,
+    TASNetConfig,
+    TASNetPolicy,
+    run_episode,
 )
 from repro.tsptw import InsertionSolver
 from repro.tsptw.cache import CachedPlanner
+
+from .oracle import run_dynamic_episode
 
 
 def _instance(seed=3, density=0.05, workers=4):
@@ -37,7 +45,7 @@ def _episode(instance, schedule, repair=True, **env_kwargs):
     planner = CachedPlanner(InsertionSolver(speed=instance.speed))
     env = DynamicSelectionEnv(instance, planner, schedule, repair=repair,
                               **env_kwargs)
-    state, reward = run_dynamic_episode(env, GreedySelectionRule())
+    state, reward = run_episode(env, GreedySelectionRule())[:2]
     return env, state, reward
 
 
@@ -220,6 +228,76 @@ def test_solve_dynamic_serial_equals_pool():
     assert serial.selected_ids == pooled.selected_ids
     assert serial.rejected_ids == pooled.rejected_ids
     assert serial.incentives == pooled.incentives
+
+
+# --------------------------------------------------------------------- #
+# One decode loop: solve_dynamic vs. the per-state oracle loop
+# --------------------------------------------------------------------- #
+def _tasnet(instance):
+    grid = instance.coverage.grid
+    return TASNetPolicy(TASNet(
+        TASNetConfig(d_model=16, num_heads=2, num_layers=1, conv_channels=4),
+        grid_nx=grid.nx, grid_ny=grid.ny, rng=np.random.default_rng(0)))
+
+
+POLICIES = {
+    "greedy-rule": lambda instance: GreedySelectionRule(),
+    "ratio-rule": lambda instance: RatioSelectionRule(),
+    "tasnet": _tasnet,
+}
+# (num_samples, workers): the greedy decode, then sampled best-of-3
+# decoded serially and as two pool chunks.
+MODES = [(1, 1), (3, 1), (3, 2)]
+
+
+def _outcome(result):
+    routes = {w: [t.task_id for t in r.tasks]
+              for w, r in result.routes.items()}
+    return (result.phi, result.selected_ids, result.rejected_ids,
+            result.arrived, result.events, routes, result.incentives,
+            result.perf.planner_calls)
+
+
+def _oracle_outcome(solver, instance, schedule, repair, plan):
+    """solve_dynamic's answer rebuilt from per-state oracle episodes: one
+    env, the rollouts of ``plan`` in order, the first best phi wins."""
+    env = DynamicSelectionEnv(instance, solver.planner, schedule,
+                              repair=repair)
+    best = None
+    for use_greedy, seed in plan:
+        rng = None if use_greedy else np.random.default_rng(seed)
+        with nn.no_grad():
+            state, _ = run_dynamic_episode(env, solver.policy,
+                                           greedy=use_greedy, rng=rng)
+        routes = {w: [t.task_id for t in r.tasks]
+                  for w, r in state.assignments.routes().items()}
+        outcome = (state.phi(), tuple(t.task_id for t in state.selected),
+                   tuple(state.rejected), state.arrived, state.events,
+                   routes, state.assignments.incentives())
+        if best is None or outcome[0] > best[0]:
+            best = outcome
+    return best + (env.perf.planner_calls,)
+
+
+@pytest.mark.parametrize("num_samples,workers", MODES)
+@pytest.mark.parametrize("repair", [True, False])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_solve_dynamic_matches_oracle_loop(policy, repair, num_samples,
+                                           workers):
+    instance = _instance(seed=19, density=0.03)
+    schedule = poisson_arrivals(instance, np.random.default_rng(8),
+                                initial_fraction=0.5, ttl=40.0)
+    solver = SMORESolver(InsertionSolver(speed=instance.speed),
+                         POLICIES[policy](instance))
+    result = solver.solve_dynamic(
+        instance, schedule, num_samples=num_samples, workers=workers,
+        repair=repair, rng=np.random.default_rng(123))
+    plan = solver._rollout_plan(True, np.random.default_rng(123),
+                                num_samples)
+    assert len(plan) == num_samples
+    expected = _oracle_outcome(solver, instance, schedule, repair, plan)
+    assert _outcome(result) == expected
+    assert result.events > 0 and result.rejected_ids
 
 
 def test_schedule_validation():

@@ -71,86 +71,94 @@ class TestSensingTaskEncoder:
 
 
 class TestWorkerSelection:
+    """Stage 1 on one state: a K=1 ``forward_batch``."""
+
     def test_log_probs_normalised(self, config, rng):
         module = WorkerSelection(config, rng)
-        states = nn.Tensor(rng.normal(size=(4, 2 * config.d_model)))
-        mask = np.array([False, False, True, False])
-        logp, h_g = module(states, 0.5, mask)
-        probs = np.exp(logp.data)
+        states = nn.Tensor(rng.normal(size=(1, 4, 2 * config.d_model)))
+        mask = np.array([[False, False, True, False]])
+        logp, h_g = module.forward_batch(states, np.array([0.5]), mask)
+        probs = np.exp(logp.data[0])
         assert probs.sum() == pytest.approx(1.0)
         assert probs[2] == pytest.approx(0.0, abs=1e-9)
-        assert h_g.shape == (2 * config.d_model,)
+        assert h_g.shape == (1, 2 * config.d_model)
 
     def test_all_but_one_masked(self, config, rng):
         module = WorkerSelection(config, rng)
-        states = nn.Tensor(rng.normal(size=(3, 2 * config.d_model)))
-        mask = np.array([True, False, True])
-        logp, _ = module(states, 1.0, mask)
-        assert np.exp(logp.data)[1] == pytest.approx(1.0)
+        states = nn.Tensor(rng.normal(size=(1, 3, 2 * config.d_model)))
+        mask = np.array([[True, False, True]])
+        logp, _ = module.forward_batch(states, np.array([1.0]), mask)
+        assert np.exp(logp.data[0])[1] == pytest.approx(1.0)
 
     def test_budget_affects_distribution(self, config, rng):
         module = WorkerSelection(config, rng)
-        states = nn.Tensor(rng.normal(size=(3, 2 * config.d_model)))
-        mask = np.zeros(3, dtype=bool)
-        low, _ = module(states, 0.01, mask)
-        high, _ = module(states, 1.0, mask)
+        states = nn.Tensor(rng.normal(size=(1, 3, 2 * config.d_model)))
+        mask = np.zeros((1, 3), dtype=bool)
+        low, _ = module.forward_batch(states, np.array([0.01]), mask)
+        high, _ = module.forward_batch(states, np.array([1.0]), mask)
         assert not np.allclose(low.data, high.data)
 
 
+def _task_logp(module, rng, n_candidates=5, assigned=2):
+    """Stage 2 on one state (a K=1 ``forward_batch``): (m,) log-probs."""
+    d = module.budget_fc.out_features
+    assigned_emb = assigned_mask = None
+    if assigned:
+        assigned_emb = nn.Tensor(rng.normal(size=(1, assigned, d)))
+        assigned_mask = np.zeros((1, assigned), dtype=bool)
+    worker_emb = nn.Tensor(rng.normal(size=(1, d)))
+    h_g = nn.Tensor(rng.normal(size=(1, 2 * d)))
+    task_mean = nn.Tensor(rng.normal(size=(1, d)))
+    keys = module.precompute_keys(
+        nn.Tensor(rng.normal(size=(n_candidates, d))))
+    delta_phi = rng.random((1, n_candidates))
+    delta_in = rng.random((1, n_candidates)) + 0.5
+    logp = module.forward_batch(
+        worker_emb, assigned_emb, assigned_mask, np.array([0.7]), h_g,
+        task_mean, keys, np.arange(n_candidates)[None],
+        np.zeros((1, n_candidates), dtype=bool), delta_phi, delta_in)
+    return logp.data[0]
+
+
 class TestTaskSelection:
+    """Stage 2 on one state: a K=1 ``forward_batch``."""
+
     def _run(self, config, rng, use_soft_mask=True, n_candidates=5,
              assigned=2):
         cfg = TASNetConfig(d_model=config.d_model, num_heads=config.num_heads,
                            num_layers=config.num_layers,
                            conv_channels=config.conv_channels,
                            use_soft_mask=use_soft_mask)
-        module = TaskSelection(cfg, rng)
-        d = cfg.d_model
-        worker_emb = nn.Tensor(rng.normal(size=d))
-        assigned_emb = (nn.Tensor(rng.normal(size=(assigned, d)))
-                        if assigned else None)
-        h_g = nn.Tensor(rng.normal(size=2 * d))
-        task_mean = nn.Tensor(rng.normal(size=d))
-        cand = nn.Tensor(rng.normal(size=(n_candidates, d)))
-        delta_phi = rng.random(n_candidates)
-        delta_in = rng.random(n_candidates) + 0.5
-        return module(worker_emb, assigned_emb, 0.7, h_g, task_mean,
-                      module.precompute_keys(cand), np.arange(n_candidates),
-                      delta_phi, delta_in)
+        return _task_logp(TaskSelection(cfg, rng), rng,
+                          n_candidates=n_candidates, assigned=assigned)
 
     def test_log_probs_normalised(self, config, rng):
         logp = self._run(config, rng)
-        assert np.exp(logp.data).sum() == pytest.approx(1.0)
+        assert np.exp(logp).sum() == pytest.approx(1.0)
 
     def test_no_assigned_tasks(self, config, rng):
         logp = self._run(config, rng, assigned=0)
-        assert np.all(np.isfinite(logp.data))
+        assert np.all(np.isfinite(logp))
 
     def test_single_candidate(self, config, rng):
         logp = self._run(config, rng, n_candidates=1)
-        assert np.exp(logp.data)[0] == pytest.approx(1.0)
+        assert np.exp(logp)[0] == pytest.approx(1.0)
 
     def test_soft_mask_changes_distribution(self, config):
         rng_a = np.random.default_rng(3)
         with_mask = self._run(config, rng_a)
         rng_b = np.random.default_rng(3)
         without = self._run(config, rng_b, use_soft_mask=False)
-        assert not np.allclose(with_mask.data, without.data)
+        assert not np.allclose(with_mask, without)
 
     def test_fusion_disabled_still_normalised(self, config, rng):
         cfg = TASNetConfig(d_model=config.d_model, num_heads=config.num_heads,
                            num_layers=config.num_layers,
                            conv_channels=config.conv_channels,
                            use_heuristic_fusion=False)
-        module = TaskSelection(cfg, rng)
-        d = cfg.d_model
-        logp = module(nn.Tensor(rng.normal(size=d)), None, 0.5,
-                      nn.Tensor(rng.normal(size=2 * d)),
-                      nn.Tensor(rng.normal(size=d)),
-                      module.precompute_keys(
-                          nn.Tensor(rng.normal(size=(4, d)))),
-                      np.arange(4), rng.random(4), rng.random(4) + 0.5)
-        assert np.exp(logp.data).sum() == pytest.approx(1.0)
+        logp = _task_logp(TaskSelection(cfg, rng), rng, n_candidates=4,
+                          assigned=0)
+        assert np.exp(logp).sum() == pytest.approx(1.0)
 
     def test_fusion_changes_key_width(self, config, rng):
         with_fusion = TaskSelection(config, np.random.default_rng(0))
