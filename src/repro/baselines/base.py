@@ -12,8 +12,6 @@ budget accounting — so each baseline only supplies its selection rule.
 
 from __future__ import annotations
 
-import time
-
 from ..core.entities import SensingTask, Worker
 from ..core.incentive import IncentiveModel
 from ..core.instance import USMDWInstance
@@ -23,7 +21,7 @@ from ..core.solution import Solution
 from ..tsptw.insertion import InsertionSolver, cheapest_insertion_position
 from ..tsptw.nearest import nearest_neighbor_order
 
-__all__ = ["RouteBuilder", "AssignmentSolverProtocol", "timed_solution"]
+__all__ = ["RouteBuilder", "AssignmentSolverProtocol"]
 
 
 class RouteBuilder:
@@ -157,8 +155,3 @@ class AssignmentSolverProtocol:
 
     def solve(self, instance: USMDWInstance) -> Solution:  # pragma: no cover
         raise NotImplementedError
-
-
-def timed_solution(builder: RouteBuilder, name: str, start: float) -> Solution:
-    """Finalize a builder into a Solution stamped with elapsed wall time."""
-    return builder.to_solution(name, time.perf_counter() - start)

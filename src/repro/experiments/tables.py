@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..datasets import DATASET_NAMES
 from .metrics import MethodResult
-from .reporting import render_grid
 from .runner import ExperimentRunner
 
 __all__ = ["table1_time_window", "table2_budget", "table3_alpha",
@@ -66,15 +65,3 @@ def table3_alpha(runner: ExperimentRunner,
             results[dataset][label] = runner.run_setting(
                 dataset, methods=methods, alpha=alpha)
     return results
-
-
-def render_table1(results: Results) -> str:
-    return render_grid("Table I — Effect of Sensing Task Time Window", results)
-
-
-def render_table2(results: Results) -> str:
-    return render_grid("Table II — Effect of Budget", results)
-
-
-def render_table3(results: Results) -> str:
-    return render_grid("Table III — Effect of Weight in Data Coverage", results)

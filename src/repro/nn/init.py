@@ -1,8 +1,7 @@
 """Parameter initialisation schemes.
 
 The attention models in the paper follow Kool et al. (2019), who initialise
-every weight uniformly in ``[-1/sqrt(d), 1/sqrt(d)]``; we expose that and the
-standard Xavier/He variants.
+every weight uniformly in ``[-1/sqrt(d), 1/sqrt(d)]``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["uniform_attention", "xavier_uniform", "he_normal", "zeros"]
+__all__ = ["uniform_attention", "zeros"]
 
 
 def uniform_attention(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -19,20 +18,6 @@ def uniform_attention(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     fan_in = shape[0] if len(shape) >= 1 else 1
     bound = 1.0 / math.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Glorot uniform initialisation."""
-    fan_in = shape[0] if len(shape) >= 1 else 1
-    fan_out = shape[1] if len(shape) >= 2 else shape[0]
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """He normal initialisation for ReLU stacks."""
-    fan_in = shape[0] if len(shape) >= 1 else 1
-    return rng.normal(0.0, math.sqrt(2.0 / max(fan_in, 1)), size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

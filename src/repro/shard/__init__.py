@@ -3,8 +3,8 @@
 See :mod:`repro.shard.partition` for the grid / k-d partitioners and
 :mod:`repro.shard.solve` for the solve-and-merge pipeline with
 boundary repair.  Entry points: :func:`partition_instance` and
-:func:`solve_sharded` (also reachable as ``SMORESolver.solve(shards=P)``
-and ``python -m repro.experiments shard``).
+:func:`solve_sharded` (also reachable as
+``python -m repro.experiments shard``).
 """
 
 from .partition import (

@@ -94,12 +94,6 @@ class ShardPlan:
             seen.update(ids)
         return tuple(sorted(seen))
 
-    def shard_of_task(self) -> dict[int, int]:
-        return {tid: s.index for s in self.shards for tid in s.task_ids}
-
-    def shard_of_worker(self) -> dict[int, int]:
-        return {wid: s.index for s in self.shards for wid in s.worker_ids}
-
     # ------------------------------------------------------------------ #
     def validate(self) -> list[str]:
         """Check the partition invariants; return a list of violations.

@@ -7,11 +7,17 @@ assignment would cost.  A pair is feasible iff such a route respects the
 worker's time constraint and the additional incentive fits the remaining
 budget (Section III-B).
 
-Planners exposing ``plan_insertions_many`` (the insertion solver's batched
-kernel sweep, optionally behind :class:`~repro.tsptw.cache.CachedPlanner`)
-get the whole init/recompute sweep as one batched call per worker;
-``planner_calls`` still counts one logical plan per task, so accounting is
-identical to the per-task loop.
+Every row — at initialisation, on the selected worker's update and in
+streaming repair — comes from one sweep over one planner dispatch
+(:meth:`CandidateTable._plan`), the only place the table probes planner
+capabilities.  It tries ``plan_insertions_many`` first (one batched call
+per worker; on :class:`~repro.tsptw.InsertionSolver`, optionally behind
+:class:`~repro.tsptw.cache.CachedPlanner`, this is the kernel
+:func:`~repro.tsptw.kernels.sweep_insertions`, the only packed scan), then
+``plan_with_insertion`` per task, then a from-scratch re-plan of the
+worker's assigned tasks plus each candidate through ``plan_many`` (RL
+backends) or ``plan``.  ``planner_calls`` counts one logical plan per task
+on every path.
 
 Beyond the rows themselves the table maintains two incremental indices —
 a task -> workers reverse map and the set of non-empty rows — so that
@@ -86,18 +92,13 @@ class CandidateTable:
                    budget_rest: float) -> None:
         """Algorithm 1 lines 4-9: try every (worker, task) pair.
 
-        Each worker's base route (travel tasks only) is planned once; every
-        sensing task is then checked by insertion into it — batched when
-        the planner supports it, per-task otherwise — or by a full re-plan
-        for planners without incremental insertion.
+        Each worker's base route (travel tasks only) is planned once; one
+        :meth:`_sweep` then checks every sensing task against it.
         """
         self._table = {w.worker_id: {} for w in workers}
         self._task_workers = {}
         self._nonempty = set()
         self._workers_cache = None
-        plan_many = getattr(self.planner, "plan_many", None)
-        insertion = getattr(self.planner, "plan_with_insertion", None)
-        insert_many = getattr(self.planner, "plan_insertions_many", None)
         sensing_tasks = list(sensing_tasks)
         for worker in workers:
             base = self.planner.base_route(worker)
@@ -105,34 +106,63 @@ class CandidateTable:
             if not base.feasible:
                 continue  # the worker cannot even complete their own trip
             base_tasks = base.route.tasks if base.route is not None else ()
-            row: dict[int, CandidateEntry] = {}
-            if insert_many is not None:
-                # Batched insertion path (kernel sweep): one call per
-                # worker, one logical plan per task.
-                results = insert_many(worker, base_tasks, sensing_tasks)
-                self.planner_calls += len(sensing_tasks)
-                for task, result in zip(sensing_tasks, results):
-                    entry = self._entry_from_result(worker, result, 0.0,
-                                                    budget_rest)
-                    if entry is not None:
-                        row[task.task_id] = entry
-            elif plan_many is not None and insertion is None:
-                # Batched path (RL backends): one encoder pass per worker.
-                results = plan_many(worker, [[task] for task in sensing_tasks])
-                self.planner_calls += len(sensing_tasks)
-                for task, result in zip(sensing_tasks, results):
-                    entry = self._entry_from_result(worker, result, 0.0,
-                                                    budget_rest)
-                    if entry is not None:
-                        row[task.task_id] = entry
-            else:
-                for task in sensing_tasks:
-                    entry = self._try_assignment(worker, [task], 0.0,
-                                                 budget_rest,
-                                                 base_tasks=base_tasks)
-                    if entry is not None:
-                        row[task.task_id] = entry
-            self._commit_row(worker.worker_id, row)
+            self._commit_row(worker.worker_id, self._sweep(
+                worker, base_tasks, sensing_tasks, 0.0, budget_rest,
+                assigned=()))
+
+    # ------------------------------------------------------------------ #
+    # The one planner dispatch and the one row builder
+    # ------------------------------------------------------------------ #
+    def _plan(self, worker: Worker, route_tasks: Sequence,
+              tasks: list[SensingTask], min_position: int = 0,
+              assigned: Sequence[SensingTask] | None = None) -> list:
+        """Plan each of ``tasks`` added to ``worker``'s plan, in order.
+
+        Insertion planners place each task into ``route_tasks`` at or past
+        ``min_position``: one batched ``plan_insertions_many`` call, else
+        ``plan_with_insertion`` per task.  Other planners re-plan
+        ``assigned + [task]`` from scratch (``plan_many``, else ``plan``
+        per set), which can honour neither a committed prefix nor a route
+        the caller did not describe: without ``assigned``, or with
+        ``min_position > 0``, they raise ``TypeError``.  Every path counts
+        one logical plan per task.
+        """
+        insert_many = getattr(self.planner, "plan_insertions_many", None)
+        insert_one = getattr(self.planner, "plan_with_insertion", None)
+        if insert_many is None and insert_one is None and (
+                assigned is None or min_position > 0):
+            raise TypeError(
+                "anchored or incremental candidate sweeps require an "
+                "insertion-capable planner (plan_insertions_many or "
+                "plan_with_insertion)")
+        self.planner_calls += len(tasks)
+        if insert_many is not None:
+            return insert_many(worker, route_tasks, tasks,
+                               min_position=min_position)
+        if insert_one is not None:
+            return [insert_one(worker, route_tasks, task,
+                               min_position=min_position) for task in tasks]
+        sets = [list(assigned) + [task] for task in tasks]
+        plan_many = getattr(self.planner, "plan_many", None)
+        if plan_many is not None:
+            return plan_many(worker, sets)
+        return [self.planner.plan(worker, tasks_after) for tasks_after in sets]
+
+    def _sweep(self, worker: Worker, route_tasks: Sequence,
+               tasks: Iterable[SensingTask], current_incentive: float,
+               budget_rest: float, min_position: int = 0,
+               assigned: Sequence[SensingTask] | None = None
+               ) -> dict[int, CandidateEntry]:
+        """Feasible, affordable entries for ``tasks``, keyed in task order."""
+        tasks = list(tasks)
+        row: dict[int, CandidateEntry] = {}
+        for task, result in zip(tasks, self._plan(worker, route_tasks, tasks,
+                                                  min_position, assigned)):
+            entry = self._entry_from_result(worker, result, current_incentive,
+                                            budget_rest)
+            if entry is not None:
+                row[task.task_id] = entry
+        return row
 
     def _entry_from_result(self, worker: Worker, result,
                            current_incentive: float,
@@ -149,25 +179,6 @@ class CandidateTable:
         return CandidateEntry(factory if factory is not None
                               else result.route, rtt, delta,
                               position=getattr(result, "pos", None))
-
-    def _try_assignment(self, worker: Worker,
-                        tasks_after: Sequence[SensingTask],
-                        current_incentive: float,
-                        budget_rest: float,
-                        base_tasks: Sequence | None = None) -> CandidateEntry | None:
-        self.planner_calls += 1
-        insert_fn = getattr(self.planner, "plan_with_insertion", None)
-        if base_tasks is not None and insert_fn is not None:
-            result = insert_fn(worker, base_tasks, tasks_after[-1])
-        else:
-            result = self.planner.plan(worker, tasks_after)
-        if not result.feasible:
-            return None
-        rtt = result.route_travel_time
-        delta = self.incentives.incentive(worker, rtt) - current_incentive
-        if delta > budget_rest:
-            return None
-        return CandidateEntry(result.route, rtt, delta)
 
     # ------------------------------------------------------------------ #
     # Incremental index maintenance
@@ -242,90 +253,25 @@ class CandidateTable:
                          available: Iterable[SensingTask],
                          current_incentive: float,
                          budget_rest: float,
-                         current_route_tasks: Sequence | None = None,
+                         current_route_tasks: Sequence,
                          min_position: int = 0) -> None:
         """Lines 17-23: refresh the selected worker's candidate row.
 
         ``current_route_tasks`` — the worker's committed route order — lets
-        incremental planners check each candidate by single insertion
-        (batched into one call when the planner supports it).
+        insertion planners check each candidate by single insertion;
+        planners without one re-plan ``assigned`` plus the candidate.
         ``min_position`` anchors every insertion at the worker's committed
         mid-route position (dynamic re-planning); it requires an
         insertion-capable planner, since a full re-plan cannot honour a
         committed prefix.
         """
-        row: dict[int, CandidateEntry] = {}
-        insert_many = getattr(self.planner, "plan_insertions_many", None)
-        plan_many = getattr(self.planner, "plan_many", None)
-        if insert_many is not None and current_route_tasks is not None:
-            available = list(available)
-            results = insert_many(worker, current_route_tasks, available,
-                                  min_position=min_position)
-            self.planner_calls += len(available)
-            for task, result in zip(available, results):
-                entry = self._entry_from_result(worker, result,
-                                                current_incentive, budget_rest)
-                if entry is not None:
-                    row[task.task_id] = entry
-            self._commit_row(worker.worker_id, row)
-            return
-        if min_position > 0:
-            raise TypeError(
-                "anchored recompute (min_position > 0) requires a planner "
-                "with plan_insertions_many and the worker's current route")
-        if plan_many is not None and getattr(
-                self.planner, "plan_with_insertion", None) is None:
-            available = list(available)
-            sets = [list(assigned) + [task] for task in available]
-            results = plan_many(worker, sets)
-            self.planner_calls += len(sets)
-            for task, result in zip(available, results):
-                entry = self._entry_from_result(worker, result,
-                                                current_incentive, budget_rest)
-                if entry is not None:
-                    row[task.task_id] = entry
-            self._commit_row(worker.worker_id, row)
-            return
-        for task in available:
-            entry = self._try_assignment(
-                worker, list(assigned) + [task], current_incentive, budget_rest,
-                base_tasks=current_route_tasks)
-            if entry is not None:
-                row[task.task_id] = entry
-        self._commit_row(worker.worker_id, row)
+        self._commit_row(worker.worker_id, self._sweep(
+            worker, current_route_tasks, available, current_incentive,
+            budget_rest, min_position, assigned))
 
     # ------------------------------------------------------------------ #
     # Incremental repair (streaming arrivals / expiries / re-anchoring)
     # ------------------------------------------------------------------ #
-    def _insertion_results(self, worker: Worker, route_tasks: Sequence,
-                           tasks: Sequence[SensingTask],
-                           min_position: int) -> list:
-        """Anchored insertion results for ``tasks`` into one route order.
-
-        One batched call when the planner sweeps
-        (``plan_insertions_many``), a per-task loop when it only offers
-        ``plan_with_insertion``; accounting matches the initialize /
-        recompute sweeps (one logical plan per task).  Repair is an
-        insertion-native operation, so planners without an insertion path
-        are rejected outright.
-        """
-        insert_many = getattr(self.planner, "plan_insertions_many", None)
-        if insert_many is not None:
-            self.planner_calls += len(tasks)
-            return insert_many(worker, route_tasks, tasks,
-                               min_position=min_position)
-        insert_fn = getattr(self.planner, "plan_with_insertion", None)
-        if insert_fn is None:
-            raise TypeError(
-                "incremental candidate repair requires an insertion-capable "
-                "planner (plan_insertions_many or plan_with_insertion)")
-        results = []
-        for task in tasks:
-            self.planner_calls += 1
-            results.append(insert_fn(worker, route_tasks, task,
-                                     min_position=min_position))
-        return results
-
     def _add_entry(self, worker_id: int, task_id: int,
                    entry: CandidateEntry) -> None:
         """Insert (or update) one entry, maintaining both indices."""
@@ -356,13 +302,10 @@ class CandidateTable:
         for worker, route_tasks, incentive, min_position in worker_states:
             if worker.worker_id not in self._table:
                 self._table[worker.worker_id] = {}
-            results = self._insertion_results(worker, route_tasks, new_tasks,
-                                              min_position)
-            for task, result in zip(new_tasks, results):
-                entry = self._entry_from_result(worker, result, incentive,
-                                                budget_rest)
-                if entry is not None:
-                    self._add_entry(worker.worker_id, task.task_id, entry)
+            for task_id, entry in self._sweep(worker, route_tasks, new_tasks,
+                                              incentive, budget_rest,
+                                              min_position).items():
+                self._add_entry(worker.worker_id, task_id, entry)
 
     def expire_task(self, task_id: int) -> bool:
         """Repair after an expiry: drop the task from every row.
@@ -397,16 +340,14 @@ class CandidateTable:
                      or entry.position < min_position]
         if not stale_ids:
             return 0
-        stale = [tasks_by_id[task_id] for task_id in stale_ids]
-        results = self._insertion_results(worker, route_tasks, stale,
-                                          min_position)
-        for task, result in zip(stale, results):
-            entry = self._entry_from_result(worker, result,
-                                            current_incentive, budget_rest)
-            if entry is None:
-                self._drop_entry(worker.worker_id, task.task_id)
+        fresh = self._sweep(worker, route_tasks,
+                            [tasks_by_id[task_id] for task_id in stale_ids],
+                            current_incentive, budget_rest, min_position)
+        for task_id in stale_ids:
+            if task_id in fresh:
+                row[task_id] = fresh[task_id]  # in-place: row order preserved
             else:
-                row[task.task_id] = entry  # in-place: row order preserved
+                self._drop_entry(worker.worker_id, task_id)
         return len(stale_ids)
 
     def add_worker(self, worker: Worker, tasks: Sequence[SensingTask],
@@ -425,12 +366,8 @@ class CandidateTable:
         if not base.feasible:
             return False
         base_tasks = base.route.tasks if base.route is not None else ()
-        results = self._insertion_results(worker, base_tasks, list(tasks),
-                                          min_position)
-        for task, result in zip(tasks, results):
-            entry = self._entry_from_result(worker, result, 0.0, budget_rest)
-            if entry is not None:
-                self._add_entry(worker.worker_id, task.task_id, entry)
+        self._commit_row(worker.worker_id, self._sweep(
+            worker, base_tasks, tasks, 0.0, budget_rest, min_position))
         return True
 
     def rebuild(self, worker_states: Iterable[tuple],
@@ -454,15 +391,9 @@ class CandidateTable:
         for worker, route_tasks, incentive, min_position in worker_states:
             if route_tasks is None:
                 continue
-            row: dict[int, CandidateEntry] = {}
-            results = self._insertion_results(worker, route_tasks, tasks,
-                                              min_position)
-            for task, result in zip(tasks, results):
-                entry = self._entry_from_result(worker, result, incentive,
-                                                budget_rest)
-                if entry is not None:
-                    row[task.task_id] = entry
-            self._commit_row(worker.worker_id, row)
+            self._commit_row(worker.worker_id, self._sweep(
+                worker, route_tasks, tasks, incentive, budget_rest,
+                min_position))
 
     def prune_over_budget(self, budget_rest: float) -> None:
         """Drop entries whose marginal cost no longer fits the budget.

@@ -153,10 +153,9 @@ class SelectionEnv:
         state.unselected.pop(task_id, None)
         available = list(state.unselected.values())
         slot = state.assignments[worker_id]
-        current_tasks = slot.route.tasks if slot.route is not None else None
         state.candidates.recompute_worker(
             worker, slot.assigned, available, slot.incentive, state.budget_rest,
-            current_route_tasks=current_tasks,
+            current_route_tasks=slot.route.tasks,
             min_position=self._worker_min_position(state, worker_id))
 
         reward = state.coverage.phi() - phi_before

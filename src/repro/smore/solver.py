@@ -253,10 +253,7 @@ class SMORESolver:
 
     def solve(self, instance: USMDWInstance, greedy: bool = True,
               rng: np.random.Generator | None = None,
-              num_samples: int = 1, workers: int = 1,
-              shards: int | None = None,
-              shard_method: str = "grid",
-              shard_pool=None) -> Solution:
+              num_samples: int = 1, workers: int = 1) -> Solution:
         """Solve one instance.
 
         ``greedy=True`` decodes with argmax actions (the paper's test-time
@@ -270,22 +267,10 @@ class SMORESolver:
         ``workers > 1`` splits the rollout schedule into contiguous
         chunks decoded across a process pool.  Each rollout keeps its
         own derived seed and rng-draw order, so the returned solution is
-        identical for every ``workers``.
-
-        ``shards > 1`` routes the solve through the city-scale
-        divide-and-conquer pipeline (:func:`repro.shard.solve_sharded`):
-        spatial partition, independent per-shard solves (optionally over
-        a ``shard_pool`` :class:`~repro.parallel.PersistentPool`), then
-        boundary repair and merge.  ``shards=1``/``None`` is the plain
-        unsharded path.
+        identical for every ``workers``.  City-scale sharded solves go
+        through :func:`repro.shard.solve_sharded`, which calls this method
+        per shard.
         """
-        if shards is not None and shards > 1:
-            from ..shard import solve_sharded
-
-            return solve_sharded(self, instance, shards,
-                                 method=shard_method, pool=shard_pool,
-                                 greedy=greedy, rng=rng,
-                                 num_samples=num_samples)
         start = time.perf_counter()
         solve_span = obs.span("solve", method=self.name,
                               num_samples=num_samples, workers=workers)

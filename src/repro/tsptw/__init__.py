@@ -25,13 +25,7 @@ from .hrl import (
     sample_training_worker,
 )
 from .insertion import InsertionSolver, cheapest_insertion_position
-from .kernels import (
-    RoutePack,
-    cheapest_insertion_packed,
-    pack_route,
-    simulate_route_packed,
-    sweep_insertions,
-)
+from .kernels import RoutePack, pack_route, sweep_insertions
 from .nearest import NearestNeighborSolver, nearest_neighbor_order
 
 __all__ = [
@@ -41,6 +35,5 @@ __all__ = [
     "GPNScale", "GPNModel", "HierarchicalGPN", "GPNSolver", "DecodeResult",
     "TSPTWTrainer", "TSPTWTrainingConfig", "sample_training_worker",
     "make_default_gpn",
-    "RoutePack", "pack_route", "simulate_route_packed",
-    "cheapest_insertion_packed", "sweep_insertions",
+    "RoutePack", "pack_route", "sweep_insertions",
 ]

@@ -4,15 +4,6 @@ The hot loops of the insertion planner re-simulate Python object routes
 stop-by-stop.  This module packs one route into flat numpy arrays
 (:func:`pack_route`) and provides:
 
-* :func:`simulate_route_packed` — cumulative arrival / service-start /
-  finish arrays in one pass over precomputed hop times;
-* :func:`timing_from_pack` — a drop-in, bit-identical
-  :class:`~repro.core.route.RouteTiming`;
-* :func:`cheapest_insertion_packed` — the scalar insertion scan with two
-  slack tricks: an O(1) per-position rejection against a backward
-  latest-arrival array, and a delay-absorption early exit that truncates
-  suffix re-propagation the moment the inserted route's clock rejoins the
-  base schedule;
 * :func:`sweep_insertions` — the batched kernel: all |route|+1 positions x
   all candidate tasks scored in one lock-step vectorized sweep, with
   slack-pruned task rows skipped entirely;
@@ -40,12 +31,9 @@ import numpy as np
 
 from ..core.entities import SensingTask, Worker
 from ..core.packed import PackedInstance
-from ..core.route import RouteStop, RouteTiming
 
-__all__ = ["RoutePack", "pack_route", "simulate_route_packed",
-           "timing_from_pack", "cheapest_insertion_packed",
-           "sweep_insertions", "nearest_neighbor_order_packed",
-           "SLACK_MARGIN"]
+__all__ = ["RoutePack", "pack_route", "sweep_insertions",
+           "nearest_neighbor_order_packed", "SLACK_MARGIN"]
 
 _INF = float("inf")
 
@@ -71,8 +59,7 @@ class RoutePack:
 
     __slots__ = ("worker", "tasks", "n", "speed", "packed", "loc_rows",
                  "locs", "tw0", "ls", "svc", "sensing", "seg", "prefix",
-                 "valid", "slack", "departure", "latest_thr", "base_final",
-                 "base_dest_ok")
+                 "valid", "slack", "departure", "latest_thr")
 
     def __init__(self, worker: Worker, tasks: Sequence, speed: float,
                  packed: PackedInstance | None):
@@ -141,12 +128,6 @@ class RoutePack:
             prefix[j + 1] = clock
         self.prefix = prefix
         self.valid = valid
-        if valid == n + 1:
-            self.base_final = float(prefix[n] + seg[n])
-            self.base_dest_ok = self.base_final <= self.latest_thr
-        else:
-            self.base_final = _INF
-            self.base_dest_ok = False
 
         # Backward latest-arrival slack: slack[j] is the latest arrival at
         # stop j keeping stops j..n-1 and the destination leg feasible
@@ -165,163 +146,11 @@ class RoutePack:
                 slack[j] = bound
         self.slack = slack
 
-    # ------------------------------------------------------------------ #
-    def new_task_times(self, task) -> np.ndarray:
-        """Travel times between ``task`` and every route point (n+2,).
-
-        Entry ``r`` serves both directions (hypot is symmetric):
-        position ``r`` -> task for the insertion leg, task -> stop ``r-1``
-        (or the destination) for the resume leg.
-        """
-        packed, rows = self.packed, self.loc_rows
-        loc = task.location
-        if packed is not None and rows is not None:
-            i = packed.loc_id(loc)
-            if i >= 0:
-                return packed.row(i)[rows] / self.speed
-        x, y = loc.x, loc.y
-        ds = np.fromiter(
-            (math.hypot(x - l.x, y - l.y) for l in self.locs),
-            dtype=np.float64, count=self.n + 2)
-        return ds / self.speed
-
 
 def pack_route(worker: Worker, tasks: Sequence, speed: float,
                packed: PackedInstance | None = None) -> RoutePack:
     """Pack one route's geometry and timing arrays (O(n))."""
     return RoutePack(worker, tasks, speed, packed)
-
-
-# ---------------------------------------------------------------------- #
-# Simulation
-# ---------------------------------------------------------------------- #
-def simulate_route_packed(pack: RoutePack):
-    """Arrival / service-start / finish arrays in one pass.
-
-    Mirrors :func:`~repro.core.route.simulate_route` op-for-op (including
-    continuing past a violation so callers can inspect it) and returns
-    ``(arrival, start, finish, final, feasible, violated_at)``.
-    """
-    n = pack.n
-    seg, tw0, ls, svc, sensing = (pack.seg, pack.tw0, pack.ls, pack.svc,
-                                  pack.sensing)
-    arrival = np.empty(n)
-    start = np.empty(n)
-    finish = np.empty(n)
-    clock = pack.departure
-    feasible = True
-    violated_at: int | None = None
-    for j in range(n):
-        clock = clock + seg[j]
-        arrival[j] = clock
-        if sensing[j]:
-            s = max(clock, tw0[j])
-            if s > ls[j] and feasible:
-                feasible = False
-                violated_at = j
-        else:
-            s = clock
-        start[j] = s
-        clock = s + svc[j]
-        finish[j] = clock
-    final = clock + seg[n]
-    if final > pack.latest_thr and feasible:
-        feasible = False
-        violated_at = n
-    return arrival, start, finish, float(final), feasible, violated_at
-
-
-def timing_from_pack(pack: RoutePack) -> RouteTiming:
-    """A bit-identical :class:`RouteTiming` built from the packed arrays."""
-    arrival, start, finish, final, feasible, violated_at = \
-        simulate_route_packed(pack)
-    stops = tuple(
-        RouteStop(task, float(arrival[j]), float(start[j]), float(finish[j]))
-        for j, task in enumerate(pack.tasks))
-    return RouteTiming(stops, pack.departure, final, feasible, violated_at)
-
-
-# ---------------------------------------------------------------------- #
-# Single-task insertion scan (slack rejection + delay absorption)
-# ---------------------------------------------------------------------- #
-def cheapest_insertion_packed(pack: RoutePack, new_task,
-                              min_position: int = 0
-                              ) -> tuple[int, float] | None:
-    """Best feasible position for ``new_task``; bit-identical to the scan.
-
-    Two exits make positions cheap: a position whose post-insertion clock
-    exceeds the slack bound by more than :data:`SLACK_MARGIN` is rejected
-    in O(1); during suffix re-propagation, the moment the delayed clock
-    equals the base prefix clock the remaining stops replay the base
-    schedule exactly, so the base result is reused and the loop stops.
-    """
-    n = pack.n
-    prefix, seg, tw0, ls, svc, sensing = (pack.prefix, pack.seg, pack.tw0,
-                                          pack.ls, pack.svc, pack.sensing)
-    slack = pack.slack
-    valid = pack.valid
-    departure = pack.departure
-    latest_thr = pack.latest_thr
-    tt_new = pack.new_task_times(new_task)
-
-    new_is_sensing = isinstance(new_task, SensingTask)
-    if new_is_sensing:
-        ntw0 = new_task.tw_start
-        nls = new_task.tw_end - new_task.service_time
-    nsvc = new_task.service_time
-
-    best_pos = -1
-    best_rtt = _INF
-    for p in range(min_position, valid):
-        clock = prefix[p] + tt_new[p]
-        if new_is_sensing:
-            if clock < ntw0:
-                clock = ntw0
-            elif clock > nls:
-                continue
-        clock = clock + nsvc
-        head = clock + tt_new[p + 1]
-        if head > slack[p] + SLACK_MARGIN:
-            continue  # provably infeasible: skip the suffix entirely
-        if p == n:
-            final = head
-        else:
-            ok = True
-            absorbed = False
-            arrival = head
-            idx = p
-            while True:
-                if sensing[idx]:
-                    if arrival < tw0[idx]:
-                        arrival = tw0[idx]
-                    elif arrival > ls[idx]:
-                        ok = False
-                        break
-                clock = arrival + svc[idx]
-                if idx + 1 < valid and clock == prefix[idx + 1]:
-                    absorbed = True  # delay fully absorbed by waiting
-                    break
-                idx += 1
-                if idx == n:
-                    break
-                arrival = clock + seg[idx]
-            if not ok:
-                continue
-            if absorbed:
-                if not (valid == n + 1 and pack.base_dest_ok):
-                    continue  # base suffix itself violates
-                final = pack.base_final
-            else:
-                final = clock + seg[n]
-        if final > latest_thr:
-            continue
-        rtt = final - departure
-        if rtt < best_rtt:
-            best_pos = p
-            best_rtt = rtt
-    if best_pos < 0:
-        return None
-    return best_pos, float(best_rtt)
 
 
 # ---------------------------------------------------------------------- #

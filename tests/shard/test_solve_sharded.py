@@ -61,11 +61,6 @@ class TestSingleShardIdentity:
         assert sharded.incentives == unsharded.incentives
         assert sharded.objective == unsharded.objective
 
-    def test_solver_entry_point_matches(self, solver, instance, unsharded):
-        via_solver = solver.solve(instance, shards=1)
-        assert routes_signature(via_solver) == routes_signature(unsharded)
-        assert via_solver.incentives == unsharded.incentives
-
     def test_report_attached(self, solver, instance):
         sharded = solve_sharded(solver, instance, 1)
         report = sharded.shard_report
@@ -107,7 +102,7 @@ class TestMergedInvariants:
         assert repaired.objective >= raw.objective - 1e-12
 
     def test_via_solver_entry_point(self, solver, instance):
-        solution = solver.solve(instance, shards=3, shard_method="kd")
+        solution = solve_sharded(solver, instance, 3, method="kd")
         assert solution.shard_report.num_shards == 3
         assert solution.validate(incentive_model_for(instance)) == []
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import IncentiveModel
 from repro.smore import CandidateTable
+from repro.tsptw import CachedPlanner, InsertionSolver, NearestNeighborSolver
 
 
 @pytest.fixture
@@ -258,3 +259,162 @@ class TestIncrementalIndex:
         assert task_id in clone.candidate_task_ids()
         self._check(clone)
         self._check(table)
+
+
+class InsertionOnlyPlanner:
+    """Capabilities: ``plan_with_insertion`` (and ``base_route``) only."""
+
+    def __init__(self):
+        self._inner = InsertionSolver()
+        self.speed = self._inner.speed
+
+    def base_route(self, worker):
+        return self._inner.base_route(worker)
+
+    def plan_with_insertion(self, worker, base_tasks, new_task,
+                            min_position=0):
+        return self._inner.plan_with_insertion(worker, base_tasks, new_task,
+                                               min_position=min_position)
+
+
+class PlanManyOnlyPlanner:
+    """Capabilities: ``plan_many`` (and ``base_route``), like RL backends."""
+
+    def __init__(self):
+        self._inner = InsertionSolver()
+        self.speed = self._inner.speed
+
+    def base_route(self, worker):
+        return self._inner.base_route(worker)
+
+    def plan_many(self, worker, task_sets):
+        return [self._inner.plan(worker, tasks) for tasks in task_sets]
+
+
+def _insert(planner, worker, route_tasks, assigned, task):
+    return planner.plan_with_insertion(worker, route_tasks, task)
+
+
+def _plan_many(planner, worker, route_tasks, assigned, task):
+    return planner.plan_many(worker, [list(assigned) + [task]])[0]
+
+
+def _plan(planner, worker, route_tasks, assigned, task):
+    return planner.plan(worker, list(assigned) + [task])
+
+
+PLANNERS = [
+    pytest.param(InsertionSolver, _insert, id="insertion"),
+    pytest.param(lambda: CachedPlanner(InsertionSolver()), _insert,
+                 id="cached"),
+    pytest.param(InsertionOnlyPlanner, _insert, id="insertion-only"),
+    pytest.param(PlanManyOnlyPlanner, _plan_many, id="plan-many-only"),
+    pytest.param(NearestNeighborSolver, _plan, id="plan-only"),
+]
+
+
+def _signature(row):
+    return [(task_id, entry.delta_incentive, entry.route_travel_time,
+             tuple(t.task_id for t in entry.route.tasks))
+            for task_id, entry in row.items()]
+
+
+def _direct_row(direct, planner, incentives, worker, route_tasks, assigned,
+                tasks, current_incentive, budget_rest):
+    """The row per-task calls of ``direct`` give, in pool order."""
+    row = []
+    for task in tasks:
+        result = direct(planner, worker, route_tasks, assigned, task)
+        if not result.feasible:
+            continue
+        delta = incentives.incentive(worker, result.route_travel_time) \
+            - current_incentive
+        if delta <= budget_rest:
+            row.append((task.task_id, delta, result.route_travel_time,
+                        tuple(t.task_id for t in result.route.tasks)))
+    return row
+
+
+class TestCapabilityMatrix:
+    """Every planner path of the one dispatch builds the rows its own
+    per-task calls give, and counts one logical plan per task swept."""
+
+    @pytest.mark.parametrize("make, direct", PLANNERS)
+    def test_rows_match_direct_calls(self, small_instance, make, direct):
+        planner = make()
+        incentives = IncentiveModel(mu=small_instance.mu)
+        table = CandidateTable(planner, incentives)
+        tasks = list(small_instance.sensing_tasks)
+        budget = small_instance.budget
+        table.initialize(small_instance.workers, tasks, budget)
+
+        swept = 0
+        for worker in small_instance.workers:
+            base = planner.base_route(worker)
+            assert base.feasible
+            swept += len(tasks)
+            assert _signature(table.worker_candidates(worker.worker_id)) \
+                == _direct_row(direct, planner, incentives, worker,
+                               base.route.tasks, (), tasks, 0.0, budget)
+        assert table.planner_calls == swept
+
+        worker_id = table.workers_with_candidates()[0]
+        worker = small_instance.worker(worker_id)
+        task_id, entry = next(iter(table.worker_candidates(worker_id).items()))
+        assigned = [small_instance.sensing_task(task_id)]
+        available = [t for t in tasks if t.task_id != task_id]
+        rest = budget - entry.delta_incentive
+        table.recompute_worker(worker, assigned, available,
+                               entry.delta_incentive, rest,
+                               current_route_tasks=entry.route.tasks)
+        swept += len(available)
+        expected = _direct_row(direct, planner, incentives, worker,
+                               entry.route.tasks, assigned, available,
+                               entry.delta_incentive, rest)
+        assert expected
+        assert _signature(table.worker_candidates(worker_id)) == expected
+        assert table.planner_calls == swept
+
+    @pytest.mark.parametrize("make", (PlanManyOnlyPlanner,
+                                      NearestNeighborSolver),
+                             ids=("plan-many-only", "plan-only"))
+    def test_replan_planners_reject_anchored_and_repair_sweeps(
+            self, small_instance, make):
+        table = CandidateTable(make(), IncentiveModel(mu=small_instance.mu))
+        tasks = list(small_instance.sensing_tasks)
+        table.initialize(small_instance.workers, tasks, small_instance.budget)
+        calls = table.planner_calls
+        worker = small_instance.workers[0]
+        route_tasks = table.planner.base_route(worker).route.tasks
+        with pytest.raises(TypeError):
+            table.recompute_worker(worker, [], tasks, 0.0,
+                                   small_instance.budget,
+                                   current_route_tasks=route_tasks,
+                                   min_position=1)
+        with pytest.raises(TypeError):
+            table.add_tasks(tasks[:1], [(worker, route_tasks, 0.0, 0)],
+                            small_instance.budget)
+        assert table.planner_calls == calls
+
+    def test_anchored_recompute_on_insertion_only_planner(self,
+                                                          small_instance):
+        planner = InsertionOnlyPlanner()
+        incentives = IncentiveModel(mu=small_instance.mu)
+        table = CandidateTable(planner, incentives)
+        tasks = list(small_instance.sensing_tasks)
+        budget = small_instance.budget
+        table.initialize(small_instance.workers, tasks, budget)
+        worker = small_instance.workers[0]
+        route_tasks = planner.base_route(worker).route.tasks
+        table.recompute_worker(worker, [], tasks, 0.0, budget,
+                               current_route_tasks=route_tasks,
+                               min_position=1)
+        row = table.worker_candidates(worker.worker_id)
+        assert row
+        for task in tasks:
+            result = planner.plan_with_insertion(worker, route_tasks, task,
+                                                 min_position=1)
+            entry = row.get(task.task_id)
+            if entry is not None:
+                assert entry.position == result.pos >= 1
+                assert entry.route_travel_time == result.route_travel_time

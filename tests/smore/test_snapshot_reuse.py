@@ -32,9 +32,11 @@ class CountingPlanner:
         self.calls += 1
         return self.inner.plan(worker, sensing_tasks)
 
-    def plan_with_insertion(self, worker, base_tasks, new_task):
+    def plan_with_insertion(self, worker, base_tasks, new_task,
+                            min_position=0):
         self.calls += 1
-        return self.inner.plan_with_insertion(worker, base_tasks, new_task)
+        return self.inner.plan_with_insertion(worker, base_tasks, new_task,
+                                              min_position=min_position)
 
     def base_route(self, worker):
         self.calls += 1

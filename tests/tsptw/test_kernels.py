@@ -14,15 +14,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core import PackedInstance, Region, simulate_route
+from repro.core import PackedInstance, Region
 from repro.tsptw import InsertionSolver, cheapest_insertion_position
 from repro.tsptw.kernels import (
-    cheapest_insertion_packed,
     nearest_neighbor_order_packed,
     pack_route,
-    simulate_route_packed,
     sweep_insertions,
-    timing_from_pack,
 )
 from repro.tsptw.nearest import nearest_neighbor_order
 
@@ -52,55 +49,6 @@ def _route_order(rng, worker, sensing):
     pool = list(worker.travel_tasks) + list(sensing)
     rng.shuffle(pool)
     return pool[:int(rng.integers(0, len(pool) + 1))]
-
-
-def test_simulate_route_packed_matches_object_path():
-    for seed in range(N_CONFIGS):
-        rng, worker, sensing, packed = _scenario(seed)
-        order = _route_order(rng, worker, sensing)
-        ref = simulate_route(worker, order, speed=SPEED)
-        pack = pack_route(worker, order, SPEED, packed)
-
-        arrival, start, finish, final, feasible, violated_at = \
-            simulate_route_packed(pack)
-        assert feasible == ref.feasible
-        assert violated_at == ref.violated_at
-        assert final == ref.arrival_at_destination
-
-        got = timing_from_pack(pack)
-        assert got.departure == ref.departure
-        assert got.arrival_at_destination == ref.arrival_at_destination
-        assert got.route_travel_time == ref.route_travel_time
-        assert got.feasible == ref.feasible
-        assert got.violated_at == ref.violated_at
-        assert len(got.stops) == len(ref.stops)
-        for mine, theirs in zip(got.stops, ref.stops):
-            assert mine.task is theirs.task
-            assert mine.arrival == theirs.arrival
-            assert mine.service_start == theirs.service_start
-            assert mine.finish == theirs.finish
-
-
-def test_cheapest_insertion_packed_matches_scan():
-    hits = misses = 0
-    for seed in range(N_CONFIGS + 60):
-        rng, worker, sensing, packed = _scenario(seed)
-        new_task = sensing[0]
-        base = _route_order(rng, worker, sensing[1:])
-        ref = cheapest_insertion_position(worker, base, new_task, SPEED)
-        got = cheapest_insertion_packed(
-            pack_route(worker, base, SPEED, packed), new_task)
-        if ref is None:
-            assert got is None
-            misses += 1
-        else:
-            assert got is not None
-            assert got[0] == ref[0]  # position: identical tie-breaking
-            assert got[1] == ref[1]  # rtt: bit-identical float
-            hits += 1
-    # The random pool must exercise both verdicts to be meaningful.
-    assert hits >= 40
-    assert misses >= 40
 
 
 def test_sweep_insertions_matches_per_task_scans():
