@@ -138,9 +138,11 @@ def test_profile_regression(benchmark, results_dir):
         mha_profiler = OpProfiler()
         with profiling(profiler=mha_profiler):
             mha(x)
-        recorded_flops = mha_profiler.ops["matmul"].flops
-        closed_form = mha.forward_flops(n_tasks, batch=NUM_SAMPLES,
-                                        matmul_only=True)
+        # Projections record as ``matmul``; both attention products, the
+        # scaling and the softmax as one ``attention_core``.
+        recorded_flops = (mha_profiler.ops["matmul"].flops
+                          + mha_profiler.ops["attention_core"].flops)
+        closed_form = mha.forward_flops(n_tasks, batch=NUM_SAMPLES)
         flop_error = abs(recorded_flops - closed_form) / closed_form
 
         return {

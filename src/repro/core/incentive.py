@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .entities import Worker
 
 __all__ = ["IncentiveModel"]
@@ -62,3 +64,8 @@ class IncentiveModel:
         clamped to zero pay rather than charging the worker.
         """
         return max(0.0, self.mu * (route_travel_time - self.base_rtt(worker)))
+
+    def incentives(self, worker: Worker, rtts: np.ndarray) -> np.ndarray:
+        """:meth:`incentive` over an array of finite route travel times
+        (the same IEEE ops per element, so the same floats)."""
+        return np.maximum(0.0, self.mu * (rtts - self.base_rtt(worker)))

@@ -102,7 +102,7 @@ class PackedInstance:
     eviction can only cost a rebuild, never change a float.
     """
 
-    __slots__ = ("xs", "ys", "_locs", "_loc_index", "_rows",
+    __slots__ = ("xs", "ys", "_xl", "_yl", "_locs", "_loc_index", "_rows",
                  "sensing_ids", "sensing_loc", "tw_start", "tw_end",
                  "service", "latest_start", "is_sensing", "_sensing_row",
                  "worker_locs", "_row_budget", "_row_builds",
@@ -161,12 +161,18 @@ class PackedInstance:
     def _init_row_cache(self, row_cache_bytes: int | None) -> None:
         """Bound the lazy row cache by an LRU row budget.
 
+        Also caches the coordinates as Python-float lists: :meth:`row`
+        runs ``math.hypot`` over them, the same doubles as ``xs``/``ys``
+        without a numpy scalar per element.
+
         Eviction is free to be aggressive because no consumer retains a
         row as a live view — every caller copies out what it needs
         (fancy-indexing or ``fromiter``) — and a rebuilt row is the same
         ``math.hypot`` sequence over the same coordinates, so results
         stay bit-identical whatever the budget.
         """
+        self._xl = self.xs.tolist()
+        self._yl = self.ys.tolist()
         limit = (DEFAULT_ROW_CACHE_BYTES if row_cache_bytes is None
                  else row_cache_bytes)
         row_bytes = 8 * max(1, len(self._locs))
@@ -225,12 +231,12 @@ class PackedInstance:
         rows = self._rows
         r = rows.get(i)
         if r is None:
-            xi = self.xs[i]
-            yi = self.ys[i]
+            xs, ys = self._xl, self._yl
+            xi, yi = xs[i], ys[i]
             hypot = math.hypot
             r = np.fromiter(
-                (hypot(x - xi, y - yi) for x, y in zip(self.xs, self.ys)),
-                dtype=np.float64, count=len(self._locs))
+                (hypot(x - xi, y - yi) for x, y in zip(xs, ys)),
+                dtype=np.float64, count=len(xs))
             rows[i] = r
             self._row_builds += 1
             if len(rows) > self._row_budget:

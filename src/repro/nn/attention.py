@@ -109,8 +109,10 @@ class MultiHeadAttention(Module):
         """Closed-form forward FLOPs at the given query/key set sizes.
 
         With ``matmul_only=True`` only the four projections and the two
-        attention products are counted — the subset the profiler tallies
-        under ``matmul``, which the regression bench reconciles within 1%.
+        attention products are counted.  The profiler tallies the
+        projections under ``matmul`` and the attention core (products,
+        scaling, softmax) under ``attention_core``; the regression bench
+        reconciles their sum with the full count within 1%.
         """
         from . import flops
 

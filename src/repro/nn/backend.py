@@ -4,10 +4,15 @@ The op-level profiler (:mod:`repro.obs.profile`) shows the object-graph
 autograd spending most of its time in Python dispatch around a small set
 of model-level kernels (affine maps, layer norm, the feed-forward block,
 the attention core, the pointer-logit tail).  :class:`Backend` names
-those kernels in one place and composes each from the primitive ops in
-:mod:`repro.nn.ops`.  Layers (:mod:`repro.nn.layers`,
-:mod:`repro.nn.attention`) call them through :func:`get_backend`, which
-gives profilers and benchmarks one seam to time every kernel at.
+those kernels in one place.  Most compose primitive ops of
+:mod:`repro.nn.ops`; the attention core and the feed-forward block are
+one op each (:func:`~repro.nn.ops.attention_core`,
+:func:`~repro.nn.ops.ffn_block`), bit-identical to their composed
+chains but updating one buffer in place — the encoder's ``(H, n, n)``
+score tensor is the widest array on the inference path.  Layers
+(:mod:`repro.nn.layers`, :mod:`repro.nn.attention`) call the kernels
+through :func:`get_backend`, which gives profilers and benchmarks one
+seam to time every kernel at.
 """
 
 from __future__ import annotations
@@ -26,12 +31,11 @@ NEG_INF = ops.NEG_INF
 
 
 class Backend:
-    """The model-level kernels, composed from primitive ops.
+    """The model-level kernels.
 
-    Every method is a fixed sequence of :mod:`repro.nn.ops` primitives,
-    so its graph, profiler op stream and numerics are those of the
-    primitives.  All kernels take/return :class:`Tensor` and are fully
-    differentiable.
+    Every method is a fixed sequence of :mod:`repro.nn.ops` ops, so its
+    graph, profiler op stream and numerics are those of the ops.  All
+    kernels take/return :class:`Tensor` and are fully differentiable.
     """
 
     name = "reference"
@@ -60,23 +64,15 @@ class Backend:
     def ffn(self, x: Tensor, w1: Tensor, b1: Tensor,
             w2: Tensor, b2: Tensor) -> Tensor:
         """Node-wise feed-forward ``relu(x W1 + b1) W2 + b2``."""
-        hidden = ops.relu(ops.add(ops.matmul(x, w1), b1))
-        return ops.add(ops.matmul(hidden, w2), b2)
+        return ops.ffn_block(x, w1, b1, w2, b2)
 
     # -- attention -------------------------------------------------------- #
     def attention(self, q: Tensor, k: Tensor, v: Tensor,
                   mask: np.ndarray | None = None) -> Tensor:
         """``softmax(Q K^T / sqrt(d)) V`` with optional boolean mask
         (True = disallowed) broadcastable to the score shape."""
-        d_k = q.shape[-1]
-        axes = list(range(k.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-        scores = ops.matmul(q, ops.transpose(k, tuple(axes)))
-        scores = ops.mul(scores, 1.0 / math.sqrt(d_k))
-        if mask is not None:
-            scores = ops.masked_fill(scores, mask, NEG_INF)
-        weights = ops.softmax(scores, axis=-1)
-        return ops.matmul(weights, v)
+        return ops.attention_core(q, k, v, 1.0 / math.sqrt(q.shape[-1]),
+                                  mask)
 
     # -- pointer logits --------------------------------------------------- #
     def pointer_tail(self, scores: Tensor, scale: float, clip: float,

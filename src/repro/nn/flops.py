@@ -16,6 +16,11 @@ are known:
 * **reductions** count ``cost * input elements``.
 * **softmax-family** ops count max + subtract + exp + sum + divide
   passes (~5 per element; masked variants add the mask select passes).
+* **attention_core** counts its two products at the matmul rate plus
+  the score scaling, the softmax passes and (when masked) the masked
+  fill — :func:`attention_flops` plus one pass per masked score;
+  **ffn_block** counts its two products and bias adds at the
+  :func:`linear_flops` rate plus one relu pass over the hidden layer.
 * **shape ops** (reshape/transpose/concat/stack/getitem/gather) count 0
   FLOPs — they move bytes, which the byte model captures.
 * **backward** closures are charged twice their op's forward FLOPs (the
@@ -28,8 +33,8 @@ float64 traffic through the op, ignoring cache reuse.
 Closed-form module-level counts (:func:`linear_flops`,
 :func:`attention_flops`, :func:`mha_flops`) express the same matmul
 convention at the layer level; the profile regression benchmark checks
-that profiler-recorded matmul totals for known-shape attention forwards
-match these within 1%.
+that profiler-recorded ``matmul`` plus ``attention_core`` totals for
+known-shape attention forwards match these within 1%.
 """
 
 from __future__ import annotations
@@ -103,6 +108,28 @@ def flop_count(name: str, in_shapes, out_shape) -> int:
         if len(in_shapes) < 3:
             return 0
         return 2 * out_elems * in_shapes[-2][-1] + out_elems
+    if name == "attention_core":
+        # Args and backward parents both start (q, k, v); a fourth
+        # forward shape is the mask.
+        if len(in_shapes) < 3 or not out_elems:
+            return 0
+        d_k, n_k = in_shapes[0][-1], in_shapes[1][-2]
+        scores = out_elems // out_shape[-1] * n_k
+        flops = 2 * scores * (d_k + out_shape[-1])     # the two products
+        flops += scores                                 # 1/sqrt(d) scaling
+        flops += SOFTMAX_COST["softmax"] * scores
+        if len(in_shapes) > 3:
+            flops += ELEMENTWISE_COST["masked_fill"] * scores
+        return flops
+    if name == "ffn_block":
+        # (x, w1, b1, w2, b2): two affine maps and a relu in between.
+        if len(in_shapes) < 5 or not out_elems:
+            return 0
+        d_in, d_ff = in_shapes[1]
+        rows = out_elems // out_shape[-1]
+        return (linear_flops(rows, d_in, d_ff)
+                + ELEMENTWISE_COST["relu"] * rows * d_ff
+                + linear_flops(rows, d_ff, out_shape[-1]))
     if name in _ZERO_COST:
         return 0
     if name in REDUCTION_COST:

@@ -18,7 +18,7 @@ __all__ = [
     "sqrt", "tanh", "sigmoid", "relu", "sum", "mean", "max", "reshape",
     "transpose", "concat", "stack", "getitem", "softmax", "log_softmax",
     "clip_tanh", "where", "dropout", "gather_rows", "scatter_rows",
-    "pointer_keys", "masked_fill", "abs",
+    "pointer_keys", "masked_fill", "abs", "attention_core", "ffn_block",
     "broadcast_to", "masked_softmax", "masked_log_softmax", "masked_mean",
     "pad_stack",
 ]
@@ -444,6 +444,72 @@ def pointer_keys(table, indices, extra=None, weight=None) -> Tensor:
         return grad_table, grad_extra, grad_weight
 
     return Tensor._make(out_data, parents, backward)
+
+
+def attention_core(q, k, v, scale: float, mask=None) -> Tensor:
+    """``softmax(scale * Q K^T, masked) V`` as one graph node.
+
+    Runs the arithmetic of ``matmul`` + ``transpose``, ``mul``,
+    ``masked_fill``, ``softmax`` and ``matmul`` in the same IEEE order,
+    so results are bit-identical to that chain, but the score tensor is
+    one buffer updated in place (scale, masked fill, max-shift, exp,
+    normalise) instead of five fresh ``(..., n_q, n_k)`` arrays.  It ends
+    up holding the softmax weights, which the backward reuses.  ``mask``
+    (True = disallowed) must broadcast to the score shape; it is copied,
+    like :func:`masked_fill` does.  The backward replays the chain's
+    backward ops in order and returns gradients for ``(q, k, v)``.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    axes = list(range(k.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    k_t = k.data.transpose(axes)
+    weights = flat_matmul(q.data, k_t)
+    weights *= scale
+    if mask is not None:
+        mask = np.array(mask, dtype=bool, copy=True)
+        np.copyto(weights, NEG_INF, where=mask)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out_data = flat_matmul(weights, v.data)
+
+    def backward(grad):
+        grad_w, grad_v = matmul_backward(grad, weights, v.data)
+        dot = (grad_w * weights).sum(axis=-1, keepdims=True)
+        grad_s = weights * (grad_w - dot)
+        if mask is not None:
+            grad_s = np.where(mask, 0.0, grad_s)
+        grad_q, grad_k_t = matmul_backward(grad_s * scale, q.data, k_t)
+        return grad_q, grad_k_t.transpose(axes), grad_v
+
+    return Tensor._make(out_data, (q, k, v), backward)
+
+
+def ffn_block(x, w1, b1, w2, b2) -> Tensor:
+    """Feed-forward block ``relu(x W1 + b1) W2 + b2`` as one graph node.
+
+    Same IEEE op order as ``matmul``/``add``/``relu``/``matmul``/``add``
+    (bit-identical results), with the bias add and the relu applied in
+    place to one hidden buffer; the backward replays the chain's
+    backward ops in order.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    hidden = flat_matmul(x.data, w1.data)
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out_data = flat_matmul(hidden, w2.data)
+    out_data += b2.data
+
+    def backward(grad):
+        grad_b2 = unbroadcast(grad, b2.shape)
+        grad_h, grad_w2 = matmul_backward(grad, hidden, w2.data)
+        # relu(h) > 0 exactly where h > 0, so the mask needs no copy of h.
+        grad_h = grad_h * (hidden > 0.0)
+        grad_b1 = unbroadcast(grad_h, b1.shape)
+        grad_x, grad_w1 = matmul_backward(grad_h, x.data, w1.data)
+        return grad_x, grad_w1, grad_b1, grad_w2, grad_b2
+
+    return Tensor._make(out_data, (x, w1, b1, w2, b2), backward)
 
 
 # --------------------------------------------------------------------- #

@@ -246,12 +246,14 @@ def _solve_shard(job: _ShardJob):
     incentives, perf, objective, repair_rows)``: ``repair_rows[wid]`` is
     None when the worker's base route is infeasible, else ``(base_rtt,
     order, {task_id: (pos, rtt)})`` — its final order swept against the
-    boundary tasks this shard left unserved, with a fresh unbound
-    :class:`InsertionSolver` (the planner :func:`_boundary_repair` uses,
-    so the floats match).  In a worker, the shard's packed arrays are
-    attached zero-copy (:func:`repro.parallel.shared_arrays`); distances
-    are the same ``math.hypot`` over the same floats, so results are
-    bit-identical to an in-process solve.
+    boundary tasks this shard left unserved, with the solve's own
+    :class:`InsertionSolver` (configured like the planner
+    :func:`_boundary_repair` uses, so the floats match), whose base-route
+    memo already holds every worker's base route.  In a worker, the
+    shard's packed arrays are attached zero-copy
+    (:func:`repro.parallel.shared_arrays`); distances are the same
+    ``math.hypot`` over the same floats, so results are bit-identical to
+    an in-process solve.
     """
     sub, solver = job.sub, job.solver
     if solver is None:
@@ -270,11 +272,10 @@ def _solve_shard(job: _ShardJob):
                             num_samples=job.num_samples)
     rows = {}
     if job.boundary:
-        planner = InsertionSolver(**job.planner_cfg)
         served = {t.task_id for route in solution.routes.values()
                   for t in route.sensing_tasks}
         tasks = [t for t in job.boundary if t.task_id not in served]
-        rows = {w.worker_id: _repair_row(planner, w,
+        rows = {w.worker_id: _repair_row(solver.planner, w,
                                          solution.routes.get(w.worker_id),
                                          tasks)
                 for w in sub.workers}
@@ -313,16 +314,18 @@ def _sweep(planner: InsertionSolver, worker, order: tuple,
     ``tasks`` into ``order`` (batched insertion kernels underneath)."""
     if not tasks:
         return {}
-    results = planner.plan_insertions_many(worker, order, tasks)
-    return {task.task_id: (result.pos, result.route_travel_time)
-            for task, result in zip(tasks, results) if result.feasible}
+    sweep = planner.plan_insertions_many(worker, order, tasks)
+    hits = np.flatnonzero(sweep.feasible)
+    return {tasks[i].task_id: (p, r)
+            for i, p, r in zip(hits.tolist(), sweep.pos[hits].tolist(),
+                               sweep.rtt[hits].tolist())}
 
 
 def _repair_row(planner: InsertionSolver, worker, route, tasks: list):
     """A worker's repair row: None when its base route is infeasible,
     else ``(base_rtt, order, sweep)`` — its ``route`` (the base route
     when None) swept against ``tasks``."""
-    base = planner.plan(worker, [])
+    base = planner.base_route(worker)
     if not base.feasible:
         return None
     order = tuple((base.route if route is None else route).tasks)

@@ -17,7 +17,10 @@ per worker; on :class:`~repro.tsptw.InsertionSolver`, optionally behind
 ``plan_with_insertion`` per task, then a from-scratch re-plan of the
 worker's assigned tasks plus each candidate through ``plan_many`` (RL
 backends) or ``plan``.  ``planner_calls`` counts one logical plan per task
-on every path.
+on every path.  Every path answers with the same per-task arrays
+(feasibility, route travel time, insertion position), so the one row
+builder computes incentive deltas and the budget filter over whole
+arrays and builds a :class:`CandidateEntry` only for the tasks it keeps.
 
 Beyond the rows themselves the table maintains two incremental indices —
 a task -> workers reverse map and the set of non-empty rows — so that
@@ -28,12 +31,16 @@ row on every step.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..core.entities import SensingTask, Worker
 from ..core.incentive import IncentiveModel
 from ..core.route import WorkingRoute
 from ..tsptw.base import RoutePlanner
+from ..tsptw.insertion import InsertionSweep
 
 __all__ = ["CandidateEntry", "CandidateTable"]
 
@@ -115,8 +122,8 @@ class CandidateTable:
     # ------------------------------------------------------------------ #
     def _plan(self, worker: Worker, route_tasks: Sequence,
               tasks: list[SensingTask], min_position: int = 0,
-              assigned: Sequence[SensingTask] | None = None) -> list:
-        """Plan each of ``tasks`` added to ``worker``'s plan, in order.
+              assigned: Sequence[SensingTask] | None = None) -> tuple:
+        """Plan each of ``tasks`` added to ``worker``'s plan, as arrays.
 
         Insertion planners place each task into ``route_tasks`` at or past
         ``min_position``: one batched ``plan_insertions_many`` call, else
@@ -126,6 +133,10 @@ class CandidateTable:
         the caller did not describe: without ``assigned``, or with
         ``min_position > 0``, they raise ``TypeError``.  Every path counts
         one logical plan per task.
+
+        Returns ``(feasible, rtt, pos, route)``: per-task arrays (``pos``
+        is None for re-plans, which report no insertion position) and
+        ``route(i)``, which builds task ``i``'s route on demand.
         """
         insert_many = getattr(self.planner, "plan_insertions_many", None)
         insert_one = getattr(self.planner, "plan_with_insertion", None)
@@ -136,49 +147,57 @@ class CandidateTable:
                 "insertion-capable planner (plan_insertions_many or "
                 "plan_with_insertion)")
         self.planner_calls += len(tasks)
-        if insert_many is not None:
-            return insert_many(worker, route_tasks, tasks,
-                               min_position=min_position)
-        if insert_one is not None:
-            return [insert_one(worker, route_tasks, task,
-                               min_position=min_position) for task in tasks]
+        if insert_many is not None or insert_one is not None:
+            if insert_many is not None:
+                results = insert_many(worker, route_tasks, tasks,
+                                      min_position=min_position)
+            else:
+                results = [insert_one(worker, route_tasks, task,
+                                      min_position=min_position)
+                           for task in tasks]
+            sweep = InsertionSweep.from_results(
+                worker, route_tasks, tasks, results, self.planner.speed)
+            return sweep.feasible, sweep.rtt, sweep.pos, sweep.route
         sets = [list(assigned) + [task] for task in tasks]
         plan_many = getattr(self.planner, "plan_many", None)
         if plan_many is not None:
-            return plan_many(worker, sets)
-        return [self.planner.plan(worker, tasks_after) for tasks_after in sets]
+            results = plan_many(worker, sets)
+        else:
+            results = [self.planner.plan(worker, tasks_after)
+                       for tasks_after in sets]
+        feasible = np.array([r.feasible for r in results], dtype=bool)
+        rtt = np.array([r.route_travel_time for r in results],
+                       dtype=np.float64)
+        return feasible, rtt, None, lambda i: results[i].route
 
     def _sweep(self, worker: Worker, route_tasks: Sequence,
                tasks: Iterable[SensingTask], current_incentive: float,
                budget_rest: float, min_position: int = 0,
                assigned: Sequence[SensingTask] | None = None
                ) -> dict[int, CandidateEntry]:
-        """Feasible, affordable entries for ``tasks``, keyed in task order."""
-        tasks = list(tasks)
-        row: dict[int, CandidateEntry] = {}
-        for task, result in zip(tasks, self._plan(worker, route_tasks, tasks,
-                                                  min_position, assigned)):
-            entry = self._entry_from_result(worker, result, current_incentive,
-                                            budget_rest)
-            if entry is not None:
-                row[task.task_id] = entry
-        return row
+        """Feasible, affordable entries for ``tasks``, keyed in task order.
 
-    def _entry_from_result(self, worker: Worker, result,
-                           current_incentive: float,
-                           budget_rest: float) -> CandidateEntry | None:
-        if not result.feasible:
-            return None
-        rtt = result.route_travel_time
-        delta = self.incentives.incentive(worker, rtt) - current_incentive
-        if delta > budget_rest:
-            # Strict >: the paper's constraint is <=, so an assignment that
-            # exactly exhausts the remaining budget stays feasible.
-            return None
-        factory = getattr(result, "make_route", None)
-        return CandidateEntry(factory if factory is not None
-                              else result.route, rtt, delta,
-                              position=getattr(result, "pos", None))
+        Incentive deltas and the budget filter run over whole arrays; a
+        :class:`CandidateEntry` — with its route deferred to first
+        access — is built only for the tasks kept.
+        """
+        tasks = list(tasks)
+        feasible, rtt, pos, route = self._plan(worker, route_tasks, tasks,
+                                               min_position, assigned)
+        idx = np.flatnonzero(feasible)
+        if not idx.size:
+            return {}
+        rtt = rtt[idx]
+        delta = self.incentives.incentives(worker, rtt) - current_incentive
+        # Strict >: the paper's constraint is <=, so an assignment that
+        # exactly exhausts the remaining budget stays feasible.
+        keep = ~(delta > budget_rest)
+        idx = idx[keep]
+        positions = (pos[idx].tolist() if pos is not None
+                     else [None] * len(idx))
+        return {tasks[i].task_id: CandidateEntry(partial(route, i), r, d, p)
+                for i, r, d, p in zip(idx.tolist(), rtt[keep].tolist(),
+                                      delta[keep].tolist(), positions)}
 
     # ------------------------------------------------------------------ #
     # Incremental index maintenance

@@ -24,13 +24,18 @@ from .hrl import (
     make_default_gpn,
     sample_training_worker,
 )
-from .insertion import InsertionSolver, cheapest_insertion_position
+from .insertion import (
+    InsertionSolver,
+    InsertionSweep,
+    cheapest_insertion_position,
+)
 from .kernels import RoutePack, pack_route, sweep_insertions
 from .nearest import NearestNeighborSolver, nearest_neighbor_order
 
 __all__ = [
     "RoutePlanner", "PlannerBase", "RouteResult", "combined_tasks",
-    "ExactDPSolver", "InsertionSolver", "cheapest_insertion_position",
+    "ExactDPSolver", "InsertionSolver", "InsertionSweep",
+    "cheapest_insertion_position",
     "NearestNeighborSolver", "nearest_neighbor_order", "CachedPlanner",
     "GPNScale", "GPNModel", "HierarchicalGPN", "GPNSolver", "DecodeResult",
     "TSPTWTrainer", "TSPTWTrainingConfig", "sample_training_worker",

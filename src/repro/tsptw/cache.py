@@ -2,14 +2,16 @@
 
 SMORE's candidate-update loop re-plans the same (worker, task-set) pairs —
 notably the base routes used by the incentive model and the current
-assigned-set route after each rejection.  :class:`CachedPlanner` memoises on
-``(worker identity, frozenset of sensing task ids)``, which is sound because
-entities are immutable within an instance.  Keys use ``id(worker)`` rather
-than ``worker.worker_id`` — worker ids restart from zero in every instance,
-and one cache may serve several instances at once (multi-instance decoding
-interleaves planner calls across a batch of environments sharing one
-planner).  Each entry stores the worker alongside its result so the id
-stays pinned for exactly the entry's lifetime.
+assigned-set route after each rejection.  :class:`CachedPlanner` memoises
+full plans on ``(worker identity, frozenset of sensing task ids)``, which
+is sound because entities are immutable within an instance, and single
+insertions on the exact base order as ``(pos, rtt)`` arrays, answered as
+an :class:`~repro.tsptw.insertion.InsertionSweep`.  Keys use
+``id(worker)`` rather than ``worker.worker_id`` — worker ids restart from
+zero in every instance, and one cache may serve several instances at once
+(multi-instance decoding interleaves planner calls across a batch of
+environments sharing one planner).  Each entry stores the worker alongside
+its answer so the id stays pinned for exactly the entry's lifetime.
 
 The wrapper is feature-transparent: ``plan_with_insertion`` and
 ``plan_many`` are bound onto the instance *only when the wrapped backend
@@ -23,12 +25,16 @@ LRU caches, and :meth:`stats` exposes hit/miss/size accounting as a
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Sequence
+
+import numpy as np
 
 from ..core.entities import SensingTask, Worker
 from ..core.perf import PerfCounters
 from .base import RoutePlanner, RouteResult
+from .insertion import InsertionSweep
 
 __all__ = ["CachedPlanner"]
 
@@ -58,7 +64,8 @@ class CachedPlanner:
         # that happens to reuse a freed id.
         self._cache: OrderedDict[tuple[int, frozenset[int]],
                                  tuple[Worker, RouteResult]] = OrderedDict()
-        self._insert_cache: OrderedDict[tuple, tuple[Worker, RouteResult]] = \
+        # Insertion answers as (worker, pos, rtt); see _insertions.
+        self._insert_cache: OrderedDict[tuple, tuple[Worker, int, float]] = \
             OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -76,15 +83,15 @@ class CachedPlanner:
             self.bind_instance = planner.bind_instance
 
     # ------------------------------------------------------------------ #
-    def _lookup(self, table: OrderedDict, key) -> RouteResult | None:
+    def _lookup(self, table: OrderedDict, key) -> tuple | None:
         cached = table.get(key)
         if cached is not None:
             self.hits += 1
             table.move_to_end(key)
         return cached
 
-    def _store(self, table: OrderedDict, key, result: RouteResult) -> None:
-        table[key] = result
+    def _store(self, table: OrderedDict, key, value: tuple) -> None:
+        table[key] = value
         if self.max_size is not None and len(table) > self.max_size:
             table.popitem(last=False)
             self.evictions += 1
@@ -92,53 +99,68 @@ class CachedPlanner:
     # ------------------------------------------------------------------ #
     def _plan_with_insertion(self, worker: Worker, base_tasks,
                              new_task, min_position: int = 0) -> RouteResult:
-        """Memoised single-task insertion (delegates to the backend).
-
-        The key normalises the base tasks to a *sorted* id tuple so that
-        permutations of the same base set share one entry, mirroring the
-        order-insensitive ``frozenset`` key :meth:`plan` uses.  (Base
-        orders for one task set come from the same deterministic planner,
-        so within a solve the set determines the order anyway.)  The
-        anchored ``min_position`` is part of the key: the same insertion
-        scanned from a different committed position is a different plan.
-        """
-        key = (id(worker),
-               tuple(sorted(t.task_id for t in base_tasks)),
-               new_task.task_id, min_position)
-        cached = self._lookup(self._insert_cache, key)
-        if cached is not None:
-            return cached[1]
-        self.misses += 1
-        self.backend_calls += 1
-        result = self.planner.plan_with_insertion(
-            worker, base_tasks, new_task, min_position=min_position)
-        self._store(self._insert_cache, key, (worker, result))
-        return result
+        """Memoised single-task insertion (delegates to the backend)."""
+        return self._insertions(worker, base_tasks, [new_task],
+                                min_position, batched=False)[0]
 
     def _plan_insertions_many(self, worker: Worker, base_tasks,
                               new_tasks,
-                              min_position: int = 0) -> list[RouteResult]:
-        """Memoised batched insertion: shares keys with
-        :meth:`_plan_with_insertion`, so batched sweeps and single queries
-        populate one table; only the missing tasks reach the backend, in
-        one batched call."""
-        base_key = tuple(sorted(t.task_id for t in base_tasks))
-        keys = [(id(worker), base_key, t.task_id, min_position)
+                              min_position: int = 0) -> InsertionSweep:
+        """Memoised batched insertion: only the missing tasks reach the
+        backend, in one batched call."""
+        return self._insertions(worker, base_tasks, new_tasks, min_position,
+                                batched=True)
+
+    def _insertions(self, worker: Worker, base_tasks, new_tasks,
+                    min_position: int, batched: bool) -> InsertionSweep:
+        """The insertion memo behind both insertion entry points.
+
+        One table serves single queries and batched sweeps.  It stores
+        each answer as ``(pos, rtt)`` (``-1``/``inf`` for a miss) under
+        ``(worker identity, base order, task id, min_position)``.  The
+        base order is keyed exactly, as ``(is sensing, task id)`` pairs in
+        route order: a permuted base is a different route with different
+        answers, and travel-task and sensing-task ids may coincide.  The
+        anchored ``min_position`` is part of the key, since the same
+        insertion scanned from a different committed position is a
+        different plan.
+        """
+        base = tuple(base_tasks)
+        new_tasks = list(new_tasks)
+        route_key = tuple((isinstance(t, SensingTask), t.task_id)
+                          for t in base)
+        keys = [(id(worker), route_key, t.task_id, min_position)
                 for t in new_tasks]
-        hits = [self._lookup(self._insert_cache, key) for key in keys]
-        results: list[RouteResult | None] = [
-            hit[1] if hit is not None else None for hit in hits]
-        missing = [i for i, r in enumerate(results) if r is None]
+        pos = [-1] * len(keys)
+        rtt = [math.inf] * len(keys)
+        missing = []
+        for i, key in enumerate(keys):
+            cached = self._lookup(self._insert_cache, key)
+            if cached is None:
+                missing.append(i)
+            else:
+                _, pos[i], rtt[i] = cached
         if missing:
             self.misses += len(missing)
             self.backend_calls += 1  # one batched call serves every miss
-            fresh = self.planner.plan_insertions_many(
-                worker, base_tasks, [new_tasks[i] for i in missing],
-                min_position=min_position)
-            for i, result in zip(missing, fresh):
-                self._store(self._insert_cache, keys[i], (worker, result))
-                results[i] = result
-        return results  # type: ignore[return-value]
+            tasks = [new_tasks[i] for i in missing]
+            if batched:
+                results = self.planner.plan_insertions_many(
+                    worker, base, tasks, min_position=min_position)
+            else:
+                results = [self.planner.plan_with_insertion(
+                    worker, base, tasks[0], min_position=min_position)]
+            fresh = InsertionSweep.from_results(worker, base, tasks,
+                                                results, self.speed)
+            for i, p, r in zip(missing, fresh.pos.tolist(),
+                               fresh.rtt.tolist()):
+                self._store(self._insert_cache, keys[i], (worker, p, r))
+                pos[i], rtt[i] = p, r
+            if len(missing) == len(keys):
+                return fresh
+        return InsertionSweep(worker, base, new_tasks,
+                              np.array(pos, dtype=np.intp),
+                              np.array(rtt, dtype=np.float64), self.speed)
 
     def _plan_many(self, worker: Worker,
                    task_sets: Sequence[Sequence[SensingTask]]

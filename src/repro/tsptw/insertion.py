@@ -13,11 +13,12 @@ with segment length 1) while feasibility holds.
 Batched candidate checks (:meth:`InsertionSolver.plan_insertions_many`)
 run one vectorized :func:`repro.tsptw.kernels.sweep_insertions` over the
 packed arrays of a bound instance (:meth:`InsertionSolver.bind_instance`),
-scoring every (position, task) lane at once, and per-result timings
-materialise lazily.  Single-insertion scans run the scalar
-:func:`cheapest_insertion_position` — one task against one route has no
-lanes to amortize a pack over, and the pure-Python scan measures faster
-than numpy element access at every route size.
+scoring every (position, task) lane at once, and answer with arrays
+(:class:`InsertionSweep`) rather than one result object per task.
+Single-insertion scans run the scalar :func:`cheapest_insertion_position`
+— one task against one route has no lanes to amortize a pack over, and
+the pure-Python scan measures faster than numpy element access at every
+route size.
 
 The kernels are bit-identical (same floats, same argmin tie-breaking) to
 looping the scalar scan and re-simulating every result, which the test
@@ -30,6 +31,8 @@ import math
 from collections import OrderedDict
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..core.entities import SensingTask, TravelTask, Worker
 from ..core.geometry import DEFAULT_SPEED, Location
 from ..core.packed import packed_instance
@@ -38,7 +41,7 @@ from ..obs.profile import scope as profile_scope
 from . import kernels
 from .base import PlannerBase, RouteResult, combined_tasks
 
-__all__ = ["InsertionSolver", "cheapest_insertion_position"]
+__all__ = ["InsertionSolver", "InsertionSweep", "cheapest_insertion_position"]
 
 #: Batch size at which ``plan_insertions_many`` switches from looped
 #: scalar scans to the vectorized sweep (numpy per-op overhead dominates
@@ -85,53 +88,70 @@ class _KernelResult:
         return self._rtt
 
 
-class _LazyInsertionResult:
-    """Sweep hit whose :class:`WorkingRoute` is built only on demand.
+class InsertionSweep(Sequence):
+    """Array answer of :meth:`InsertionSolver.plan_insertions_many`.
 
-    A candidate sweep scores every available task against a worker's
-    route, but downstream only ever walks the route of the one entry the
-    policy picks — so the tuple splice and route construction for the
-    other ~hundred hits per step are pure waste.  This result carries the
-    (base order, position, task) triple instead and exposes
-    :meth:`make_route` for consumers (the candidate table) that can defer
-    construction themselves; ``route`` / ``timing`` materialise eagerly
-    for anyone else, with values identical to the eager path.
+    One lane per new task: ``pos[i]`` is where the scan inserts
+    ``tasks[i]`` into ``base`` (``-1`` when no position is feasible) and
+    ``rtt[i]`` the route travel time after the insertion (``inf`` then).
+    ``feasible`` also requires ``base`` to visit every travel task of the
+    worker, a verdict all lanes share, since inserting a sensing task
+    cannot change travel-task membership.
+
+    Consumers that only need numbers (the candidate table, the planner
+    memo, the shard repair sweep) read the arrays; :meth:`route` builds
+    one lane's :class:`WorkingRoute` on demand.  Indexing materialises a
+    per-lane result (a :class:`_KernelResult`, or
+    :meth:`RouteResult.infeasible` for a miss) for tests and oracles.
     """
 
-    __slots__ = ("worker", "base", "pos", "task", "speed", "feasible",
-                 "_rtt", "_route", "_timing")
+    __slots__ = ("worker", "base", "tasks", "pos", "rtt", "feasible",
+                 "speed")
 
-    def __init__(self, worker: Worker, base: tuple, pos: int, task,
-                 speed: float, rtt: float, feasible: bool):
+    def __init__(self, worker: Worker, base: Sequence, tasks: Sequence,
+                 pos: np.ndarray, rtt: np.ndarray, speed: float):
         self.worker = worker
-        self.base = base
+        self.base = tuple(base)
+        self.tasks = list(tasks)
         self.pos = pos
-        self.task = task
+        self.rtt = rtt
         self.speed = speed
-        self.feasible = feasible
-        self._rtt = rtt
-        self._route = None
-        self._timing = None
+        present = {t.task_id for t in self.base
+                   if isinstance(t, TravelTask)}
+        covers = all(d.task_id in present for d in worker.travel_tasks)
+        self.feasible = (pos >= 0) & covers
 
-    def make_route(self) -> WorkingRoute:
-        if self._route is None:
-            tasks = self.base[:self.pos] + (self.task,) + self.base[self.pos:]
-            self._route = WorkingRoute(self.worker, tasks, speed=self.speed)
-        return self._route
+    @classmethod
+    def from_results(cls, worker: Worker, base: Sequence, tasks: Sequence,
+                     results: Sequence, speed: float) -> "InsertionSweep":
+        """Arrays of per-task insertion results (``plan_with_insertion``
+        answers, or an :class:`InsertionSweep` returned as is)."""
+        if isinstance(results, InsertionSweep):
+            return results
+        pos = np.full(len(results), -1, dtype=np.intp)
+        rtt = np.full(len(results), math.inf)
+        for i, (task, result) in enumerate(zip(tasks, results)):
+            if result.route is None:
+                continue
+            p = getattr(result, "pos", None)
+            pos[i] = p if p is not None else result.route.tasks.index(task)
+            rtt[i] = result.route_travel_time
+        return cls(worker, base, tasks, pos, rtt, speed)
 
-    @property
-    def route(self) -> WorkingRoute:
-        return self.make_route()
+    def route(self, i: int) -> WorkingRoute:
+        """Lane ``i``'s route: ``tasks[i]`` inserted into ``base``."""
+        p = int(self.pos[i])
+        tasks = self.base[:p] + (self.tasks[i],) + self.base[p:]
+        return WorkingRoute(self.worker, tasks, speed=self.speed)
 
-    @property
-    def timing(self):
-        if self._timing is None:
-            self._timing = self.make_route().simulate()
-        return self._timing
+    def __len__(self) -> int:
+        return len(self.tasks)
 
-    @property
-    def route_travel_time(self) -> float:
-        return self._rtt
+    def __getitem__(self, i: int):
+        if self.pos[i] < 0:
+            return RouteResult.infeasible()
+        return _KernelResult(self.route(i), float(self.rtt[i]),
+                             bool(self.feasible[i]), pos=int(self.pos[i]))
 
 
 def _advance(clock: float, d: float, task, speed: float,
@@ -387,40 +407,33 @@ class InsertionSolver(PlannerBase):
 
     def plan_insertions_many(self, worker: Worker, base_tasks: Sequence,
                              new_tasks: Sequence,
-                             min_position: int = 0) -> list[RouteResult]:
+                             min_position: int = 0) -> InsertionSweep:
         """Check many single-task insertions into one base order.
 
         The batched entry point behind ``CandidateTable``'s init/recompute
         sweeps: one vectorized sweep scores every (position, task) lane at
-        once (small batches loop :meth:`plan_with_insertion`).
-        ``min_position`` restricts every lane to positions at or past a
-        worker's committed mid-route position.
+        once (small batches loop the scalar scan).  ``min_position``
+        restricts every lane to positions at or past a worker's committed
+        mid-route position.  The answer is arrays (:class:`InsertionSweep`);
+        no per-task result object is built.
         """
         new_tasks = list(new_tasks)
-        if len(new_tasks) < _SWEEP_MIN_TASKS:
-            return [self.plan_with_insertion(worker, base_tasks, task,
-                                             min_position=min_position)
-                    for task in new_tasks]
         base = list(base_tasks)
-        with profile_scope("kernel.insertion_sweep"):
-            pack = kernels.pack_route(worker, base, self.speed,
-                                      self._packed_for(worker))
-            hits = kernels.sweep_insertions(pack, new_tasks,
-                                            min_position=min_position)
-        # Sensing-task insertion leaves travel membership unchanged, so the
-        # coverage verdict is a property of the base order alone.
-        base_tup = tuple(base)
-        present = {t.task_id for t in base_tup
-                   if isinstance(t, TravelTask)}
-        covers = all(d.task_id in present for d in worker.travel_tasks)
-        results = []
-        for task, hit in zip(new_tasks, hits):
-            if hit is None:
-                results.append(RouteResult.infeasible())
-                continue
-            results.append(_LazyInsertionResult(
-                worker, base_tup, hit[0], task, self.speed, hit[1], covers))
-        return results
+        if len(new_tasks) < _SWEEP_MIN_TASKS:
+            pos = np.full(len(new_tasks), -1, dtype=np.intp)
+            rtt = np.full(len(new_tasks), math.inf)
+            for i, task in enumerate(new_tasks):
+                best = self._cheapest(worker, base, task,
+                                      min_position=min_position)
+                if best is not None:
+                    pos[i], rtt[i] = best
+        else:
+            with profile_scope("kernel.insertion_sweep"):
+                pack = kernels.pack_route(worker, base, self.speed,
+                                          self._packed_for(worker))
+                pos, rtt = kernels.sweep_insertions(
+                    pack, new_tasks, min_position=min_position)
+        return InsertionSweep(worker, base, new_tasks, pos, rtt, self.speed)
 
     def _two_opt(self, worker: Worker, tasks: list) -> list:
         """Classic 2-opt: reverse segments while feasible and improving.

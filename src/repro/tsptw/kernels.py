@@ -183,8 +183,12 @@ def _new_task_arrays(pack: RoutePack, new_tasks: Sequence):
 
 def sweep_insertions(pack: RoutePack, new_tasks: Sequence,
                      min_position: int = 0
-                     ) -> list[tuple[int, float] | None]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Score every (position, task) lane in one vectorized sweep.
+
+    Returns ``(pos, rtt)`` arrays with one entry per task: the best
+    feasible insertion position and the route travel time after it, or
+    ``-1`` and ``inf`` when no position is feasible.
 
     Each position is a lane replaying the scalar scan's exact op order on
     its own accumulator, so per-lane floats match the object path; tasks
@@ -198,8 +202,10 @@ def sweep_insertions(pack: RoutePack, new_tasks: Sequence,
     the remaining positions is bit-identical to the anchored object scan.
     """
     T = len(new_tasks)
+    out_pos = np.full(T, -1, dtype=np.intp)
+    out_rtt = np.full(T, _INF)
     if T == 0:
-        return []
+        return out_pos, out_rtt
     n = pack.n
     P = pack.valid  # lanes 0..P-1 have usable prefixes
     speed = pack.speed
@@ -248,9 +254,8 @@ def sweep_insertions(pack: RoutePack, new_tasks: Sequence,
     head = c0 + tt_rt[1:P + 1]
     alive = feas0 & (head <= pack.slack[:P, None] + SLACK_MARGIN)
     surv = np.flatnonzero(alive.any(axis=0))
-    results: list[tuple[int, float] | None] = [None] * T
     if surv.size == 0:
-        return results
+        return out_pos, out_rtt
 
     # Forward propagation for surviving columns, all lanes in lock-step.
     feas = feas0[:, surv].copy()
@@ -275,24 +280,28 @@ def sweep_insertions(pack: RoutePack, new_tasks: Sequence,
     feas &= final <= pack.latest_thr
     rtt = np.where(feas, final - pack.departure, _INF)
     pos = np.argmin(rtt, axis=0)  # first minimum == strict-< scan order
-    col = np.arange(surv.size)
-    best = rtt[pos, col]
-    for k, t_idx in enumerate(surv):
-        if best[k] < _INF:
-            results[int(t_idx)] = (int(pos[k]), float(best[k]))
-    return results
+    best = rtt[pos, np.arange(surv.size)]
+    hit = best < _INF
+    out_pos[surv[hit]] = pos[hit]
+    out_rtt[surv[hit]] = best[hit]
+    return out_pos, out_rtt
 
 
 def _hypot_block(pack: RoutePack, new_tasks: Sequence) -> np.ndarray:
-    """math.hypot fallback for the (n+2, T) route-point/task distances."""
-    locs = pack.locs
-    out = np.empty((len(locs), len(new_tasks)))
+    """math.hypot fallback for the (n+2, T) route-point/task distances.
+
+    Route coordinates are read once into Python-float lists, so the inner
+    loop runs ``math.hypot`` over plain floats — the same doubles, so the
+    same distances, without a numpy element write per entry.
+    """
+    xs = [float(l.x) for l in pack.locs]
+    ys = [float(l.y) for l in pack.locs]
+    out = np.empty((len(new_tasks), len(xs)))
     hypot = math.hypot
     for k, t in enumerate(new_tasks):
         x, y = t.location.x, t.location.y
-        for r, l in enumerate(locs):
-            out[r, k] = hypot(x - l.x, y - l.y)
-    return out
+        out[k] = [hypot(x - lx, y - ly) for lx, ly in zip(xs, ys)]
+    return out.T
 
 
 # ---------------------------------------------------------------------- #

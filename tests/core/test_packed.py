@@ -225,6 +225,22 @@ class TestExportImport:
         for i in range(packed.num_locations):
             np.testing.assert_array_equal(rebuilt.row(i), packed.row(i))
 
+    def test_rows_bitwise_equal_fresh_hypot_loop(self):
+        """``row(i)`` — on a built view and on a ``from_arrays`` view —
+        equals ``math.hypot`` over the coordinate arrays, bit for bit."""
+        rng = np.random.default_rng(11)
+        tasks = [_sensing(100 + k, float(rng.uniform(0, 2000)),
+                          float(rng.uniform(0, 2400))) for k in range(40)]
+        packed = PackedInstance([_worker(0), _worker(1)], tasks)
+        rebuilt = PackedInstance.from_arrays(
+            [_worker(0), _worker(1)], packed.export_arrays())
+        for view in (packed, rebuilt):
+            xs, ys = view.xs, view.ys
+            for i in range(view.num_locations):
+                fresh = np.array([math.hypot(xs[j] - xs[i], ys[j] - ys[i])
+                                  for j in range(view.num_locations)])
+                assert view.row(i).tobytes() == fresh.tobytes()
+
     def test_worker_subset_allowed(self):
         packed, _ = self._packed()
         rebuilt = PackedInstance.from_arrays([_worker(1)],

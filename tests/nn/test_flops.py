@@ -54,6 +54,46 @@ class TestFlopCount:
         assert stat.flops == 2 * 120 * 2 + 120
         assert stat.bwd_flops == flops.BACKWARD_FACTOR * stat.flops
 
+    def test_attention_core_priced_as_closed_form(self):
+        # (B, H, n_q, d) x (B, H, n_k, d): products, scaling and softmax.
+        assert flops.flop_count("attention_core",
+                                [(2, 4, 5, 8), (2, 4, 7, 8), (2, 4, 7, 8)],
+                                (2, 4, 5, 8)) \
+            == flops.attention_flops(2, 4, 5, 7, 8)
+        # A mask adds one fill pass over the scores.
+        assert flops.flop_count("attention_core",
+                                [(4, 5, 8), (4, 7, 8), (4, 7, 8), (1, 1, 7)],
+                                (4, 5, 8)) \
+            == flops.attention_flops(1, 4, 5, 7, 8) + 4 * 5 * 7
+
+    def test_ffn_block_priced_as_two_linears_and_relu(self):
+        assert flops.flop_count("ffn_block",
+                                [(3, 5, 8), (8, 12), (12,), (12, 8), (8,)],
+                                (3, 5, 8)) \
+            == (flops.linear_flops(15, 8, 12) + 15 * 12
+                + flops.linear_flops(15, 12, 8))
+
+    def test_fused_nodes_recorded_and_backward_charged(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (nn.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+                   for _ in range(3))
+        x = nn.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w1, w2 = (nn.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((4, 6), (6, 4)))
+        b1, b2 = (nn.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((6,), (4,)))
+        profiler = OpProfiler()
+        with profiling(profiler=profiler):
+            ops.sum(ops.attention_core(q, k, v, 0.5)).backward()
+            ops.sum(ops.ffn_block(x, w1, b1, w2, b2)).backward()
+        attention = profiler.ops["attention_core"]
+        assert attention.flops == flops.attention_flops(1, 2, 5, 5, 4)
+        assert attention.bwd_flops == flops.BACKWARD_FACTOR * attention.flops
+        ffn = profiler.ops["ffn_block"]
+        assert ffn.flops == (flops.linear_flops(5, 4, 6) + 5 * 6
+                             + flops.linear_flops(5, 6, 4))
+        assert ffn.bwd_flops == flops.BACKWARD_FACTOR * ffn.flops
+
     def test_backward_charged_at_factor(self):
         a = nn.Tensor(np.ones((8, 16)), requires_grad=True)
         b = nn.Tensor(np.ones((16, 4)), requires_grad=True)
@@ -89,20 +129,29 @@ class TestClosedFormAgreement:
         recorded = profiler.ops["matmul"].flops + profiler.ops["add"].flops
         assert recorded == layer.forward_flops(8)
 
+    def _recorded_mha_flops(self, run) -> int:
+        # The four projections record as ``matmul``; the two attention
+        # products, the scaling and the softmax as one ``attention_core``.
+        profiler = OpProfiler()
+        with profiling(profiler=profiler):
+            run()
+        return (profiler.ops["matmul"].flops
+                + profiler.ops["attention_core"].flops)
+
     def test_multi_head_attention_within_one_percent(self):
         rng = np.random.default_rng(1)
         mha = nn.MultiHeadAttention(32, 4, rng=rng)
         x = nn.Tensor(rng.normal(size=(10, 32)))
-        recorded = self._recorded_matmul_flops(lambda: mha(x))
-        expected = mha.forward_flops(10, matmul_only=True)
+        recorded = self._recorded_mha_flops(lambda: mha(x))
+        expected = mha.forward_flops(10)
         assert abs(recorded - expected) <= 0.01 * expected
 
     def test_batched_multi_head_attention(self):
         rng = np.random.default_rng(2)
         mha = nn.MultiHeadAttention(32, 4, rng=rng)
         x = nn.Tensor(rng.normal(size=(3, 10, 32)))
-        recorded = self._recorded_matmul_flops(lambda: mha(x))
-        expected = mha.forward_flops(10, batch=3, matmul_only=True)
+        recorded = self._recorded_mha_flops(lambda: mha(x))
+        expected = mha.forward_flops(10, batch=3)
         assert abs(recorded - expected) <= 0.01 * expected
 
     def test_pointer_attention(self):

@@ -15,7 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core import PackedInstance, Region
-from repro.tsptw import InsertionSolver, cheapest_insertion_position
+from repro.tsptw import (
+    CachedPlanner,
+    InsertionSolver,
+    InsertionSweep,
+    cheapest_insertion_position,
+)
 from repro.tsptw.kernels import (
     nearest_neighbor_order_packed,
     pack_route,
@@ -57,18 +62,17 @@ def test_sweep_insertions_matches_per_task_scans():
         split = int(rng.integers(1, len(sensing) + 1))
         new_tasks, rest = sensing[:split], sensing[split:]
         base = _route_order(rng, worker, rest)
-        got = sweep_insertions(pack_route(worker, base, SPEED, packed),
-                               new_tasks)
+        pos, rtt = sweep_insertions(pack_route(worker, base, SPEED, packed),
+                                    new_tasks)
         ref = [cheapest_insertion_position(worker, base, task, SPEED)
                for task in new_tasks]
-        assert len(got) == len(ref)
-        for mine, theirs in zip(got, ref):
+        assert len(pos) == len(rtt) == len(ref)
+        for p, r, theirs in zip(pos.tolist(), rtt.tolist(), ref):
             if theirs is None:
-                assert mine is None
+                assert p == -1 and r == float("inf")
             else:
-                assert mine is not None
-                assert mine[0] == theirs[0]
-                assert mine[1] == theirs[1]
+                assert p == theirs[0]
+                assert r == theirs[1]
 
 
 def _bound_pair(worker, sensing, bind):
@@ -139,3 +143,46 @@ def test_nearest_neighbor_order_packed_unknown_location_returns_none(rng,
     packed = PackedInstance([worker], known)
     assert nearest_neighbor_order_packed(
         worker, known + stranger, packed) is None
+
+
+def _assert_same_arrays(mine, theirs):
+    assert mine.pos.tolist() == theirs.pos.tolist()
+    assert mine.rtt.tobytes() == theirs.rtt.tobytes()
+    assert mine.feasible.tolist() == theirs.feasible.tolist()
+
+
+def test_insertion_sweep_indexing_matches_object_oracle():
+    """Swept arrays, and the per-task results indexing materialises, equal
+    the object planner's per-task answers — small batches included."""
+    for seed in range(N_CONFIGS):
+        rng, worker, sensing, _ = _scenario(seed)
+        on, off = _bound_pair(worker, sensing, bind=seed % 2 == 0)
+        base = _route_order(rng, worker, [])
+        sweep = on.plan_insertions_many(worker, base, sensing)
+        oracle = off.plan_insertions_many(worker, base, sensing)
+        assert isinstance(sweep, InsertionSweep)
+        assert len(sweep) == len(oracle) == len(sensing)
+        _assert_same_arrays(sweep, InsertionSweep.from_results(
+            worker, base, sensing, oracle, SPEED))
+        for i, (mine, theirs) in enumerate(zip(sweep, oracle)):
+            _assert_results_match(mine, theirs)
+            assert getattr(mine, "pos", None) == getattr(theirs, "pos", None)
+            if theirs.route is not None:
+                assert sweep.route(i).tasks == theirs.route.tasks
+
+
+def test_cached_sweep_mixing_hits_and_misses_returns_identical_arrays():
+    for seed in range(0, N_CONFIGS, 10):
+        rng, worker, sensing, _ = _scenario(seed, max_sensing=12)
+        direct = InsertionSolver(speed=SPEED)
+        cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        base = _route_order(rng, worker, [])
+        warm = sensing[::2]
+        cached.plan_insertions_many(worker, base, warm)
+        mixed = cached.plan_insertions_many(worker, base, sensing)
+        assert cached.hits == len(warm)
+        assert cached.misses == len(sensing)
+        want = direct.plan_insertions_many(worker, base, sensing)
+        _assert_same_arrays(mixed, want)
+        for mine, theirs in zip(mixed, want):
+            _assert_results_match(mine, theirs)

@@ -82,6 +82,16 @@ def test_anchor_zero_is_the_unanchored_scan():
             assert a.route_travel_time == b.route_travel_time
 
 
+def _assert_same_answer(mine, theirs):
+    """The memo stores (pos, rtt): a hit rebuilds the same answer."""
+    assert mine.feasible == theirs.feasible
+    assert mine.pos == theirs.pos
+    assert mine.route_travel_time == theirs.route_travel_time
+    assert (mine.route is None) == (theirs.route is None)
+    if theirs.route is not None:
+        assert mine.route.tasks == theirs.route.tasks
+
+
 def test_cached_planner_keys_anchors_separately():
     instance, worker, solver, base = _setup(seed=5)
     cached = CachedPlanner(InsertionSolver(speed=instance.speed))
@@ -93,7 +103,7 @@ def test_cached_planner_keys_anchors_separately():
     hits_before = cached.hits
     again = cached.plan_with_insertion(worker, base_tasks, task)
     assert cached.hits == hits_before + 1
-    assert again is free
+    _assert_same_answer(again, free)
     # A different anchor is a different plan: must miss, may differ.
     anchored = cached.plan_with_insertion(worker, base_tasks, task,
                                           min_position=1)
@@ -105,7 +115,7 @@ def test_cached_planner_keys_anchors_separately():
     results = cached.plan_insertions_many(worker, base_tasks, [task],
                                           min_position=1)
     assert cached.misses == misses_before
-    assert results[0] is anchored
+    _assert_same_answer(results[0], anchored)
 
 
 def test_anchored_rescan_equals_restricted_argmin():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Location, SensingTask, TravelTask, Worker
+from repro.datasets import InstanceOptions, generate_instances
 from repro.tsptw import (
     CachedPlanner,
     InsertionSolver,
@@ -11,6 +12,16 @@ from repro.tsptw import (
 )
 
 from .conftest import SPEED
+
+
+def _assert_same(mine, theirs):
+    """Same verdict, position, travel time and route order."""
+    assert mine.feasible == theirs.feasible
+    assert mine.route_travel_time == theirs.route_travel_time
+    assert getattr(mine, "pos", None) == getattr(theirs, "pos", None)
+    assert (mine.route is None) == (theirs.route is None)
+    if theirs.route is not None:
+        assert mine.route.tasks == theirs.route.tasks
 
 
 class TestNearestNeighborOrder:
@@ -110,11 +121,11 @@ class TestCachedPlanner:
 
 
 class TestInsertionCacheKey:
-    """``plan_with_insertion`` memoisation must be base-order-insensitive.
+    """``plan_with_insertion`` memoisation keys on the exact base order.
 
-    The old key used the base tasks' id tuple *in order*, so permutations
-    of the same base set — which produce the same optimal insertion from
-    a deterministic backend — missed the cache and re-ran the backend.
+    A permuted base is a different route with its own insertion answers,
+    and travel-task and sensing-task ids may coincide, so the key is the
+    ``(is sensing, task id)`` sequence in route order.
     """
 
     @pytest.fixture
@@ -127,14 +138,57 @@ class TestInsertionCacheKey:
         new = SensingTask(3, Location(400, 0), 0.0, 240.0, 5.0)
         return a, b, new
 
-    def test_permuted_base_set_hits(self, cached, simple_worker):
+    def test_permuted_base_order_misses(self, cached, simple_worker):
         a, b, new = self._tasks()
-        first = cached.plan_with_insertion(simple_worker, [a, b], new)
+        direct = InsertionSolver(speed=SPEED)
+        cached.plan_with_insertion(simple_worker, [a, b], new)
         second = cached.plan_with_insertion(simple_worker, [b, a], new)
-        assert second is first
+        assert cached.hits == 0
+        assert cached.misses == 2
+        assert cached.backend_calls == 2
+        _assert_same(second,
+                     direct.plan_with_insertion(simple_worker, [b, a], new))
+
+    def test_permuted_orders_keep_their_own_answers(self):
+        """Orders A = base+a+b and B = base+b+a hold the same task set but
+        give task 1 different insertion costs; a set-keyed memo answered
+        B's query with A's result."""
+        instance = generate_instances(
+            "delivery", 1, seed=1,
+            options=InstanceOptions(task_density=0.15, num_workers=7))[0]
+        worker = instance.workers[0]
+        direct = InsertionSolver()
+        cached = CachedPlanner(InsertionSolver())
+        a, b, query = (instance.sensing_task(i) for i in (0, 10, 1))
+
+        def insert(order, task):
+            return list(direct.plan_with_insertion(worker, order,
+                                                   task).route.tasks)
+
+        base = list(direct.base_route(worker).route.tasks)
+        order_a = insert(insert(base, a), b)
+        order_b = insert(insert(base, b), a)
+        want_a = direct.plan_with_insertion(worker, order_a, query)
+        want_b = direct.plan_with_insertion(worker, order_b, query)
+        assert want_a.route_travel_time != want_b.route_travel_time
+        _assert_same(cached.plan_with_insertion(worker, order_a, query),
+                     want_a)
+        _assert_same(cached.plan_with_insertion(worker, order_b, query),
+                     want_b)
+        swept = cached.plan_insertions_many(worker, order_b, [query])
+        _assert_same(swept[0], want_b)
         assert cached.hits == 1
-        assert cached.misses == 1
-        assert cached.backend_calls == 1
+
+    def test_travel_and_sensing_ids_do_not_collide(self, cached,
+                                                   simple_worker):
+        travel_id = simple_worker.travel_tasks[0].task_id
+        twin = SensingTask(travel_id, Location(300, 0), 0.0, 240.0, 5.0)
+        _, _, new = self._tasks()
+        cached.plan_with_insertion(simple_worker,
+                                   [simple_worker.travel_tasks[0]], new)
+        cached.plan_with_insertion(simple_worker, [twin], new)
+        assert cached.hits == 0
+        assert cached.misses == 2
 
     def test_different_new_task_still_misses(self, cached, simple_worker):
         a, b, _ = self._tasks()
