@@ -97,8 +97,15 @@ profile:
 	PYTHONPATH=src python -m repro.obs.profile train \
 		--out profiles/train.jsonl --collapsed profiles/train.folded
 
-# Regenerate every table/figure artifact under results/.
-results: bench
+# Regenerate every quality artifact under results/: Tables I-III,
+# Figures 4-6, the ablations, robustness, optimality gap and scaling.
+# The perf gates (*_regression.py) keep their own targets above.
+QUALITY_BENCHES = benchmarks/test_table*.py benchmarks/test_figure*.py \
+	benchmarks/test_ablation_*.py benchmarks/test_robustness_seeds.py \
+	benchmarks/test_optimality_gap.py benchmarks/test_scaling.py
+
+results:
+	PYTHONPATH=src pytest $(QUALITY_BENCHES) --benchmark-only
 
 # Larger offline runs (slower; see EXPERIMENTS.md).
 full:

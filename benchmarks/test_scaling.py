@@ -33,8 +33,10 @@ def test_planner_call_scaling(benchmark, results_dir):
             state = env.reset()
             init_calls = state.candidates.planner_calls
             # One selection step: only the chosen worker's row refreshes.
-            worker_id = state.feasible_worker_ids()[0]
-            task_id = sorted(state.candidates.worker_candidates(worker_id))[0]
+            table = state.candidates
+            row = int(table.live_rows()[0])
+            worker_id = table.workers[row].worker_id
+            task_id = int(table.task_ids[table.mask[row]][0])
             env.step(worker_id, task_id)
             step_calls = state.candidates.planner_calls - init_calls
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..datasets import DATASET_NAMES, generate_instances, generator_for
+from ..datasets import DATASET_NAMES, generator_for
 from ..smore import (
     FlatSelectionNet,
     FlatSelectionPolicy,
@@ -26,13 +26,10 @@ from ..smore import (
     TASNet,
     TASNetConfig,
     TASNetPolicy,
-    TASNetTrainer,
-    TrainingConfig,
-    imitation_pretrain,
 )
 from ..tsptw import InsertionSolver
 from .metrics import MethodResult, aggregate
-from .pretrained import PretrainSpec, get_trained_policy
+from .pretrained import PretrainSpec, get_trained_policy, train_on_spec
 from .runner import ExperimentRunner
 
 __all__ = ["ABLATION_VARIANTS", "figure5_ablation", "train_variant_policy"]
@@ -42,30 +39,6 @@ ABLATION_VARIANTS = ("SMORE", "w/o RL-AS", "w/o TASNet", "w/o Soft Mask")
 #: Extension beyond the paper: also ablate the decoder's data fusion
 #: (delta_phi / delta_in pointer-key signals) separately from the mask.
 EXTENDED_VARIANTS = ABLATION_VARIANTS + ("w/o Fusion",)
-
-
-def _trained_policy_for_net(net_factory, dataset: str, spec: PretrainSpec,
-                            policy_cls):
-    """Imitation + REINFORCE training for an ablation variant's network."""
-    from ..datasets import InstanceOptions
-
-    options = InstanceOptions(task_density=spec.task_density)
-    train = generate_instances(dataset, spec.num_train, seed=spec.seed,
-                               options=options)
-    val = generate_instances(dataset, spec.num_val, seed=spec.seed + 7777,
-                             options=options)
-    planner = InsertionSolver()
-    policy = policy_cls(net_factory())
-    imitation_pretrain(policy, planner, train,
-                       iterations=spec.imitation_iterations,
-                       lr=spec.imitation_lr, seed=spec.seed + 1)
-    trainer = TASNetTrainer(
-        policy, planner,
-        TrainingConfig(iterations=spec.rl_iterations,
-                       batch_size=spec.batch_size, lr=spec.rl_lr,
-                       seed=spec.seed + 2))
-    trainer.train(train, val_instances=val)
-    return policy
 
 
 def train_variant_policy(variant: str, dataset: str,
@@ -81,21 +54,19 @@ def train_variant_policy(variant: str, dataset: str,
         return GreedySelectionRule()
     if variant == "w/o TASNet":
         rng = np.random.default_rng(spec.seed)
-        return _trained_policy_for_net(
-            lambda: FlatSelectionNet(config, grid.nx, grid.ny, rng=rng),
-            dataset, spec, FlatSelectionPolicy)
+        return train_on_spec(FlatSelectionPolicy(
+            FlatSelectionNet(config, grid.nx, grid.ny, rng=rng)),
+            dataset, spec)
     if variant == "w/o Soft Mask":
         no_mask = replace(config, use_soft_mask=False)
         rng = np.random.default_rng(spec.seed)
-        return _trained_policy_for_net(
-            lambda: TASNet(no_mask, grid.nx, grid.ny, rng=rng),
-            dataset, spec, TASNetPolicy)
+        return train_on_spec(TASNetPolicy(
+            TASNet(no_mask, grid.nx, grid.ny, rng=rng)), dataset, spec)
     if variant == "w/o Fusion":
         no_fusion = replace(config, use_heuristic_fusion=False)
         rng = np.random.default_rng(spec.seed)
-        return _trained_policy_for_net(
-            lambda: TASNet(no_fusion, grid.nx, grid.ny, rng=rng),
-            dataset, spec, TASNetPolicy)
+        return train_on_spec(TASNetPolicy(
+            TASNet(no_fusion, grid.nx, grid.ny, rng=rng)), dataset, spec)
     raise KeyError(f"unknown ablation variant {variant!r}")
 
 

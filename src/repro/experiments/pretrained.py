@@ -11,8 +11,10 @@ transfers); EXPERIMENTS.md documents this schedule substitution.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +32,29 @@ from ..smore import (
 from ..tsptw import InsertionSolver
 
 __all__ = ["PretrainSpec", "get_trained_policy", "train_policy",
-           "DEFAULT_CACHE_DIR"]
+           "train_on_spec", "DEFAULT_CACHE_DIR"]
 
 DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "pretrained"
+
+#: The packages training executes: their source, and this module's
+#: training recipe, are part of the cache key.
+TRAINING_PACKAGES = ("core", "datasets", "nn", "smore", "tsptw")
+
+
+@lru_cache(maxsize=1)
+def training_code_digest() -> str:
+    """SHA-256 over the source of :data:`TRAINING_PACKAGES` and this
+    module (path and bytes of every file, in sorted order)."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for package in TRAINING_PACKAGES
+             for path in sorted((root / package).rglob("*.py"))]
+    digest = hashlib.sha256()
+    for path in paths + [Path(__file__).resolve()]:
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -54,10 +76,11 @@ class PretrainSpec:
     task_density: float = 0.15
 
     def cache_key(self, dataset: str) -> str:
-        return (f"{dataset}-d{self.d_model}h{self.num_heads}l{self.num_layers}"
-                f"c{self.conv_channels}-i{self.imitation_iterations}"
-                f"r{self.rl_iterations}-n{self.num_train}-s{self.seed}"
-                f"-td{self.task_density:g}")
+        """``<dataset>-<hash>`` over every field and the training code, so
+        weights are reused only by the spec and code that trained them."""
+        blob = json.dumps({"dataset": dataset, "spec": asdict(self),
+                           "code": training_code_digest()}, sort_keys=True)
+        return f"{dataset}-{hashlib.sha256(blob.encode()).hexdigest()[:20]}"
 
 
 def _build_net(spec: PretrainSpec, grid_nx: int, grid_ny: int) -> TASNet:
@@ -68,19 +91,25 @@ def _build_net(spec: PretrainSpec, grid_nx: int, grid_ny: int) -> TASNet:
                   rng=np.random.default_rng(spec.seed))
 
 
-def train_policy(dataset: str, spec: PretrainSpec | None = None,
-                 options: InstanceOptions | None = None) -> TASNetPolicy:
+def train_policy(dataset: str,
+                 spec: PretrainSpec | None = None) -> TASNetPolicy:
     """Train a TASNet policy for ``dataset`` from scratch (no cache)."""
     spec = spec or PretrainSpec()
-    options = options or InstanceOptions(task_density=spec.task_density)
     grid = generator_for(dataset).spec.grid
+    return train_on_spec(TASNetPolicy(_build_net(spec, grid.nx, grid.ny)),
+                         dataset, spec)
+
+
+def train_on_spec(policy, dataset: str, spec: PretrainSpec):
+    """Imitation warm start, then REINFORCE with validation snapshots, on
+    ``spec``'s instances of ``dataset``; trains ``policy`` in place and
+    returns it."""
+    options = InstanceOptions(task_density=spec.task_density)
     train = generate_instances(dataset, spec.num_train, seed=spec.seed,
                                options=options)
     val = generate_instances(dataset, spec.num_val, seed=spec.seed + 7777,
                              options=options)
     planner = InsertionSolver()
-    net = _build_net(spec, grid.nx, grid.ny)
-    policy = TASNetPolicy(net)
     imitation_pretrain(policy, planner, train,
                        iterations=spec.imitation_iterations,
                        lr=spec.imitation_lr, seed=spec.seed + 1)
@@ -94,8 +123,7 @@ def train_policy(dataset: str, spec: PretrainSpec | None = None,
 
 
 def get_trained_policy(dataset: str, spec: PretrainSpec | None = None,
-                       cache_dir: Path | str | None = None,
-                       options: InstanceOptions | None = None) -> TASNetPolicy:
+                       cache_dir: Path | str | None = None) -> TASNetPolicy:
     """Load a cached trained policy for ``dataset``, training if absent."""
     spec = spec or PretrainSpec()
     cache_dir = Path(cache_dir) if cache_dir is not None else DEFAULT_CACHE_DIR
@@ -110,10 +138,10 @@ def get_trained_policy(dataset: str, spec: PretrainSpec | None = None,
         nn.load_module(net, weights_path)
         return TASNetPolicy(net)
 
-    policy = train_policy(dataset, spec=spec, options=options)
+    policy = train_policy(dataset, spec=spec)
     nn.save_module(policy.net, weights_path)
     meta_path.write_text(json.dumps({
         "dataset": dataset, "grid": [grid.nx, grid.ny],
-        "spec": {k: getattr(spec, k) for k in spec.__dataclass_fields__},
+        "spec": asdict(spec), "code": training_code_digest(),
     }, indent=2))
     return policy

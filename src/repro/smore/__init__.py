@@ -24,7 +24,7 @@ from .batch import (
     EpisodeResult,
     MultiInstanceRunner,
 )
-from .candidates import CandidateEntry, CandidateTable
+from .candidates import CandidateTable
 from .critic import CriticNetwork, critic_features
 from .dynamic import (
     DynamicResult,
@@ -63,7 +63,7 @@ from .train import TASNetTrainer, TrainingConfig, imitation_pretrain
 __all__ = [
     "BatchedEpisodeRunner", "EpisodeResult", "MultiInstanceRunner",
     "BatchAdmissionError", "BatchFull", "DeadlineExpired",
-    "CandidateEntry", "CandidateTable",
+    "CandidateTable",
     "SelectionEnv",
     "DynamicSelectionEnv", "DynamicSelectionState", "DynamicResult",
     "AssignmentState", "SelectionState", "WorkerAssignment",

@@ -1,11 +1,23 @@
 """Candidate assignment table ``C`` (Algorithm 1, step 1 and lines 15-23).
 
-``C[w][s]`` holds, for every *feasible* sensing-task/worker pair, the
-working route the TSPTW solver found after assigning ``s`` to ``w`` on top
-of the worker's current assignment, and the additional incentive that
-assignment would cost.  A pair is feasible iff such a route respects the
-worker's time constraint and the additional incentive fits the remaining
-budget (Section III-B).
+``C[w][s]`` records, for every *feasible* sensing-task/worker pair, the
+route travel time after assigning ``s`` to ``w`` on top of the worker's
+current assignment and the additional incentive that assignment would
+cost.  A pair is feasible iff such a route respects the worker's time
+constraint and the additional incentive fits the remaining budget
+(Section III-B).
+
+The table is a set of dense planes over rows (the instance's workers, in
+instance order) and columns (its sensing tasks, in ascending ``task_id``):
+a bool :attr:`~CandidateTable.mask` of live pairs and the
+``delta_incentive``, ``rtt`` and ``pos`` (insertion position, ``-1`` when
+the planner reports none) planes beside it.  Values under a cleared mask
+bit are stale and never read.  A selected or expired task clears a
+column, the budget filter is one comparison over the ``delta_incentive``
+plane, and a snapshot copy is four array copies.  :attr:`order` lists the
+rows in table order — the workers the table was built over, then late
+workers in arrival order — which the greedy rules' cross-row tie-break
+and the flat policy's pair order observe.
 
 Every row — at initialisation, on the selected worker's update and in
 streaming repair — comes from one sweep over one planner dispatch
@@ -18,20 +30,18 @@ per worker; on :class:`~repro.tsptw.InsertionSolver`, optionally behind
 worker's assigned tasks plus each candidate through ``plan_many`` (RL
 backends) or ``plan``.  ``planner_calls`` counts one logical plan per task
 on every path.  Every path answers with the same per-task arrays
-(feasibility, route travel time, insertion position), so the one row
-builder computes incentive deltas and the budget filter over whole
-arrays and builds a :class:`CandidateEntry` only for the tasks it keeps.
+(feasibility, route travel time, insertion position), from which the row
+writer computes incentive deltas and the budget filter.
 
-Beyond the rows themselves the table maintains two incremental indices —
-a task -> workers reverse map and the set of non-empty rows — so that
-``remove_task``, ``workers_with_candidates``, ``candidate_task_ids`` and
-the ``empty`` check cost O(affected entries) instead of rescanning every
-row on every step.
+No route is stored per pair.  A row keeps what it was swept from — the
+worker's route order for insertion planners, the kept re-planned routes
+otherwise — and :meth:`CandidateTable.route` builds the one route the
+environment applies.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import copy
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,55 +52,36 @@ from ..core.route import WorkingRoute
 from ..tsptw.base import RoutePlanner
 from ..tsptw.insertion import InsertionSweep
 
-__all__ = ["CandidateEntry", "CandidateTable"]
-
-
-class CandidateEntry:
-    """Value stored in C: the route after assignment and its marginal cost.
-
-    ``route`` may be given as a zero-argument factory instead of a built
-    :class:`WorkingRoute`: a candidate sweep scores dozens of insertions
-    per step but only the *chosen* entry's route is ever walked, so the
-    factory defers (and usually skips entirely) route construction.  The
-    first ``route`` access materialises and caches it.
-
-    ``position`` records where the insertion scan placed the task in the
-    worker's route at computation time (None when the planner did not
-    report one).  Dynamic re-planning uses it to decide, when a worker's
-    committed mid-route position advances, which entries must be re-swept:
-    an entry whose position is already past the new anchor provably equals
-    the anchored rescan and is kept as-is.
-    """
-
-    __slots__ = ("_route", "route_travel_time", "delta_incentive", "position")
-
-    def __init__(self, route, route_travel_time: float,
-                 delta_incentive: float, position: int | None = None):
-        self._route = route
-        self.route_travel_time = route_travel_time
-        self.delta_incentive = delta_incentive
-        self.position = position
-
-    @property
-    def route(self) -> WorkingRoute:
-        if callable(self._route):
-            self._route = self._route()
-        return self._route
+__all__ = ["CandidateTable"]
 
 
 class CandidateTable:
-    """Feasible sensing-task/worker assignment pairs, updated iteratively."""
+    """Feasible sensing-task/worker assignment pairs as dense planes.
 
-    def __init__(self, planner: RoutePlanner, incentives: IncentiveModel):
+    ``workers`` and ``tasks`` fix the row and column universe (every
+    worker and sensing task that may ever hold a candidate); the sweeps
+    fill rows of it.
+    """
+
+    def __init__(self, planner: RoutePlanner, incentives: IncentiveModel,
+                 workers: Sequence[Worker], tasks: Sequence[SensingTask]):
         self.planner = planner
         self.incentives = incentives
-        self._table: dict[int, dict[int, CandidateEntry]] = {}
-        # Incremental indices: which workers hold each task, which rows are
-        # non-empty, and a lazily rebuilt workers_with_candidates() list
-        # (kept in _table order, which selection tie-breaking observes).
-        self._task_workers: dict[int, set[int]] = {}
-        self._nonempty: set[int] = set()
-        self._workers_cache: list[int] | None = None
+        self.workers = tuple(workers)
+        self.tasks = tuple(sorted(tasks, key=lambda t: t.task_id))
+        self.task_ids = np.array([t.task_id for t in self.tasks],
+                                 dtype=np.int64)
+        self.row_of = {w.worker_id: r for r, w in enumerate(self.workers)}
+        self.col_of = {t.task_id: c for c, t in enumerate(self.tasks)}
+        shape = (len(self.workers), len(self.tasks))
+        self.mask = np.zeros(shape, dtype=bool)
+        self.delta_incentive = np.zeros(shape)
+        self.rtt = np.zeros(shape)
+        self.pos = np.full(shape, -1, dtype=np.intp)
+        self.order: list[int] = []
+        # Per row, what route() builds from: the swept route order (a
+        # tuple) or the kept re-planned routes ({col: WorkingRoute}).
+        self._sources: list = [None] * len(self.workers)
         self.planner_calls = 0
 
     # ------------------------------------------------------------------ #
@@ -102,10 +93,7 @@ class CandidateTable:
         Each worker's base route (travel tasks only) is planned once; one
         :meth:`_sweep` then checks every sensing task against it.
         """
-        self._table = {w.worker_id: {} for w in workers}
-        self._task_workers = {}
-        self._nonempty = set()
-        self._workers_cache = None
+        self._reset([self.row_of[w.worker_id] for w in workers])
         sensing_tasks = list(sensing_tasks)
         for worker in workers:
             base = self.planner.base_route(worker)
@@ -113,12 +101,17 @@ class CandidateTable:
             if not base.feasible:
                 continue  # the worker cannot even complete their own trip
             base_tasks = base.route.tasks if base.route is not None else ()
-            self._commit_row(worker.worker_id, self._sweep(
+            self._write(worker, self._sweep(
                 worker, base_tasks, sensing_tasks, 0.0, budget_rest,
                 assigned=()))
 
+    def _reset(self, order: list[int]) -> None:
+        self.mask[:] = False
+        self._sources = [None] * len(self.workers)
+        self.order = order
+
     # ------------------------------------------------------------------ #
-    # The one planner dispatch and the one row builder
+    # The one planner dispatch and the one row writer
     # ------------------------------------------------------------------ #
     def _plan(self, worker: Worker, route_tasks: Sequence,
               tasks: list[SensingTask], min_position: int = 0,
@@ -134,9 +127,10 @@ class CandidateTable:
         ``min_position > 0``, they raise ``TypeError``.  Every path counts
         one logical plan per task.
 
-        Returns ``(feasible, rtt, pos, route)``: per-task arrays (``pos``
+        Returns ``(feasible, rtt, pos, source)``: per-task arrays (``pos``
         is None for re-plans, which report no insertion position) and
-        ``route(i)``, which builds task ``i``'s route on demand.
+        what the routes are built from — the swept route order, or the
+        re-plan results.
         """
         insert_many = getattr(self.planner, "plan_insertions_many", None)
         insert_one = getattr(self.planner, "plan_with_insertion", None)
@@ -157,7 +151,7 @@ class CandidateTable:
                            for task in tasks]
             sweep = InsertionSweep.from_results(
                 worker, route_tasks, tasks, results, self.planner.speed)
-            return sweep.feasible, sweep.rtt, sweep.pos, sweep.route
+            return sweep.feasible, sweep.rtt, sweep.pos, sweep.base
         sets = [list(assigned) + [task] for task in tasks]
         plan_many = getattr(self.planner, "plan_many", None)
         if plan_many is not None:
@@ -168,104 +162,80 @@ class CandidateTable:
         feasible = np.array([r.feasible for r in results], dtype=bool)
         rtt = np.array([r.route_travel_time for r in results],
                        dtype=np.float64)
-        return feasible, rtt, None, lambda i: results[i].route
+        return feasible, rtt, None, results
 
     def _sweep(self, worker: Worker, route_tasks: Sequence,
                tasks: Iterable[SensingTask], current_incentive: float,
                budget_rest: float, min_position: int = 0,
-               assigned: Sequence[SensingTask] | None = None
-               ) -> dict[int, CandidateEntry]:
-        """Feasible, affordable entries for ``tasks``, keyed in task order.
+               assigned: Sequence[SensingTask] | None = None) -> tuple:
+        """Feasible, affordable pairs among ``tasks``, as row arrays.
 
-        Incentive deltas and the budget filter run over whole arrays; a
-        :class:`CandidateEntry` — with its route deferred to first
-        access — is built only for the tasks kept.
+        Returns ``(cols, rtt, delta, pos, source)`` over the kept tasks;
+        incentive deltas and the budget filter run over whole arrays.
         """
         tasks = list(tasks)
-        feasible, rtt, pos, route = self._plan(worker, route_tasks, tasks,
-                                               min_position, assigned)
+        feasible, rtt, pos, source = self._plan(
+            worker, route_tasks, tasks, min_position, assigned)
         idx = np.flatnonzero(feasible)
-        if not idx.size:
-            return {}
-        rtt = rtt[idx]
-        delta = self.incentives.incentives(worker, rtt) - current_incentive
-        # Strict >: the paper's constraint is <=, so an assignment that
-        # exactly exhausts the remaining budget stays feasible.
-        keep = ~(delta > budget_rest)
-        idx = idx[keep]
-        positions = (pos[idx].tolist() if pos is not None
-                     else [None] * len(idx))
-        return {tasks[i].task_id: CandidateEntry(partial(route, i), r, d, p)
-                for i, r, d, p in zip(idx.tolist(), rtt[keep].tolist(),
-                                      delta[keep].tolist(), positions)}
+        if idx.size:
+            rtt = rtt[idx]
+            delta = self.incentives.incentives(worker, rtt) \
+                - current_incentive
+            # Strict >: the paper's constraint is <=, so an assignment
+            # that exactly exhausts the remaining budget stays feasible.
+            keep = ~(delta > budget_rest)
+            idx, rtt, delta = idx[keep], rtt[keep], delta[keep]
+        else:
+            delta = rtt = np.empty(0)
+        idx_list = idx.tolist()
+        cols = np.array([self.col_of[tasks[i].task_id] for i in idx_list],
+                        dtype=np.intp)
+        if pos is not None:
+            return cols, rtt, delta, pos[idx], source
+        return cols, rtt, delta, None, {
+            col: source[i].route for col, i in zip(cols.tolist(), idx_list)}
 
-    # ------------------------------------------------------------------ #
-    # Incremental index maintenance
-    # ------------------------------------------------------------------ #
-    def _commit_row(self, worker_id: int,
-                    row: dict[int, CandidateEntry]) -> None:
-        """Replace a worker's row and update both indices."""
-        old = self._table.get(worker_id)
-        if old:
-            for task_id in old:
-                self._unindex(task_id, worker_id)
-        self._table[worker_id] = row
-        for task_id in row:
-            self._task_workers.setdefault(task_id, set()).add(worker_id)
-        was_nonempty = worker_id in self._nonempty
-        if row and not was_nonempty:
-            self._nonempty.add(worker_id)
-            self._workers_cache = None
-        elif not row and was_nonempty:
-            self._nonempty.discard(worker_id)
-            self._workers_cache = None
+    def _write(self, worker: Worker, swept: tuple,
+               replace: bool = True) -> None:
+        """Write a sweep's pairs into the worker's row; ``replace`` clears
+        the row first, otherwise the pairs are merged in."""
+        cols, rtt, delta, pos, source = swept
+        r = self.row_of[worker.worker_id]
+        if replace:
+            self.mask[r] = False
+        self.mask[r, cols] = True
+        self.rtt[r, cols] = rtt
+        self.delta_incentive[r, cols] = delta
+        self.pos[r, cols] = -1 if pos is None else pos
+        self._sources[r] = source
 
-    def _unindex(self, task_id: int, worker_id: int) -> None:
-        holders = self._task_workers.get(task_id)
-        if holders is not None:
-            holders.discard(worker_id)
-            if not holders:
-                del self._task_workers[task_id]
-
-    def _drop_entry(self, worker_id: int, task_id: int) -> None:
-        row = self._table[worker_id]
-        del row[task_id]
-        self._unindex(task_id, worker_id)
-        if not row:
-            self._nonempty.discard(worker_id)
-            self._workers_cache = None
+    def _admit(self, worker: Worker) -> None:
+        """Append a worker's row to the table order if it is not there."""
+        r = self.row_of[worker.worker_id]
+        if r not in self.order:
+            self.order.append(r)
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "CandidateTable":
-        """Cheap structural copy for snapshot reuse.
+        """Array copy for snapshot reuse.
 
-        Rows are copied dict-by-dict; the :class:`CandidateEntry` values are
-        frozen and shared.  ``planner_calls`` carries over so the copy still
-        reports the cost of building the table it restores — no new planner
-        calls are issued by the copy itself.
+        The planes and the order are copied; the row universe and the
+        per-row route sources are immutable and shared.  ``planner_calls``
+        carries over so the copy still reports the cost of building the
+        table it restores — no new planner calls are issued by the copy
+        itself.
         """
-        clone = CandidateTable(self.planner, self.incentives)
-        clone._table = {worker_id: dict(row)
-                        for worker_id, row in self._table.items()}
-        clone._task_workers = {task_id: set(holders)
-                               for task_id, holders
-                               in self._task_workers.items()}
-        clone._nonempty = set(self._nonempty)
-        clone.planner_calls = self.planner_calls
+        clone = copy.copy(self)
+        for name in ("mask", "delta_incentive", "rtt", "pos"):
+            setattr(clone, name, getattr(self, name).copy())
+        clone.order = list(self.order)
+        clone._sources = list(self._sources)
         return clone
 
     def remove_task(self, task_id: int) -> None:
-        """Line 16: drop a completed task from every worker's candidates.
-
-        The reverse index makes this O(workers holding the task) instead
-        of touching every row.
-        """
-        for worker_id in self._task_workers.pop(task_id, ()):
-            row = self._table[worker_id]
-            del row[task_id]
-            if not row:
-                self._nonempty.discard(worker_id)
-                self._workers_cache = None
+        """Line 16: drop a completed task from every worker's candidates
+        (clears its column)."""
+        self.mask[:, self.col_of[task_id]] = False
 
     def recompute_worker(self, worker: Worker,
                          assigned: Sequence[SensingTask],
@@ -284,24 +254,13 @@ class CandidateTable:
         insertion-capable planner, since a full re-plan cannot honour a
         committed prefix.
         """
-        self._commit_row(worker.worker_id, self._sweep(
+        self._write(worker, self._sweep(
             worker, current_route_tasks, available, current_incentive,
             budget_rest, min_position, assigned))
 
     # ------------------------------------------------------------------ #
     # Incremental repair (streaming arrivals / expiries / re-anchoring)
     # ------------------------------------------------------------------ #
-    def _add_entry(self, worker_id: int, task_id: int,
-                   entry: CandidateEntry) -> None:
-        """Insert (or update) one entry, maintaining both indices."""
-        row = self._table[worker_id]
-        was_empty = not row
-        row[task_id] = entry
-        self._task_workers.setdefault(task_id, set()).add(worker_id)
-        if was_empty:
-            self._nonempty.add(worker_id)
-            self._workers_cache = None
-
     def add_tasks(self, new_tasks: Sequence[SensingTask],
                   worker_states: Iterable[tuple],
                   budget_rest: float) -> None:
@@ -311,20 +270,17 @@ class CandidateTable:
         min_position)`` for every worker that can still accept tasks — its
         committed route order, the incentive currently owed, and the
         anchor of its committed mid-route position.  Each worker gets one
-        batched anchored sweep over the arrival batch; feasible entries
-        are *appended* to its row, which keeps row iteration order equal
-        to a fresh rebuild over the arrival-ordered task pool.
+        batched anchored sweep over the arrival batch, merged into its
+        row.
         """
         new_tasks = list(new_tasks)
         if not new_tasks:
             return
         for worker, route_tasks, incentive, min_position in worker_states:
-            if worker.worker_id not in self._table:
-                self._table[worker.worker_id] = {}
-            for task_id, entry in self._sweep(worker, route_tasks, new_tasks,
-                                              incentive, budget_rest,
-                                              min_position).items():
-                self._add_entry(worker.worker_id, task_id, entry)
+            self._admit(worker)
+            self._write(worker, self._sweep(
+                worker, route_tasks, new_tasks, incentive, budget_rest,
+                min_position), replace=False)
 
     def expire_task(self, task_id: int) -> bool:
         """Repair after an expiry: drop the task from every row.
@@ -333,41 +289,32 @@ class CandidateTable:
         task leave the table the same way); returns whether any worker
         still held it, which rejection accounting reports.
         """
-        present = task_id in self._task_workers
+        present = bool(self.mask[:, self.col_of[task_id]].any())
         self.remove_task(task_id)
         return present
 
     def reanchor_worker(self, worker: Worker, route_tasks: Sequence,
-                        tasks_by_id: dict[int, SensingTask],
                         current_incentive: float, budget_rest: float,
                         min_position: int) -> int:
         """Repair after time passes: advance a worker's committed anchor.
 
-        Only entries the new anchor invalidates — recorded insertion
-        position before ``min_position``, or no recorded position — are
-        re-swept (one batched anchored call); the rest are provably
-        identical to an anchored rescan and keep their values.  An entry
-        that loses every anchored position is dropped; a task absent from
-        the row cannot re-enter (the feasible position set only shrinks as
-        the anchor advances).  Returns the number of entries re-swept.
+        Only pairs the new anchor invalidates — recorded insertion
+        position before ``min_position``, or none recorded — are re-swept
+        (one batched anchored call); the rest are provably identical to
+        an anchored rescan and keep their values.  A pair that loses every
+        anchored position is dropped; a task absent from the row cannot
+        re-enter (the feasible position set only shrinks as the anchor
+        advances).  Returns the number of pairs re-swept.
         """
-        row = self._table.get(worker.worker_id)
-        if not row:
+        r = self.row_of[worker.worker_id]
+        stale = np.flatnonzero(self.mask[r] & (self.pos[r] < min_position))
+        if not stale.size:
             return 0
-        stale_ids = [task_id for task_id, entry in row.items()
-                     if entry.position is None
-                     or entry.position < min_position]
-        if not stale_ids:
-            return 0
-        fresh = self._sweep(worker, route_tasks,
-                            [tasks_by_id[task_id] for task_id in stale_ids],
-                            current_incentive, budget_rest, min_position)
-        for task_id in stale_ids:
-            if task_id in fresh:
-                row[task_id] = fresh[task_id]  # in-place: row order preserved
-            else:
-                self._drop_entry(worker.worker_id, task_id)
-        return len(stale_ids)
+        self.mask[r, stale] = False
+        self._write(worker, self._sweep(
+            worker, route_tasks, [self.tasks[c] for c in stale.tolist()],
+            current_incentive, budget_rest, min_position), replace=False)
+        return int(stale.size)
 
     def add_worker(self, worker: Worker, tasks: Sequence[SensingTask],
                    budget_rest: float, min_position: int = 0) -> bool:
@@ -375,17 +322,18 @@ class CandidateTable:
 
         Plans the worker's base route (recording its base travel time with
         the incentive model), then sweeps every current task against it.
-        The row is appended, so ``workers_with_candidates()`` order stays
-        the arrival order.  Returns False — with an empty committed row —
-        when the worker cannot even complete their own trip.
+        The row joins the end of :attr:`order`.  Returns False — with an
+        empty row — when the worker cannot even complete their own trip.
         """
         base = self.planner.base_route(worker)
         self.incentives.set_base_rtt(worker, base.route_travel_time)
-        self._commit_row(worker.worker_id, {})
+        self._admit(worker)
+        r = self.row_of[worker.worker_id]
+        self.mask[r] = False
         if not base.feasible:
             return False
         base_tasks = base.route.tasks if base.route is not None else ()
-        self._commit_row(worker.worker_id, self._sweep(
+        self._write(worker, self._sweep(
             worker, base_tasks, tasks, 0.0, budget_rest, min_position))
         return True
 
@@ -402,63 +350,45 @@ class CandidateTable:
         """
         worker_states = list(worker_states)
         tasks = list(tasks)
-        self._table = {worker.worker_id: {}
-                       for worker, _, _, _ in worker_states}
-        self._task_workers = {}
-        self._nonempty = set()
-        self._workers_cache = None
+        self._reset([self.row_of[worker.worker_id]
+                     for worker, _, _, _ in worker_states])
         for worker, route_tasks, incentive, min_position in worker_states:
             if route_tasks is None:
                 continue
-            self._commit_row(worker.worker_id, self._sweep(
+            self._write(worker, self._sweep(
                 worker, route_tasks, tasks, incentive, budget_rest,
                 min_position))
 
     def prune_over_budget(self, budget_rest: float) -> None:
-        """Drop entries whose marginal cost no longer fits the budget.
+        """Drop pairs whose marginal cost no longer fits the budget.
 
         Needed after *any* selection: spending budget on worker A can make
         a previously feasible pair of worker B unaffordable.
         """
-        for worker_id, row in self._table.items():
-            doomed = [t for t, e in row.items()
-                      if e.delta_incentive > budget_rest]
-            for task_id in doomed:
-                self._drop_entry(worker_id, task_id)
+        self.mask &= ~(self.delta_incentive > budget_rest)
 
     # ------------------------------------------------------------------ #
-    def get(self, worker_id: int, task_id: int) -> CandidateEntry | None:
-        return self._table.get(worker_id, {}).get(task_id)
+    def route(self, row: int, col: int) -> WorkingRoute:
+        """The working route of pair ``(row, col)`` after assignment."""
+        source = self._sources[row]
+        if isinstance(source, dict):
+            return source[col]
+        p = int(self.pos[row, col])
+        tasks = source[:p] + (self.tasks[col],) + source[p:]
+        return WorkingRoute(self.workers[row], tasks,
+                            speed=self.planner.speed)
 
-    def worker_candidates(self, worker_id: int) -> dict[int, CandidateEntry]:
-        return self._table.get(worker_id, {})
-
-    def workers_with_candidates(self) -> list[int]:
-        """Worker ids with at least one candidate, in table order.
-
-        Rebuilt only when a row transitions between empty and non-empty
-        (rare), so repeated calls within a selection step are O(1).
-        """
-        cache = self._workers_cache
-        if cache is None:
-            cache = [w for w in self._table if w in self._nonempty]
-            self._workers_cache = cache
-        return cache
-
-    def candidate_task_ids(self) -> set[int]:
-        return set(self._task_workers)
-
-    def num_candidate_tasks(self) -> int:
-        """Distinct tasks still assignable somewhere (O(1))."""
-        return len(self._task_workers)
+    def live_rows(self) -> np.ndarray:
+        """Rows holding at least one candidate, in table order."""
+        rows = np.asarray(self.order, dtype=np.intp)
+        return rows[self.mask[rows].any(axis=1)]
 
     @property
     def empty(self) -> bool:
-        return not self._task_workers
-
-    def num_pairs(self) -> int:
-        return sum(len(row) for row in self._table.values())
+        return not self.mask.any()
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         worker_id, task_id = pair
-        return task_id in self._table.get(worker_id, {})
+        r = self.row_of.get(worker_id)
+        c = self.col_of.get(task_id)
+        return r is not None and c is not None and bool(self.mask[r, c])

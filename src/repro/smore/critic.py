@@ -31,8 +31,9 @@ def critic_features(instance: USMDWInstance, state: SelectionState) -> np.ndarra
     num_tasks = max(len(instance.sensing_tasks), 1)
     mean_travel = float(np.mean([w.num_travel_tasks for w in workers]))
     mean_budget_time = float(np.mean([w.time_budget for w in workers]))
-    num_pairs = state.candidates.num_pairs()
-    num_candidate_tasks = state.candidates.num_candidate_tasks()
+    mask = state.candidates.mask
+    num_pairs = int(mask.sum())
+    num_candidate_tasks = int(mask.any(axis=0).sum())
     return np.array([
         num_workers / 32.0,
         num_tasks / 512.0,

@@ -16,15 +16,16 @@ candidate table's life cycle: instead of being rebuilt from scratch at
 every epoch (the ``repair=False`` reference mode), it is *repaired*
 incrementally —
 
-* expiries reuse the O(holders) ``remove_task`` path,
+* an expiry clears the task's column, as a selection does
+  (``expire_task``),
 * arrivals are swept once per worker as one batched anchored insertion
   call (``add_tasks``),
-* an advancing committed position re-sweeps only the entries whose
+* an advancing committed position re-sweeps only the pairs whose
   recorded insertion position it invalidates (``reanchor_worker``).
 
-Repair is provably row-identical to a fresh anchored rebuild over the
+Repair is provably plane-identical to a fresh anchored rebuild over the
 current pool (the property tests sweep both paths across planner
-backends), while touching O(changed entries) instead of O(W x S) per
+backends), while planning O(changed pairs) instead of O(W x S) per
 event.
 """
 
@@ -281,7 +282,7 @@ class DynamicSelectionEnv(SelectionEnv):
                     self.instance.worker(worker_id),
                     result.route_travel_time)
 
-        # (3) Locks advance with the clock; repair re-sweeps only entries
+        # (3) Locks advance with the clock; repair re-sweeps only pairs
         # the new anchor invalidates.
         for worker_id in state.active_workers:
             if worker_id in joined:
@@ -295,7 +296,6 @@ class DynamicSelectionEnv(SelectionEnv):
                 if route is not None:
                     state.candidates.reanchor_worker(
                         self.instance.worker(worker_id), route.tasks,
-                        self._tasks_by_id,
                         state.assignments[worker_id].incentive,
                         state.budget_rest, lock)
 

@@ -77,7 +77,9 @@ class SelectionEnv:
         workers, tasks = self._initial_pool()
         with obs.span("init", workers=len(workers), tasks=len(tasks)), \
                 profile_scope("env.init"):
-            table = CandidateTable(self.planner, self.incentives)
+            table = CandidateTable(self.planner, self.incentives,
+                                   self.instance.workers,
+                                   self.instance.sensing_tasks)
             table.initialize(workers, tasks, self.instance.budget)
         self.perf.planner_calls += table.planner_calls
         self.perf.init_planner_calls += table.planner_calls
@@ -118,25 +120,27 @@ class SelectionEnv:
         calls and advances each independently; dynamics and perf
         accounting are identical to :meth:`step`.
         """
-        entry = state.candidates.get(worker_id, task_id)
-        if entry is None:
+        if (worker_id, task_id) not in state.candidates:
             raise KeyError(
                 f"(worker {worker_id}, task {task_id}) is not a feasible candidate")
         with profile_scope("env.step"):
-            return self._apply_step(state, worker_id, task_id, entry)
+            return self._apply_step(state, worker_id, task_id)
 
     def _apply_step(self, state: SelectionState, worker_id: int,
-                    task_id: int, entry) -> tuple[SelectionState, float, bool]:
+                    task_id: int) -> tuple[SelectionState, float, bool]:
         start = time.perf_counter()
-        calls_before = state.candidates.planner_calls
+        table = state.candidates
+        calls_before = table.planner_calls
         task = self.instance.sensing_task(task_id)
         worker = self.instance.worker(worker_id)
+        row, col = table.row_of[worker_id], table.col_of[task_id]
+        delta = float(table.delta_incentive[row, col])
 
         phi_before = state.coverage.phi()
 
         # Lines 12-14: budget, M, S'.
-        state.budget_rest -= entry.delta_incentive
-        state.assignments.apply(worker_id, task, entry)
+        state.budget_rest -= delta
+        state.assignments.apply(worker_id, task, table.route(row, col), delta)
         state.selected.append(task)
         state.coverage.add(task)
         state.step_count += 1

@@ -48,6 +48,13 @@ def worker_travel_grid(instance: USMDWInstance, worker) -> np.ndarray:
     return matrix / 3.0
 
 
+def _task_rows(instance: USMDWInstance) -> np.ndarray:
+    """Row of each candidate-table column (tasks by ascending id) in the
+    instance's task order, which the task embeddings follow."""
+    return np.argsort([s.task_id for s in instance.sensing_tasks],
+                      kind="stable")
+
+
 def sensing_task_features(instance: USMDWInstance) -> np.ndarray:
     """Per-task (x, y, tw_start, tw_end), normalised by region / time span."""
     region = instance.coverage.grid.region
@@ -84,6 +91,7 @@ class _InstanceStatics:
     task_mean: nn.Tensor         # (d,)
     worker_ids: list[int]
     task_index: dict[int, int]
+    task_rows: np.ndarray        # (n_s,) embedding row of each table column
 
 
 class EpisodeStaticsCache:
@@ -171,6 +179,7 @@ class _MultiEpisodeStatics:
     instances: list
     worker_ids: list[list[int]]
     task_index: list[dict[int, int]]
+    task_rows: list[np.ndarray]
     worker_emb: nn.Tensor        # (sum n_w, d)
     task_emb: nn.Tensor          # (sum n_s, d)
     cand_keys: nn.Tensor         # (sum n_s, d) static pointer keys
@@ -264,7 +273,8 @@ class TASNetPolicy:
             task_mean=nn.ops.mean(task_emb, axis=0),
             worker_ids=[w.worker_id for w in instance.workers],
             task_index={s.task_id: i
-                        for i, s in enumerate(instance.sensing_tasks)})
+                        for i, s in enumerate(instance.sensing_tasks)},
+            task_rows=_task_rows(instance))
         if cache is not None:
             cache.put(instance, statics)
         return statics
@@ -287,7 +297,7 @@ class TASNetPolicy:
             raise ValueError("begin_episodes needs at least one instance")
         self.end_episodes()
         worker_embs, task_embs, cand_keys, task_means = [], [], [], []
-        worker_ids, task_index = [], []
+        worker_ids, task_index, task_rows = [], [], []
         for instance in instances:
             statics = self._instance_statics(instance)
             worker_embs.append(statics.worker_emb)
@@ -296,11 +306,13 @@ class TASNetPolicy:
             task_means.append(statics.task_mean)
             worker_ids.append(statics.worker_ids)
             task_index.append(statics.task_index)
+            task_rows.append(statics.task_rows)
         workers = RaggedRows([len(ids) for ids in worker_ids])
         tasks = RaggedRows([len(index) for index in task_index])
         pad_idx, pad_mask = workers.padded()
         self._multi = _MultiEpisodeStatics(
             instances=instances, worker_ids=worker_ids, task_index=task_index,
+            task_rows=task_rows,
             worker_emb=nn.ops.concat(worker_embs, axis=0),
             task_emb=nn.ops.concat(task_embs, axis=0),
             cand_keys=nn.ops.concat(cand_keys, axis=0),
@@ -424,10 +436,9 @@ class TASNetPolicy:
         worker_states, pad_mask = self._padded_worker_states(
             states, inst_idx, multi)
         mask = pad_mask.copy()
-        for k, (state, i) in enumerate(zip(states, inst_idx)):
-            feasible = set(state.feasible_worker_ids())
-            ids = multi.worker_ids[i]
-            mask[k, :len(ids)] = [w not in feasible for w in ids]
+        for k, state in enumerate(states):
+            live = state.candidates.mask.any(axis=1)
+            mask[k, :len(live)] = ~live
             if mask[k].all():
                 raise RuntimeError("no worker has feasible candidates")
         return self.net.worker_selection.forward_batch(
@@ -439,26 +450,27 @@ class TASNetPolicy:
                         ) -> tuple[nn.Tensor, list[list[int]]]:
         """Stage 2: ((K, m_max) padded log-probs, task-id orders).
 
-        Every task index is offset into the flat cross-instance
+        State k's candidates are the live columns of its table row
+        ``worker_idxs[k]`` (table rows are the instance's workers in
+        order); every task index is offset into the flat cross-instance
         embedding matrices of state k's instance ``inst_idx[k]``.
         """
         num_states = len(states)
         task_id_lists: list[list[int]] = []
         delta_in_rows, delta_phi_rows = [], []
-        cand_rows: list[list[int]] = []
+        cand_rows: list[np.ndarray] = []
         assigned_rows: list[list[int]] = []
-        for state, worker_id, i in zip(states, worker_ids, inst_idx):
-            instance = multi.instances[i]
+        for state, worker_id, row, i in zip(states, worker_ids, worker_idxs,
+                                            inst_idx):
+            table = state.candidates
             task_index = multi.task_index[i]
             base = int(multi.tasks.offsets[i])
-            candidates = state.candidates.worker_candidates(worker_id)
-            task_ids = sorted(candidates)
-            task_id_lists.append(task_ids)
-            delta_in_rows.append(np.array(
-                [candidates[t].delta_incentive for t in task_ids]))
+            cols = np.flatnonzero(table.mask[row])
+            task_id_lists.append(table.task_ids[cols].tolist())
+            delta_in_rows.append(table.delta_incentive[row, cols])
             delta_phi_rows.append(state.coverage.gain_many(
-                [instance.sensing_task(t) for t in task_ids]))
-            cand_rows.append([base + task_index[t] for t in task_ids])
+                [table.tasks[c] for c in cols.tolist()]))
+            cand_rows.append(base + multi.task_rows[i][cols])
             assigned_rows.append(
                 [base + task_index[t.task_id]
                  for t in state.assignments[worker_id].assigned])
@@ -620,16 +632,14 @@ class FlatSelectionPolicy:
         self._instance: USMDWInstance | None = None
         self._worker_emb: nn.Tensor | None = None
         self._task_emb: nn.Tensor | None = None
-        self._worker_pos: dict[int, int] = {}
-        self._task_index: dict[int, int] = {}
+        self._task_rows: np.ndarray | None = None
 
     def begin_episode(self, instance: USMDWInstance) -> None:
         self._instance = instance
         grids = np.stack([worker_travel_grid(instance, w) for w in instance.workers])
         self._worker_emb = self.net.worker_encoder(grids)
         self._task_emb = self.net.task_encoder(sensing_task_features(instance))
-        self._worker_pos = {w.worker_id: i for i, w in enumerate(instance.workers)}
-        self._task_index = {s.task_id: i for i, s in enumerate(instance.sensing_tasks)}
+        self._task_rows = _task_rows(instance)
 
     def _pair_log_probs(self, state: SelectionState
                         ) -> tuple[nn.Tensor, list[tuple[int, int]]]:
@@ -638,16 +648,16 @@ class FlatSelectionPolicy:
             raise RuntimeError("call begin_episode(instance) first")
         budget_norm = state.budget_rest / max(instance.budget, 1e-9)
 
+        table = state.candidates
         pairs: list[tuple[int, int]] = []
         key_rows = []
-        for worker_id in state.candidates.workers_with_candidates():
-            w_idx = self._worker_pos[worker_id]
-            for task_id in sorted(
-                    state.candidates.worker_candidates(worker_id)):
-                t_idx = self._task_index[task_id]
+        for row in table.live_rows().tolist():
+            worker_id = table.workers[row].worker_id
+            for col in np.flatnonzero(table.mask[row]).tolist():
                 key_rows.append(nn.ops.concat(
-                    [self._worker_emb[w_idx], self._task_emb[t_idx]]))
-                pairs.append((worker_id, task_id))
+                    [self._worker_emb[row],
+                     self._task_emb[int(self._task_rows[col])]]))
+                pairs.append((worker_id, int(table.task_ids[col])))
         keys = nn.ops.stack(key_rows)
         query = self.net.budget_fc(nn.Tensor(np.array([budget_norm])))
         return nn.ops.log_softmax(self.net.pointer(query, keys)), pairs

@@ -68,30 +68,33 @@ def _chunk(items: list, parts: int) -> list[list]:
 
 
 def _best_candidate_pair(state: SelectionState, score):
-    """Arg-best (worker, task) over the candidate table without sorting.
+    """Arg-best (worker, task) over the candidate planes.
 
-    ``score(task_id, entry)`` returns the primary key to *minimise* (e.g.
-    negative coverage gain).  Ties break toward the lower incentive cost,
-    then the lower task id within a worker's row; across workers the
-    earlier worker in table order wins, mirroring the historical
-    sorted-scan semantics at O(row) instead of O(row log row) per step.
+    ``score(gains, delta)`` maps the coverage gains of every column (one
+    ``gain_many`` call) and the incentive-delta plane to a plane of
+    primary keys to *minimise* (e.g. negative coverage gain).  Within a
+    row the lexicographic minimum of (score, delta, task id) wins; across
+    rows the earlier row in table order wins unless its (score, delta)
+    is strictly worse.
     """
-    best = None
-    best_key = None
-    for worker_id in state.candidates.workers_with_candidates():
-        row_best = None
-        row_key = None
-        for task_id, entry in state.candidates.worker_candidates(
-                worker_id).items():
-            key = (score(task_id, entry), entry.delta_incentive, task_id)
-            if row_key is None or key < row_key:
-                row_key = key
-                row_best = task_id
-        if row_key is not None and (best_key is None
-                                    or row_key[:2] < best_key[:2]):
-            best_key = row_key
-            best = (worker_id, row_best)
-    return best
+    table = state.candidates
+    live = table.mask.any(axis=0)
+    gains = np.zeros(len(table.tasks))
+    gains[live] = state.coverage.gain_many(
+        [table.tasks[c] for c in np.flatnonzero(live).tolist()])
+    rows = table.live_rows()
+    mask = table.mask[rows]
+    delta = table.delta_incentive[rows]
+    keys = np.where(mask, score(gains[None, :], delta), np.inf)
+    best = keys.min(axis=1, keepdims=True)
+    tied = np.where(mask & (keys == best), delta, np.inf)
+    best_delta = tied.min(axis=1, keepdims=True)
+    cols = np.argmax(tied == best_delta, axis=1)   # first: lowest task id
+    best, best_delta = best[:, 0], best_delta[:, 0]
+    top = best == best.min()
+    k = np.flatnonzero(top & (best_delta == best_delta[top].min()))[0]
+    return (table.workers[rows[k]].worker_id,
+            int(table.task_ids[cols[k]]))
 
 
 class GreedySelectionRule:
@@ -102,16 +105,13 @@ class GreedySelectionRule:
     """
 
     def begin_episode(self, instance: USMDWInstance) -> None:
-        """Stateless: candidate tasks are read off the state's pool."""
+        """Stateless: candidate tasks are read off the state's planes."""
 
     def act(self, state: SelectionState, greedy: bool = True,
             rng: np.random.Generator | None = None):
         from .policy import ActionRecord
 
-        def score(task_id, entry):
-            return -state.coverage.gain(state.unselected[task_id])
-
-        best = _best_candidate_pair(state, score)
+        best = _best_candidate_pair(state, lambda gains, delta: -gains)
         return ActionRecord(best[0], best[1], nn.Tensor(0.0))
 
 
@@ -122,16 +122,15 @@ class RatioSelectionRule:
     as a strong deterministic reference policy."""
 
     def begin_episode(self, instance: USMDWInstance) -> None:
-        """Stateless: candidate tasks are read off the state's pool."""
+        """Stateless: candidate tasks are read off the state's planes."""
 
     def act(self, state: SelectionState, greedy: bool = True,
             rng: np.random.Generator | None = None):
         from .heuristics import SOFT_MASK_EPS
         from .policy import ActionRecord
 
-        def score(task_id, entry):
-            gain = state.coverage.gain(state.unselected[task_id])
-            return -gain / max(entry.delta_incentive, SOFT_MASK_EPS)
+        def score(gains, delta):
+            return -gains / np.maximum(delta, SOFT_MASK_EPS)
 
         best = _best_candidate_pair(state, score)
         return ActionRecord(best[0], best[1], nn.Tensor(0.0))

@@ -3,9 +3,14 @@
 ``M[w]`` tracks, per worker: the assigned sensing tasks, the current
 working route, and the incentive currently owed (Algorithm 1 line 3).
 :class:`SelectionState` bundles everything TASNet conditions on
-(Section IV-A): candidates ``C``, assignments ``M``, static worker info
-``W``, and the remaining budget ``B_t`` — plus the coverage state that
-yields rewards.
+(Section IV-A): candidates ``C`` — the dense worker x task planes of
+:class:`~repro.smore.candidates.CandidateTable`, whose rows are the
+instance's workers in instance order and whose columns are its sensing
+tasks by ascending id — assignments ``M``, static worker info ``W``, and
+the remaining budget ``B_t``, plus the coverage state that yields
+rewards.  A selection applies one pair: the table builds that pair's
+route, and :meth:`AssignmentState.apply` records it with its incentive
+delta.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from ..core.coverage import CoverageState
 from ..core.entities import SensingTask, Worker
 from ..core.route import WorkingRoute
-from .candidates import CandidateEntry, CandidateTable
+from .candidates import CandidateTable
 
 __all__ = ["WorkerAssignment", "AssignmentState", "SelectionState"]
 
@@ -48,13 +53,13 @@ class AssignmentState:
     def __iter__(self):
         return iter(self._slots.values())
 
-    def apply(self, worker_id: int, task: SensingTask,
-              entry: CandidateEntry) -> None:
+    def apply(self, worker_id: int, task: SensingTask, route: WorkingRoute,
+              delta_incentive: float) -> None:
         """Record a selected assignment (Algorithm 1 line 13)."""
         slot = self._slots[worker_id]
         slot.assigned.append(task)
-        slot.route = entry.route
-        slot.incentive += entry.delta_incentive
+        slot.route = route
+        slot.incentive += delta_incentive
 
     def routes(self) -> dict[int, WorkingRoute]:
         return {
@@ -95,9 +100,6 @@ class SelectionState:
     @property
     def done(self) -> bool:
         return self.candidates.empty
-
-    def feasible_worker_ids(self) -> list[int]:
-        return self.candidates.workers_with_candidates()
 
     def phi(self) -> float:
         return self.coverage.phi()

@@ -10,7 +10,7 @@ from repro.experiments import (
     MethodResult,
     aggregate,
 )
-from repro.experiments.pretrained import get_trained_policy
+from repro.experiments.pretrained import PretrainSpec, get_trained_policy
 
 from .conftest import TINY_PRETRAIN
 
@@ -139,3 +139,20 @@ class TestPretrainedCache:
     def test_cache_key_distinguishes_datasets(self):
         assert (TINY_PRETRAIN.cache_key("delivery")
                 != TINY_PRETRAIN.cache_key("tourism"))
+
+    @pytest.mark.parametrize("field", sorted(PretrainSpec.__dataclass_fields__))
+    def test_cache_key_covers_every_field(self, field):
+        from dataclasses import replace
+
+        value = getattr(TINY_PRETRAIN, field)
+        changed = replace(TINY_PRETRAIN, **{field: value * 2 + 1})
+        assert (changed.cache_key("delivery")
+                != TINY_PRETRAIN.cache_key("delivery"))
+
+    def test_cache_key_covers_training_code(self, monkeypatch):
+        from repro.experiments import pretrained
+
+        before = TINY_PRETRAIN.cache_key("delivery")
+        monkeypatch.setattr(pretrained, "training_code_digest",
+                            lambda: "0" * 64)
+        assert TINY_PRETRAIN.cache_key("delivery") != before

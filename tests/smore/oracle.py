@@ -29,6 +29,8 @@ from repro.smore.heuristics import soft_mask
 from repro.smore.policy import (ActionRecord, _choose,
                                 sensing_task_features, worker_travel_grid)
 
+from .planes import live_worker_ids, pair_values, row_task_ids
+
 
 def worker_selection_forward(module, worker_state_emb: nn.Tensor,
                              budget_norm: float,
@@ -127,7 +129,7 @@ class SerialTASNetPolicy:
             mean_assigned = self._assigned_embedding_mean(
                 state.assignments[worker_id].assigned)
             rows.append(nn.ops.concat([mean_assigned, self._worker_emb[idx]]))
-        feasible = set(state.feasible_worker_ids())
+        feasible = set(live_worker_ids(state.candidates))
         mask = np.array([w not in feasible for w in self._worker_ids])
         if mask.all():
             raise RuntimeError("no worker has feasible candidates")
@@ -137,9 +139,9 @@ class SerialTASNetPolicy:
 
     def _task_stage(self, state, worker_id, worker_idx, budget_norm, h_g):
         """Stage 2 for one worker: (log-probs, task id order)."""
-        candidates = state.candidates.worker_candidates(worker_id)
-        task_ids = sorted(candidates)
-        delta_in = np.array([candidates[t].delta_incentive for t in task_ids])
+        task_ids = row_task_ids(state.candidates, worker_id)
+        delta_in = np.array([pair_values(state.candidates, worker_id, t)[0]
+                             for t in task_ids])
         delta_phi = np.array([
             state.coverage.gain(self._instance.sensing_task(t))
             for t in task_ids])

@@ -1,10 +1,11 @@
-"""Property test: incremental repair is row-identical to a fresh rebuild.
+"""Property test: incremental repair is plane-identical to a fresh rebuild.
 
 The tentpole invariant of the dynamic environment: after every event
 epoch, the incrementally repaired candidate table must equal — same
-worker order, same row key order, same route travel times, same
-incentive deltas, same recorded insertion positions — a from-scratch
-anchored build over the current task pool and committed worker states.
+worker order, same candidate mask, and under it the same route travel
+times, incentive deltas and recorded insertion positions — a
+from-scratch anchored build over the current task pool and committed
+worker states.
 
 The sweep runs 200+ randomized configurations: seeds x arrival process x
 planner (vectorized kernels or the object-path oracle) x memoised vs. raw
@@ -53,32 +54,31 @@ def _instance(seed):
                                 num_workers=2 + int(rng.integers(3))))[0]
 
 
+def _pairs(table: CandidateTable, where: np.ndarray) -> list[tuple]:
+    """``(worker_id, task_id)`` of the cells set in ``where``."""
+    return [(table.workers[r].worker_id, int(table.task_ids[c]))
+            for r, c in np.argwhere(where)]
+
+
 def _assert_tables_identical(repaired: CandidateTable,
                              reference: CandidateTable, context: str):
-    assert list(repaired._table) == list(reference._table), \
+    assert repaired.order == reference.order, \
         f"worker order diverged ({context})"
-    for worker_id, ref_row in reference._table.items():
-        row = repaired._table[worker_id]
-        assert list(row) == list(ref_row), \
-            f"row key order diverged for worker {worker_id} ({context})"
-        for task_id, ref_entry in ref_row.items():
-            entry = row[task_id]
-            assert entry.route_travel_time == ref_entry.route_travel_time, \
-                f"rtt diverged at C[{worker_id}][{task_id}] ({context})"
-            assert entry.delta_incentive == ref_entry.delta_incentive, \
-                f"delta diverged at C[{worker_id}][{task_id}] ({context})"
-            if entry.position is not None and ref_entry.position is not None:
-                assert entry.position == ref_entry.position, \
-                    f"position diverged at C[{worker_id}][{task_id}] " \
-                    f"({context})"
-    assert repaired._task_workers == reference._task_workers, \
-        f"reverse index diverged ({context})"
-    assert repaired._nonempty == reference._nonempty, \
-        f"nonempty index diverged ({context})"
+    mask = reference.mask
+    diverged = repaired.mask != mask
+    assert not diverged.any(), \
+        f"mask diverged at {_pairs(reference, diverged)} ({context})"
+    for plane in ("rtt", "delta_incentive", "pos"):
+        diverged = mask & (getattr(repaired, plane)
+                           != getattr(reference, plane))
+        assert not diverged.any(), \
+            f"{plane} diverged at {_pairs(reference, diverged)} ({context})"
 
 
 def _reference_table(env: DynamicSelectionEnv, state) -> CandidateTable:
-    reference = CandidateTable(env.planner, env.incentives)
+    instance = env.instance
+    reference = CandidateTable(env.planner, env.incentives,
+                               instance.workers, instance.sensing_tasks)
     reference.rebuild(env._worker_states(state, stranded=True),
                       list(state.unselected.values()), state.budget_rest)
     return reference

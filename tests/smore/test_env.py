@@ -4,6 +4,8 @@ import pytest
 
 from repro.smore import SelectionEnv
 
+from .planes import live_worker_ids, pair_values, row_task_ids
+
 
 @pytest.fixture
 def env(small_instance, planner):
@@ -11,8 +13,8 @@ def env(small_instance, planner):
 
 
 def first_action(state):
-    worker_id = state.feasible_worker_ids()[0]
-    task_id = next(iter(state.candidates.worker_candidates(worker_id)))
+    worker_id = live_worker_ids(state.candidates)[0]
+    task_id = row_task_ids(state.candidates, worker_id)[0]
     return worker_id, task_id
 
 
@@ -40,7 +42,7 @@ class TestStep:
     def test_budget_decreases_by_delta(self, env, small_instance):
         state = env.reset()
         worker_id, task_id = first_action(state)
-        delta = state.candidates.get(worker_id, task_id).delta_incentive
+        delta, _ = pair_values(state.candidates, worker_id, task_id)
         state, _, _ = env.step(worker_id, task_id)
         assert state.budget_rest == pytest.approx(
             small_instance.budget - delta)
@@ -60,8 +62,8 @@ class TestStep:
         worker_id, task_id = first_action(state)
         state, _, _ = env.step(worker_id, task_id)
         for worker in small_instance.workers:
-            assert task_id not in state.candidates.worker_candidates(
-                worker.worker_id)
+            assert task_id not in row_task_ids(state.candidates,
+                                               worker.worker_id)
 
     def test_invalid_action_raises(self, env):
         env.reset()

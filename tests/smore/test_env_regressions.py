@@ -22,6 +22,13 @@ def _instance(seed=11):
         options=InstanceOptions(task_density=0.04, num_workers=3))[0]
 
 
+def _signature(table):
+    """Row order plus the live pairs and their values, plane by plane."""
+    mask = table.mask
+    return (list(table.order), mask.tolist(), table.rtt[mask].tolist(),
+            table.delta_incentive[mask].tolist(), table.pos[mask].tolist())
+
+
 class TestSnapshotOnlyWhenReusing:
     def test_snapshot_is_not_the_live_table(self):
         instance = _instance()
@@ -35,23 +42,18 @@ class TestSnapshotOnlyWhenReusing:
         env = SelectionEnv(instance, InsertionSolver(speed=instance.speed))
         policy = GreedySelectionRule()
         state = env.reset()
-        pristine = [(wid, list(row))
-                    for wid, row in env._snapshot._table.items()]
+        pristine = _signature(env._snapshot)
         policy.begin_episode(instance)
         while not state.done:
             action = policy.act(state)
             state, _, _ = env.step(action.worker_id, action.task_id)
-        assert [(wid, list(row))
-                for wid, row in env._snapshot._table.items()] == pristine
+        assert _signature(env._snapshot) == pristine
         fresh = env.reset()
-        assert [(wid, list(row))
-                for wid, row in fresh.candidates._table.items()] == pristine
+        assert _signature(fresh.candidates) == pristine
         # The full-replan oracle: a fresh env per rollout.
         replanned = SelectionEnv(
             instance, InsertionSolver(speed=instance.speed)).reset()
-        assert [(wid, list(row))
-                for wid, row in replanned.candidates._table.items()] \
-            == pristine
+        assert _signature(replanned.candidates) == pristine
 
 
 class TestIncrementalUnselectedPool:

@@ -23,6 +23,7 @@ from repro.smore import (RatioSelectionRule, SelectionEnv, TASNet,
 from repro.tsptw import InsertionSolver
 
 from .oracle import SerialTASNetPolicy, run_serial_episode
+from .planes import live_worker_ids, row_task_ids
 
 CONFIG = TASNetConfig(d_model=16, num_heads=2, num_layers=1, conv_channels=4)
 
@@ -88,8 +89,8 @@ def test_log_prob_of_bitwise_on_every_candidate(instances):
     checked = 0
     with nn.no_grad():
         while not state.done:
-            for worker_id in state.candidates.workers_with_candidates():
-                for task_id in state.candidates.worker_candidates(worker_id):
+            for worker_id in live_worker_ids(state.candidates):
+                for task_id in row_task_ids(state.candidates, worker_id):
                     got = policy.log_prob_of(state, worker_id, task_id)
                     want = serial.log_prob_of(state, worker_id, task_id)
                     assert got.data.tobytes() == want.data.tobytes()

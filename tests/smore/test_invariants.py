@@ -26,6 +26,8 @@ from repro.core import (
 from repro.smore import SelectionEnv
 from repro.tsptw import InsertionSolver
 
+from .planes import live_worker_ids, pair_route, pair_values, row_task_ids
+
 
 def random_instance(seed: int) -> USMDWInstance:
     rng = np.random.default_rng(seed)
@@ -58,12 +60,14 @@ def random_instance(seed: int) -> USMDWInstance:
 def check_invariants(instance: USMDWInstance, state) -> None:
     # 1. Every candidate entry is feasible and affordable.
     for worker in instance.workers:
-        for task_id, entry in state.candidates.worker_candidates(
-                worker.worker_id).items():
-            assert entry.delta_incentive < state.budget_rest + 1e-9
-            timing = entry.route.simulate()
+        for task_id in row_task_ids(state.candidates, worker.worker_id):
+            delta, _ = pair_values(state.candidates, worker.worker_id,
+                                   task_id)
+            route = pair_route(state.candidates, worker.worker_id, task_id)
+            assert delta < state.budget_rest + 1e-9
+            timing = route.simulate()
             assert timing.feasible
-            assert entry.route.covers_all_travel_tasks()
+            assert route.covers_all_travel_tasks()
     # 2. Budget conservation.
     assert state.budget_rest >= -1e-9
     spent = state.assignments.total_incentive()
@@ -92,9 +96,9 @@ class TestEnvironmentInvariants:
         rng = np.random.default_rng(seed + 1)
         steps = 0
         while not state.done and steps < 50:
-            worker_id = state.feasible_worker_ids()[
-                int(rng.integers(0, len(state.feasible_worker_ids())))]
-            candidates = sorted(state.candidates.worker_candidates(worker_id))
+            workers = live_worker_ids(state.candidates)
+            worker_id = workers[int(rng.integers(0, len(workers)))]
+            candidates = row_task_ids(state.candidates, worker_id)
             task_id = candidates[int(rng.integers(0, len(candidates)))]
             state, reward, _ = env.step(worker_id, task_id)
             check_invariants(instance, state)
@@ -108,8 +112,8 @@ class TestEnvironmentInvariants:
         state = env.reset()
         total = 0.0
         while not state.done:
-            worker_id = state.feasible_worker_ids()[0]
-            task_id = sorted(state.candidates.worker_candidates(worker_id))[0]
+            worker_id = live_worker_ids(state.candidates)[0]
+            task_id = row_task_ids(state.candidates, worker_id)[0]
             state, reward, _ = env.step(worker_id, task_id)
             total += reward
         assert total == pytest.approx(state.phi())

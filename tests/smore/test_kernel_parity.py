@@ -86,11 +86,12 @@ def test_candidate_init_parity_generated_instance():
     for planner_cls in (InsertionSolver, ObjectInsertionSolver):
         planner = planner_cls(speed=instance.speed)
         planner.bind_instance(instance)
-        table = CandidateTable(planner, IncentiveModel(mu=instance.mu))
+        table = CandidateTable(planner, IncentiveModel(mu=instance.mu),
+                               instance.workers, instance.sensing_tasks)
         table.initialize(instance.workers, instance.sensing_tasks,
                          instance.budget)
         tables.append(table)
     kernel_table, object_table = tables
-    assert kernel_table.num_pairs() > 0
-    assert kernel_table.num_pairs() == object_table.num_pairs()
+    assert kernel_table.mask.sum() > 0
+    assert kernel_table.mask.sum() == object_table.mask.sum()
     assert kernel_table.planner_calls == object_table.planner_calls

@@ -52,7 +52,7 @@ class TestTASNetPolicy:
         state = env.reset()
         policy.begin_episode(small_instance)
         action = policy.act(state)
-        assert state.candidates.get(action.worker_id, action.task_id) is not None
+        assert (action.worker_id, action.task_id) in state.candidates
 
     def test_greedy_deterministic(self, policy, small_instance, planner):
         env = SelectionEnv(small_instance, planner)
@@ -122,7 +122,7 @@ class TestFlatSelectionPolicy:
         state = env.reset()
         flat_policy.begin_episode(small_instance)
         action = flat_policy.act(state)
-        assert state.candidates.get(action.worker_id, action.task_id) is not None
+        assert (action.worker_id, action.task_id) in state.candidates
 
     def test_log_prob_of(self, flat_policy, small_instance, planner):
         env = SelectionEnv(small_instance, planner)

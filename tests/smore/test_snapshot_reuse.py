@@ -19,6 +19,8 @@ from repro.smore import (
 )
 from repro.tsptw import InsertionSolver
 
+from .planes import live_worker_ids, pair_route, pair_values, row_task_ids
+
 
 class CountingPlanner:
     """InsertionSolver wrapper counting actual backend invocations."""
@@ -44,14 +46,15 @@ class CountingPlanner:
 
 
 def table_signature(state):
+    table = state.candidates
     return {
         worker_id: {
-            task_id: (entry.delta_incentive,
-                      tuple(t.task_id for t in entry.route.tasks))
-            for task_id, entry in state.candidates.worker_candidates(
-                worker_id).items()
+            task_id: (pair_values(table, worker_id, task_id)[0],
+                      tuple(t.task_id for t in pair_route(
+                          table, worker_id, task_id).tasks))
+            for task_id in row_task_ids(table, worker_id)
         }
-        for worker_id in state.candidates.workers_with_candidates()
+        for worker_id in live_worker_ids(table)
     }
 
 

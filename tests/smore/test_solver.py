@@ -12,6 +12,8 @@ from repro.smore import (
     run_episode,
 )
 
+from .planes import live_worker_ids, pair_values, row_task_ids
+
 
 class TestSMORESolver:
     def test_solution_is_valid(self, policy, small_instance, planner):
@@ -82,8 +84,8 @@ class TestSelectionRules:
         action = rule.act(state)
         chosen_gain = state.coverage.gain(
             small_instance.sensing_task(action.task_id))
-        for worker_id in state.candidates.workers_with_candidates():
-            for task_id in state.candidates.worker_candidates(worker_id):
+        for worker_id in live_worker_ids(state.candidates):
+            for task_id in row_task_ids(state.candidates, worker_id):
                 gain = state.coverage.gain(small_instance.sensing_task(task_id))
                 assert chosen_gain >= gain - 1e-12
 
@@ -93,15 +95,17 @@ class TestSelectionRules:
         rule = RatioSelectionRule()
         rule.begin_episode(small_instance)
         action = rule.act(state)
-        entry = state.candidates.get(action.worker_id, action.task_id)
+        delta, _ = pair_values(state.candidates, action.worker_id,
+                               action.task_id)
         chosen = (state.coverage.gain(
             small_instance.sensing_task(action.task_id))
-            / max(entry.delta_incentive, 1e-6))
-        for worker_id in state.candidates.workers_with_candidates():
-            for task_id, e in state.candidates.worker_candidates(worker_id).items():
+            / max(delta, 1e-6))
+        for worker_id in live_worker_ids(state.candidates):
+            for task_id in row_task_ids(state.candidates, worker_id):
+                delta, _ = pair_values(state.candidates, worker_id, task_id)
                 ratio = (state.coverage.gain(
                     small_instance.sensing_task(task_id))
-                    / max(e.delta_incentive, 1e-6))
+                    / max(delta, 1e-6))
                 assert chosen >= ratio - 1e-9
 
     def test_rules_produce_valid_solutions(self, small_instance, planner):

@@ -5,6 +5,8 @@ import pytest
 from repro.core import IncentiveModel
 from repro.smore import AssignmentState, CandidateTable, SelectionEnv
 
+from .planes import live_worker_ids, pair_route, pair_values, row_task_ids
+
 
 @pytest.fixture
 def env(small_instance, planner):
@@ -28,19 +30,21 @@ class TestAssignmentState:
 
     def test_apply_accumulates(self, small_instance, planner):
         incentives = IncentiveModel(mu=small_instance.mu)
-        table = CandidateTable(planner, incentives)
+        table = CandidateTable(planner, incentives, small_instance.workers,
+                               small_instance.sensing_tasks)
         table.initialize(small_instance.workers, small_instance.sensing_tasks,
                          small_instance.budget)
         state = AssignmentState(small_instance.workers)
-        worker_id = table.workers_with_candidates()[0]
-        task_id, entry = next(iter(
-            table.worker_candidates(worker_id).items()))
+        worker_id = live_worker_ids(table)[0]
+        task_id = row_task_ids(table, worker_id)[0]
+        delta, _ = pair_values(table, worker_id, task_id)
+        route = pair_route(table, worker_id, task_id)
         task = small_instance.sensing_task(task_id)
-        state.apply(worker_id, task, entry)
+        state.apply(worker_id, task, route, delta)
         slot = state[worker_id]
         assert slot.num_assigned == 1
-        assert slot.incentive == pytest.approx(entry.delta_incentive)
-        assert slot.route is entry.route
+        assert slot.incentive == pytest.approx(delta)
+        assert slot.route is route
 
     def test_routes_and_incentives_exclude_idle_workers(self, small_instance):
         state = AssignmentState(small_instance.workers)
@@ -56,7 +60,7 @@ class TestSelectionState:
 
     def test_feasible_worker_ids_subset(self, env, small_instance):
         state = env.reset()
-        ids = set(state.feasible_worker_ids())
+        ids = set(live_worker_ids(state.candidates))
         assert ids.issubset({w.worker_id for w in small_instance.workers})
 
     def test_phi_starts_at_zero(self, env):
@@ -65,7 +69,7 @@ class TestSelectionState:
 
     def test_step_count_advances(self, env):
         state = env.reset()
-        worker_id = state.feasible_worker_ids()[0]
-        task_id = next(iter(state.candidates.worker_candidates(worker_id)))
+        worker_id = live_worker_ids(state.candidates)[0]
+        task_id = row_task_ids(state.candidates, worker_id)[0]
         state, _, _ = env.step(worker_id, task_id)
         assert state.step_count == 1

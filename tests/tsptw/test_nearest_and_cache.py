@@ -398,9 +398,10 @@ class TestFeatureDetection:
 
         backend = BatchBackend()
         cached = CachedPlanner(backend)
-        table = CandidateTable(cached, IncentiveModel(mu=1.0))
         tasks = [SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0),
                  SensingTask(2, Location(200, 0), 0.0, 240.0, 5.0)]
+        table = CandidateTable(cached, IncentiveModel(mu=1.0),
+                               [simple_worker], tasks)
         table.initialize([simple_worker], tasks, budget_rest=1000.0)
         # The batched path fired exactly once for the worker's task sweep;
         # the old None-attribute shadowing forced per-task plan() calls.
