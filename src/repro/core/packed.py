@@ -9,12 +9,14 @@ flags — plus a lazily built per-instance travel-distance matrix that every
 planner call shares.  The numpy route kernels in :mod:`repro.tsptw.kernels`
 operate on these arrays.
 
-Bit-identity contract: the distance matrix is built with ``math.hypot``
-(never ``np.hypot``, which differs by 1 ulp on ~0.6% of inputs), with the
-same argument orientation the object path uses, so kernel results and
+Bit-identity contract: matrix rows are built by
+:func:`~repro.core.geometry.hypot_array`, a bitwise port of ``math.hypot``
+(``np.hypot`` differs by 1 ulp on ~0.6% of inputs), so kernel results and
 object-path results see exactly the same floats.  ``math.hypot`` is
 symmetric under argument order and sign, so one cached row serves both
-travel directions.
+travel directions.  The kernel's fixed cost is ~60 numpy operations per
+call, so :meth:`PackedInstance.rows` builds all of a route's missing rows
+in one call rather than row by row.
 
 The packed view is cached on the instance (:func:`packed_instance`) and the
 lazily built rows live in plain numpy arrays, so fork-pool children inherit
@@ -25,25 +27,23 @@ snapshot.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from .entities import SensingTask, Worker
-from .geometry import Location
+from .geometry import Location, hypot_array
 
 __all__ = ["PackedInstance", "RaggedRows", "packed_instance",
            "DEFAULT_ROW_CACHE_BYTES", "PACKED_ARRAY_NAMES"]
 
 #: Cap on the lazily built travel-matrix row cache, in bytes per packed
-#: instance (overridable via ``REPRO_PACKED_ROW_BYTES``).  At the paper's
-#: scale every row fits far under the cap, so nothing ever evicts; at
-#: city scale (10k tasks -> ~10k locations, ~80 KB/row) an unbounded
-#: cache approaches a gigabyte per instance, so rows recycle LRU instead.
-DEFAULT_ROW_CACHE_BYTES = int(os.environ.get("REPRO_PACKED_ROW_BYTES",
-                                             256 * 1024 * 1024))
+#: instance.  At the paper's scale every row fits far under the cap, so
+#: nothing ever evicts; at city scale (10k tasks -> ~10k locations,
+#: ~80 KB/row) an unbounded cache approaches a gigabyte per instance, so
+#: rows recycle LRU instead.
+DEFAULT_ROW_CACHE_BYTES = 256 * 1024 * 1024
 
 #: The base arrays a packed instance can export for zero-copy sharing
 #: (:meth:`PackedInstance.export_arrays`), in a stable order.
@@ -96,15 +96,17 @@ class PackedInstance:
 
     Locations are deduplicated (sensing tasks share grid-cell centers, so
     the unique-location count is typically far below worker-count x
-    task-count); distances are materialised row-by-row on first use via
-    ``math.hypot`` and cached under an LRU row budget
-    (:data:`DEFAULT_ROW_CACHE_BYTES`) — small instances never evict, and
-    eviction can only cost a rebuild, never change a float.
+    task-count); distance rows are materialised on first use, a route's
+    missing rows in one :func:`~repro.core.geometry.hypot_array` call, and
+    cached under an LRU row budget (:data:`DEFAULT_ROW_CACHE_BYTES`) —
+    small instances never evict, and eviction can only cost a rebuild,
+    never change a float.
     """
 
-    __slots__ = ("xs", "ys", "_xl", "_yl", "_locs", "_loc_index", "_rows",
+    __slots__ = ("xs", "ys", "_locs", "_loc_index", "_rows",
                  "sensing_ids", "sensing_loc", "tw_start", "tw_end",
-                 "service", "latest_start", "is_sensing", "_sensing_row",
+                 "service", "latest_start", "is_sensing", "_id_order",
+                 "_sorted_ids",
                  "worker_locs", "_row_budget", "_row_builds",
                  "_row_evictions")
 
@@ -147,8 +149,6 @@ class PackedInstance:
             (s.tw_end - s.service_time for s in sensing_tasks),
             dtype=np.float64, count=n)
         self.is_sensing = np.ones(n, dtype=bool)
-        self._sensing_row = {int(s.task_id): k
-                             for k, s in enumerate(sensing_tasks)}
 
         self._locs = locs
         self._loc_index = index
@@ -159,20 +159,17 @@ class PackedInstance:
         self._init_row_cache(row_cache_bytes)
 
     def _init_row_cache(self, row_cache_bytes: int | None) -> None:
-        """Bound the lazy row cache by an LRU row budget.
+        """Bound the lazy row cache by an LRU row budget, and index the
+        sensing task ids for :meth:`sensing_rows`.
 
-        Also caches the coordinates as Python-float lists: :meth:`row`
-        runs ``math.hypot`` over them, the same doubles as ``xs``/``ys``
-        without a numpy scalar per element.
-
-        Eviction is free to be aggressive because no consumer retains a
-        row as a live view — every caller copies out what it needs
-        (fancy-indexing or ``fromiter``) — and a rebuilt row is the same
-        ``math.hypot`` sequence over the same coordinates, so results
-        stay bit-identical whatever the budget.
+        Eviction is free to be aggressive because rows are never written
+        after they are built — a caller holding an evicted row still reads
+        valid distances — and a rebuilt row is the same ``hypot_array``
+        computation over the same coordinates, so results stay
+        bit-identical whatever the budget.
         """
-        self._xl = self.xs.tolist()
-        self._yl = self.ys.tolist()
+        self._id_order = np.argsort(self.sensing_ids, kind="stable")
+        self._sorted_ids = self.sensing_ids[self._id_order]
         limit = (DEFAULT_ROW_CACHE_BYTES if row_cache_bytes is None
                  else row_cache_bytes)
         row_bytes = 8 * max(1, len(self._locs))
@@ -217,34 +214,62 @@ class PackedInstance:
         """Index of a known location, or -1 (callers fall back to hypot)."""
         return self._loc_index.get(location, -1)
 
+    def sensing_rows(self, task_ids: np.ndarray) -> np.ndarray | None:
+        """Packed array rows of many sensing task ids, or None when any
+        id is not in this view (one ``searchsorted``, no per-id lookup)."""
+        order = self._id_order
+        if not order.size:
+            return None if len(task_ids) else np.empty(0, dtype=np.intp)
+        k = np.searchsorted(self._sorted_ids, task_ids)
+        rows = order[np.minimum(k, order.size - 1)]
+        if not np.array_equal(self.sensing_ids[rows], task_ids):
+            return None
+        return rows
+
     def sensing_row(self, task_id: int) -> int:
         """Packed array row of a sensing task id, or -1 when unknown."""
-        return self._sensing_row.get(task_id, -1)
+        rows = self.sensing_rows(np.array([task_id], dtype=np.int64))
+        return -1 if rows is None else int(rows[0])
+
+    def rows(self, idx: Sequence[int]) -> list[np.ndarray]:
+        """Distance rows (meters) of locations ``idx``, in order.
+
+        Row ``i`` holds ``hypot(x_j - x_i, y_j - y_i)`` over every location
+        ``j`` — the expression and orientation of ``Location.distance_to``
+        and the insertion scan — so every consumer sees seed-identical
+        floats.  Cached rows are refreshed first; all missing rows are then
+        built in one :func:`~repro.core.geometry.hypot_array` call and
+        enter the LRU cache (with a budget below ``len(idx)`` some leave it
+        again at once, but are still returned).
+        """
+        cache = self._rows
+        out = [cache.get(i) for i in idx]
+        missing = []
+        for i, r in zip(idx, out):
+            if r is not None:
+                cache.move_to_end(i)
+            elif i not in missing:
+                missing.append(i)
+        if not missing:
+            return out
+        at = np.asarray(missing, dtype=np.intp)
+        block = hypot_array(self.xs - self.xs[at, None],
+                            self.ys - self.ys[at, None])
+        # Own copies: a row evicted later must free its memory even while
+        # rows of the same build stay cached.
+        built = dict(zip(missing, block if len(missing) == 1
+                         else [r.copy() for r in block]))
+        for i, r in built.items():
+            cache[i] = r
+        self._row_builds += len(missing)
+        while len(cache) > self._row_budget:
+            cache.popitem(last=False)
+            self._row_evictions += 1
+        return [built[i] if r is None else r for i, r in zip(idx, out)]
 
     def row(self, i: int) -> np.ndarray:
-        """Distances (meters) from location ``i`` to every location.
-
-        Built with ``math.hypot(x_j - x_i, y_j - y_i)`` — the exact
-        expression and orientation of ``Location.distance_to`` and the
-        insertion scan — so every consumer sees seed-identical floats.
-        """
-        rows = self._rows
-        r = rows.get(i)
-        if r is None:
-            xs, ys = self._xl, self._yl
-            xi, yi = xs[i], ys[i]
-            hypot = math.hypot
-            r = np.fromiter(
-                (hypot(x - xi, y - yi) for x, y in zip(xs, ys)),
-                dtype=np.float64, count=len(xs))
-            rows[i] = r
-            self._row_builds += 1
-            if len(rows) > self._row_budget:
-                rows.popitem(last=False)
-                self._row_evictions += 1
-        else:
-            rows.move_to_end(i)
-        return r
+        """Distances (meters) from location ``i`` to every location."""
+        return self.rows((i,))[0]
 
     def distance(self, i: int, j: int) -> float:
         return float(self.row(i)[j])
@@ -282,7 +307,7 @@ class PackedInstance:
 
         ``arrays`` is an :meth:`export_arrays` set, typically shared-
         memory views in a pool worker.  Location objects are re-interned
-        from the exact coordinate floats, so distances — ``math.hypot``
+        from the exact coordinate floats, so distances — ``hypot_array``
         over identical inputs — are bit-identical to the originating
         process.  ``workers`` may be any subset whose locations appear in
         the arrays (e.g. one shard's workers against the full instance's
@@ -298,8 +323,6 @@ class PackedInstance:
         self._loc_index = index
         n = len(self.sensing_ids)
         self.is_sensing = np.ones(n, dtype=bool)
-        self._sensing_row = {int(task_id): k
-                             for k, task_id in enumerate(self.sensing_ids)}
         self.worker_locs = {}
         for w in workers:
             try:

@@ -13,7 +13,9 @@
    shared memory.  After its solve, each shard sweeps its own workers'
    routes against the boundary tasks it left unserved (the ones a
    spatial split treats worst), so the repair's per-worker sweeps run
-   in the parallel phase.
+   in the parallel phase.  The boundary tasks travel to the shards as
+   one :class:`~repro.tsptw.kernels.TaskBlock` of arrays, and the
+   sweeps come back as arrays over it.
 3. **Merge**: shard worker sets are disjoint, so routes and incentives
    union without translation; then a **boundary-repair** pass offers
    the still-unassigned boundary tasks to *every* worker, greedily
@@ -53,7 +55,8 @@ from ..core.solution import Solution
 from ..parallel import (PersistentPool, _shm_module, derive_seeds,
                         shared_arrays)
 from ..tsptw.insertion import InsertionSolver
-from .partition import ShardPlan, partition_instance, sub_instance
+from ..tsptw.kernels import TaskBlock
+from .partition import partition_instance, sub_instance
 
 __all__ = ["ShardReport", "solve_sharded"]
 
@@ -220,8 +223,9 @@ class _ShardJob:
     ``solver`` is the caller's solver and never leaves the process: a
     pool worker receives the job without it and rebuilds the solver
     around the published policy (``policy_key``) and the shard's packed
-    arrays (``packed_key``).  ``boundary`` holds the tasks to sweep for
-    the repair, empty when there is no repair.
+    arrays (``packed_key``).  ``boundary`` is the block of boundary tasks
+    to sweep for the repair (pickled as arrays), None when there is no
+    repair.
     """
 
     sub: USMDWInstance
@@ -229,7 +233,7 @@ class _ShardJob:
     greedy: bool
     num_samples: int
     planner_cfg: dict | None
-    boundary: tuple
+    boundary: TaskBlock | None
     solver: object = None
     policy_key: str | None = None
     packed_key: str | None = None
@@ -244,16 +248,17 @@ def _solve_shard(job: _ShardJob):
 
     The serial and the pooled path both run this.  Returns ``(routes,
     incentives, perf, objective, repair_rows)``: ``repair_rows[wid]`` is
-    None when the worker's base route is infeasible, else ``(base_rtt,
-    order, {task_id: (pos, rtt)})`` — its final order swept against the
-    boundary tasks this shard left unserved, with the solve's own
+    the worker's :func:`_repair_rows` row — its final order swept against
+    the boundary tasks this shard left unserved, with the solve's own
     :class:`InsertionSolver` (configured like the planner
     :func:`_boundary_repair` uses, so the floats match), whose base-route
     memo already holds every worker's base route.  In a worker, the
     shard's packed arrays are attached zero-copy
-    (:func:`repro.parallel.shared_arrays`); distances are the same
-    ``math.hypot`` over the same floats, so results are bit-identical to
-    an in-process solve.
+    (:func:`repro.parallel.shared_arrays`); most boundary tasks lie
+    outside that view, so every worker's route points x the boundary
+    block are one :func:`~repro.core.geometry.hypot_array` call, the same
+    floats as ``math.hypot``: results are bit-identical to an in-process
+    solve.
     """
     sub, solver = job.sub, job.solver
     if solver is None:
@@ -271,14 +276,12 @@ def _solve_shard(job: _ShardJob):
     solution = solver.solve(sub, greedy=job.greedy, rng=rng,
                             num_samples=job.num_samples)
     rows = {}
-    if job.boundary:
-        served = {t.task_id for route in solution.routes.values()
-                  for t in route.sensing_tasks}
-        tasks = [t for t in job.boundary if t.task_id not in served]
-        rows = {w.worker_id: _repair_row(solver.planner, w,
-                                         solution.routes.get(w.worker_id),
-                                         tasks)
-                for w in sub.workers}
+    if job.boundary is not None:
+        served = [t.task_id for route in solution.routes.values()
+                  for t in route.sensing_tasks]
+        unserved = np.flatnonzero(~np.isin(job.boundary.ids, served))
+        rows = _repair_rows(solver.planner, sub.workers, solution.routes,
+                            job.boundary, unserved)
     return (solution.routes, solution.incentives, solution.perf,
             solution.objective, rows)
 
@@ -308,46 +311,117 @@ def _pool_solve(pool: PersistentPool, solver, jobs: list[_ShardJob]):
 # ---------------------------------------------------------------------- #
 # Boundary repair
 # ---------------------------------------------------------------------- #
-def _sweep(planner: InsertionSolver, worker, order: tuple,
-           tasks: list) -> dict:
-    """``{task_id: (pos, rtt)}`` of every feasible single insertion of
-    ``tasks`` into ``order`` (batched insertion kernels underneath)."""
-    if not tasks:
-        return {}
-    sweep = planner.plan_insertions_many(worker, order, tasks)
-    hits = np.flatnonzero(sweep.feasible)
-    return {tasks[i].task_id: (p, r)
-            for i, p, r in zip(hits.tolist(), sweep.pos[hits].tolist(),
-                               sweep.rtt[hits].tolist())}
+def _sweep_rows(planner: InsertionSolver, workers: list, orders: list,
+                block: TaskBlock, cols: np.ndarray) -> list:
+    """``(pos, rtt)`` over the whole block for each worker's order swept
+    against the block's columns ``cols`` (``-1``/``inf`` elsewhere and
+    where no insertion is feasible).
+
+    The distances from every order's route points to the swept tasks are
+    one :func:`~repro.core.geometry.hypot_array` call; each worker's
+    batched sweep reads its slice.
+    """
+    swept = block.take(cols)
+    xs, ys = [], []
+    for worker, order in zip(workers, orders):
+        for loc in [worker.origin, *(t.location for t in order),
+                    worker.destination]:
+            xs.append(loc.x)
+            ys.append(loc.y)
+    dist = swept.distances(np.array(xs), np.array(ys)) if len(cols) else None
+    out = []
+    at = 0
+    for worker, order in zip(workers, orders):
+        pos = np.full(len(block), -1, dtype=np.intp)
+        rtt = np.full(len(block), np.inf)
+        k = len(order) + 2
+        if len(cols):
+            sweep = planner.plan_insertions_many(worker, order, swept,
+                                                 dist=dist[at:at + k])
+            hit = np.flatnonzero(sweep.feasible)
+            pos[cols[hit]] = sweep.pos[hit]
+            rtt[cols[hit]] = sweep.rtt[hit]
+        at += k
+        out.append((pos, rtt))
+    return out
 
 
-def _repair_row(planner: InsertionSolver, worker, route, tasks: list):
-    """A worker's repair row: None when its base route is infeasible,
-    else ``(base_rtt, order, sweep)`` — its ``route`` (the base route
-    when None) swept against ``tasks``."""
-    base = planner.base_route(worker)
-    if not base.feasible:
-        return None
-    order = tuple((base.route if route is None else route).tasks)
-    return (base.route_travel_time, order,
-            _sweep(planner, worker, order, tasks))
+def _repair_rows(planner: InsertionSolver, workers, routes: dict,
+                 block: TaskBlock, cols: np.ndarray) -> dict:
+    """Each worker's repair row, by worker id.
+
+    None when the worker's base route is infeasible, else ``(base_rtt,
+    order_ids, pos, rtt)``: its route (the base route when it has none)
+    swept against the block's columns ``cols`` (:func:`_sweep_rows`),
+    and the swept order's task ids (:func:`_order_from_ids` rebuilds it).
+    """
+    rows: dict = {}
+    live, orders, base_rtts = [], [], []
+    for worker in workers:
+        base = planner.base_route(worker)
+        if not base.feasible:
+            rows[worker.worker_id] = None
+            continue
+        route = routes.get(worker.worker_id)
+        live.append(worker)
+        orders.append(tuple((base.route if route is None else route).tasks))
+        base_rtts.append(base.route_travel_time)
+    swept = _sweep_rows(planner, live, orders, block, cols)
+    for worker, order, base_rtt, (pos, rtt) in zip(live, orders, base_rtts,
+                                                  swept):
+        rows[worker.worker_id] = (
+            base_rtt, tuple(t.task_id for t in order), pos, rtt)
+    return rows
+
+
+def _order_from_ids(worker, routes: dict, ids: tuple) -> tuple:
+    """The order a repair row was swept from: the worker's merged route,
+    or — for a worker without one — its base route, which visits only
+    the worker's own travel tasks."""
+    route = routes.get(worker.worker_id)
+    if route is not None:
+        return tuple(route.tasks)
+    travel = {t.task_id: t for t in worker.travel_tasks}
+    return tuple(travel[i] for i in ids)
+
+
+def _pick(ok: np.ndarray, gains: np.ndarray, delta: np.ndarray):
+    """The repair's arg-best ``(row, col)`` over live pairs ``ok``.
+
+    The lexicographic minimum of ``(-gain / max(delta, eps), delta, task
+    id, worker id)`` — rows are in ascending worker id and columns in
+    ascending task id, so the first tied column, then its first tied row,
+    break the remaining ties.
+    """
+    keys = np.where(ok, -gains / np.maximum(delta, _EPS), np.inf)
+    tied = ok & (keys == keys.min())
+    cheapest = np.where(tied, delta, np.inf)
+    tied &= cheapest == cheapest.min()
+    c = int(np.flatnonzero(tied.any(axis=0))[0])
+    return int(np.flatnonzero(tied[:, c])[0]), c
 
 
 def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
-                     plan: ShardPlan, routes: dict, incentives: dict,
+                     block: TaskBlock, routes: dict, incentives: dict,
                      rows: dict):
     """Cross-shard insertions of the unassigned boundary tasks.
 
     Every worker — recruited or not, from any shard — is a candidate
-    for every unassigned boundary task.  Its initial sweep comes from
-    ``rows`` (the shard solves swept their own workers, see
-    :func:`_solve_shard`), filtered to the still-unassigned pool; only
+    for every unassigned task of the boundary ``block``.  Its initial
+    sweep comes from ``rows`` (the shard solves swept their own workers,
+    see :func:`_solve_shard`), masked to the still-unassigned pool; only
     workers without a row — those of shards with no tasks — are swept
     here.  Then the best coverage-gain-per-incentive insertions apply
     greedily until no feasible candidate fits the leftover global
-    budget.  Gains are re-read from the live merged coverage state at
-    every pick, and only the changed worker is re-swept (other workers'
-    routes — and hence their candidate positions and rtts — are
+    budget.
+
+    The pick loop runs on ``(worker, boundary task)`` planes, rows in
+    ascending worker id and columns in ascending task id: incentives via
+    :meth:`IncentiveModel.incentives`, gains re-read from the live merged
+    coverage state at every pick via :meth:`CoverageState.gain_many`, and
+    one lexicographic arg-best over ``(-gain / max(delta, eps), delta,
+    task id, worker id)``.  Only the changed worker is re-swept (other
+    workers' routes — and hence their candidate positions and rtts — are
     untouched), so the loop stays O(picks x pool).
 
     Incentives are maintained against Definition 6 exactly (the sweep's
@@ -356,16 +430,13 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
     """
     planner = InsertionSolver(**planner_cfg)
     model = IncentiveModel(mu=instance.mu)
-    workers = {w.worker_id: w for w in instance.workers}
+    tasks = [instance.sensing_task(tid) for tid in block.ids.tolist()]
 
-    assigned = {t.task_id for route in routes.values()
-                for t in route.sensing_tasks}
-    pool_by_id = {
-        tid: instance.sensing_task(tid)
-        for tid in plan.boundary_task_ids() if tid not in assigned
-    }
+    assigned = [t.task_id for route in routes.values()
+                for t in route.sensing_tasks]
+    pool = ~np.isin(block.ids, assigned)
     stats = {"candidates": 0, "added": 0, "spent": 0.0}
-    if not pool_by_id:
+    if not pool.any():
         return stats
 
     state = instance.coverage.new_state()
@@ -374,59 +445,57 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
             state.add(task)
     remaining = instance.budget - sum(incentives.values())
 
-    with obs.span("shard.repair", pool=len(pool_by_id)):
-        order: dict[int, tuple] = {}
-        cur_inc: dict[int, float] = {}
-        cand: dict[int, dict] = {}
-        for wid, worker in workers.items():
-            row = rows[wid] if wid in rows else _repair_row(
-                planner, worker, routes.get(wid), list(pool_by_id.values()))
-            if row is None:
-                continue
-            base_rtt, order[wid], swept = row
-            cand[wid] = {tid: hit for tid, hit in swept.items()
-                         if tid in pool_by_id}
+    with obs.span("shard.repair", pool=int(pool.sum())):
+        rows = dict(rows)
+        rows.update(_repair_rows(
+            planner, [w for w in instance.workers if w.worker_id not in rows],
+            routes, block, np.flatnonzero(pool)))
+        workers = sorted((instance.worker(wid) for wid, row in rows.items()
+                          if row is not None), key=lambda w: w.worker_id)
+        orders, cur_inc = [], []
+        pos = np.empty((len(workers), len(block)), dtype=np.intp)
+        inc = np.empty((len(workers), len(block)))
+        for r, worker in enumerate(workers):
+            base_rtt, ids, pos[r], rtt = rows[worker.worker_id]
             model.set_base_rtt(worker, base_rtt)
-            cur_inc[wid] = incentives.get(wid, 0.0)
-        stats["candidates"] = sum(len(row) for row in cand.values())
+            inc[r] = model.incentives(worker, rtt)
+            orders.append(_order_from_ids(worker, routes, ids))
+            cur_inc.append(incentives.get(worker.worker_id, 0.0))
+        valid = (pos >= 0) & pool
+        delta = inc - np.array(cur_inc)[:, None]
+        stats["candidates"] = int(valid.sum())
         touched: set[int] = set()
         while True:
-            best = None
-            best_key = None
-            for wid, row in cand.items():
-                worker = workers[wid]
-                for tid, (pos, rtt_new) in row.items():
-                    inc_new = model.incentive(worker, rtt_new)
-                    delta = inc_new - cur_inc[wid]
-                    if delta > remaining + 1e-9:
-                        continue
-                    gain = state.gain(pool_by_id[tid])
-                    if gain <= 0.0:
-                        continue
-                    key = (-gain / max(delta, _EPS), delta, tid, wid)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (wid, tid, pos, inc_new)
-            if best is None:
+            ok = valid & ~(delta > remaining + 1e-9)
+            live = np.flatnonzero(ok.any(axis=0))
+            if not live.size:
                 break
-            wid, tid, pos, inc_new = best
-            task = pool_by_id.pop(tid)
-            order[wid] = order[wid][:pos] + (task,) + order[wid][pos:]
-            remaining -= inc_new - cur_inc[wid]
-            stats["spent"] += inc_new - cur_inc[wid]
-            cur_inc[wid] = inc_new
+            gains = np.zeros(len(block))
+            gains[live] = state.gain_many([tasks[c] for c in live.tolist()])
+            ok &= gains > 0.0
+            if not ok.any():
+                break
+            r, c = _pick(ok, gains, delta)
+            task, p, inc_new = tasks[c], int(pos[r, c]), float(inc[r, c])
+            orders[r] = orders[r][:p] + (task,) + orders[r][p:]
+            remaining -= inc_new - cur_inc[r]
+            stats["spent"] += inc_new - cur_inc[r]
+            cur_inc[r] = inc_new
             state.add(task)
-            for row in cand.values():
-                row.pop(tid, None)
-            cand[wid] = _sweep(planner, workers[wid], order[wid],
-                               list(pool_by_id.values()))
-            touched.add(wid)
+            pool[c] = False
+            valid[:, c] = False
+            (pos[r], rtt), = _sweep_rows(planner, [workers[r]], [orders[r]],
+                                         block, np.flatnonzero(pool))
+            inc[r] = model.incentives(workers[r], rtt)
+            delta[r] = inc[r] - inc_new
+            valid[r] = pos[r] >= 0
+            touched.add(r)
             stats["added"] += 1
 
-        for wid in touched:
-            routes[wid] = WorkingRoute(workers[wid], order[wid],
-                                       speed=planner.speed)
-            incentives[wid] = cur_inc[wid]
+        for r in touched:
+            routes[workers[r].worker_id] = WorkingRoute(
+                workers[r], orders[r], speed=planner.speed)
+            incentives[workers[r].worker_id] = cur_inc[r]
     obs.count("shard.repair_added", stats["added"])
     return stats
 
@@ -492,9 +561,10 @@ def solve_sharded(solver, instance: USMDWInstance, shards: int,
                                use_two_opt=planner.use_two_opt)
         else:
             planner_cfg = None
-        boundary = tuple(instance.sensing_task(tid)
-                         for tid in plan.boundary_task_ids()) \
-            if repair and planner_cfg is not None else ()
+        boundary_ids = plan.boundary_task_ids()
+        boundary = TaskBlock.from_tasks(
+            instance.sensing_task(tid) for tid in boundary_ids) \
+            if repair and planner_cfg is not None and boundary_ids else None
         jobs = [_ShardJob(sub, seed, greedy, num_samples, planner_cfg,
                           boundary, solver=solver, name=solver.name)
                 for sub, seed in zip(subs, seeds)]
@@ -527,9 +597,9 @@ def solve_sharded(solver, instance: USMDWInstance, shards: int,
 
         t0 = time.perf_counter()
         stats = {"candidates": 0, "added": 0, "spent": 0.0}
-        if repair and planner_cfg is not None:
-            stats = _boundary_repair(instance, planner_cfg, plan, routes,
-                                     incentives, rows)
+        if boundary is not None:
+            stats = _boundary_repair(instance, planner_cfg, boundary,
+                                     routes, incentives, rows)
         wall_repair = time.perf_counter() - t0
 
         phi_after = instance.coverage.phi(

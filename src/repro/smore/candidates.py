@@ -51,6 +51,7 @@ from ..core.incentive import IncentiveModel
 from ..core.route import WorkingRoute
 from ..tsptw.base import RoutePlanner
 from ..tsptw.insertion import InsertionSweep
+from ..tsptw.kernels import TaskBlock
 
 __all__ = ["CandidateTable"]
 
@@ -73,6 +74,9 @@ class CandidateTable:
                                  dtype=np.int64)
         self.row_of = {w.worker_id: r for r, w in enumerate(self.workers)}
         self.col_of = {t.task_id: c for c, t in enumerate(self.tasks)}
+        # The columns' task block, built on the first batched sweep;
+        # sweeps hand the planner lanes of it.
+        self._block: TaskBlock | None = None
         shape = (len(self.workers), len(self.tasks))
         self.mask = np.zeros(shape, dtype=bool)
         self.delta_incentive = np.zeros(shape)
@@ -94,7 +98,7 @@ class CandidateTable:
         :meth:`_sweep` then checks every sensing task against it.
         """
         self._reset([self.row_of[w.worker_id] for w in workers])
-        sensing_tasks = list(sensing_tasks)
+        cols = self._cols(sensing_tasks)
         for worker in workers:
             base = self.planner.base_route(worker)
             self.incentives.set_base_rtt(worker, base.route_travel_time)
@@ -102,8 +106,13 @@ class CandidateTable:
                 continue  # the worker cannot even complete their own trip
             base_tasks = base.route.tasks if base.route is not None else ()
             self._write(worker, self._sweep(
-                worker, base_tasks, sensing_tasks, 0.0, budget_rest,
-                assigned=()))
+                worker, base_tasks, cols, 0.0, budget_rest, assigned=()))
+
+    def _cols(self, tasks: Iterable[SensingTask]) -> np.ndarray:
+        """The columns of ``tasks``, in order."""
+        col_of = self.col_of
+        return np.fromiter((col_of[t.task_id] for t in tasks),
+                           dtype=np.intp)
 
     def _reset(self, order: list[int]) -> None:
         self.mask[:] = False
@@ -114,12 +123,14 @@ class CandidateTable:
     # The one planner dispatch and the one row writer
     # ------------------------------------------------------------------ #
     def _plan(self, worker: Worker, route_tasks: Sequence,
-              tasks: list[SensingTask], min_position: int = 0,
+              cols: np.ndarray, min_position: int = 0,
               assigned: Sequence[SensingTask] | None = None) -> tuple:
-        """Plan each of ``tasks`` added to ``worker``'s plan, as arrays.
+        """Plan each task of columns ``cols`` added to ``worker``'s plan,
+        as arrays.
 
         Insertion planners place each task into ``route_tasks`` at or past
-        ``min_position``: one batched ``plan_insertions_many`` call, else
+        ``min_position``: one batched ``plan_insertions_many`` call over
+        the columns' :class:`~repro.tsptw.kernels.TaskBlock`, else
         ``plan_with_insertion`` per task.  Other planners re-plan
         ``assigned + [task]`` from scratch (``plan_many``, else ``plan``
         per set), which can honour neither a committed prefix nor a route
@@ -140,42 +151,47 @@ class CandidateTable:
                 "anchored or incremental candidate sweeps require an "
                 "insertion-capable planner (plan_insertions_many or "
                 "plan_with_insertion)")
-        self.planner_calls += len(tasks)
-        if insert_many is not None or insert_one is not None:
-            if insert_many is not None:
-                results = insert_many(worker, route_tasks, tasks,
-                                      min_position=min_position)
-            else:
-                results = [insert_one(worker, route_tasks, task,
-                                      min_position=min_position)
-                           for task in tasks]
-            sweep = InsertionSweep.from_results(
-                worker, route_tasks, tasks, results, self.planner.speed)
-            return sweep.feasible, sweep.rtt, sweep.pos, sweep.base
-        sets = [list(assigned) + [task] for task in tasks]
-        plan_many = getattr(self.planner, "plan_many", None)
-        if plan_many is not None:
-            results = plan_many(worker, sets)
+        self.planner_calls += len(cols)
+        if insert_many is not None:
+            if self._block is None:
+                self._block = TaskBlock.from_tasks(self.tasks)
+            tasks = self._block.take(cols)
+            results = insert_many(worker, route_tasks, tasks,
+                                  min_position=min_position)
         else:
-            results = [self.planner.plan(worker, tasks_after)
-                       for tasks_after in sets]
-        feasible = np.array([r.feasible for r in results], dtype=bool)
-        rtt = np.array([r.route_travel_time for r in results],
-                       dtype=np.float64)
-        return feasible, rtt, None, results
+            tasks = [self.tasks[c] for c in cols.tolist()]
+            if insert_one is None:
+                sets = [list(assigned) + [task] for task in tasks]
+                plan_many = getattr(self.planner, "plan_many", None)
+                if plan_many is not None:
+                    results = plan_many(worker, sets)
+                else:
+                    results = [self.planner.plan(worker, tasks_after)
+                               for tasks_after in sets]
+                feasible = np.array([r.feasible for r in results],
+                                    dtype=bool)
+                rtt = np.array([r.route_travel_time for r in results],
+                               dtype=np.float64)
+                return feasible, rtt, None, results
+            results = [insert_one(worker, route_tasks, task,
+                                  min_position=min_position)
+                       for task in tasks]
+        sweep = InsertionSweep.from_results(
+            worker, route_tasks, tasks, results, self.planner.speed)
+        return sweep.feasible, sweep.rtt, sweep.pos, sweep.base
 
     def _sweep(self, worker: Worker, route_tasks: Sequence,
-               tasks: Iterable[SensingTask], current_incentive: float,
+               cols: np.ndarray, current_incentive: float,
                budget_rest: float, min_position: int = 0,
                assigned: Sequence[SensingTask] | None = None) -> tuple:
-        """Feasible, affordable pairs among ``tasks``, as row arrays.
+        """Feasible, affordable pairs among columns ``cols``, as row
+        arrays.
 
         Returns ``(cols, rtt, delta, pos, source)`` over the kept tasks;
         incentive deltas and the budget filter run over whole arrays.
         """
-        tasks = list(tasks)
         feasible, rtt, pos, source = self._plan(
-            worker, route_tasks, tasks, min_position, assigned)
+            worker, route_tasks, cols, min_position, assigned)
         idx = np.flatnonzero(feasible)
         if idx.size:
             rtt = rtt[idx]
@@ -187,13 +203,12 @@ class CandidateTable:
             idx, rtt, delta = idx[keep], rtt[keep], delta[keep]
         else:
             delta = rtt = np.empty(0)
-        idx_list = idx.tolist()
-        cols = np.array([self.col_of[tasks[i].task_id] for i in idx_list],
-                        dtype=np.intp)
+        kept = cols[idx]
         if pos is not None:
-            return cols, rtt, delta, pos[idx], source
-        return cols, rtt, delta, None, {
-            col: source[i].route for col, i in zip(cols.tolist(), idx_list)}
+            return kept, rtt, delta, pos[idx], source
+        return kept, rtt, delta, None, {
+            col: source[i].route
+            for col, i in zip(kept.tolist(), idx.tolist())}
 
     def _write(self, worker: Worker, swept: tuple,
                replace: bool = True) -> None:
@@ -255,8 +270,8 @@ class CandidateTable:
         committed prefix.
         """
         self._write(worker, self._sweep(
-            worker, current_route_tasks, available, current_incentive,
-            budget_rest, min_position, assigned))
+            worker, current_route_tasks, self._cols(available),
+            current_incentive, budget_rest, min_position, assigned))
 
     # ------------------------------------------------------------------ #
     # Incremental repair (streaming arrivals / expiries / re-anchoring)
@@ -273,13 +288,13 @@ class CandidateTable:
         batched anchored sweep over the arrival batch, merged into its
         row.
         """
-        new_tasks = list(new_tasks)
-        if not new_tasks:
+        cols = self._cols(new_tasks)
+        if not cols.size:
             return
         for worker, route_tasks, incentive, min_position in worker_states:
             self._admit(worker)
             self._write(worker, self._sweep(
-                worker, route_tasks, new_tasks, incentive, budget_rest,
+                worker, route_tasks, cols, incentive, budget_rest,
                 min_position), replace=False)
 
     def expire_task(self, task_id: int) -> bool:
@@ -312,8 +327,8 @@ class CandidateTable:
             return 0
         self.mask[r, stale] = False
         self._write(worker, self._sweep(
-            worker, route_tasks, [self.tasks[c] for c in stale.tolist()],
-            current_incentive, budget_rest, min_position), replace=False)
+            worker, route_tasks, stale, current_incentive, budget_rest,
+            min_position), replace=False)
         return int(stale.size)
 
     def add_worker(self, worker: Worker, tasks: Sequence[SensingTask],
@@ -334,7 +349,8 @@ class CandidateTable:
             return False
         base_tasks = base.route.tasks if base.route is not None else ()
         self._write(worker, self._sweep(
-            worker, base_tasks, tasks, 0.0, budget_rest, min_position))
+            worker, base_tasks, self._cols(tasks), 0.0, budget_rest,
+            min_position))
         return True
 
     def rebuild(self, worker_states: Iterable[tuple],
@@ -349,14 +365,14 @@ class CandidateTable:
         (infeasible own trip), whose row stays empty.
         """
         worker_states = list(worker_states)
-        tasks = list(tasks)
+        cols = self._cols(tasks)
         self._reset([self.row_of[worker.worker_id]
                      for worker, _, _, _ in worker_states])
         for worker, route_tasks, incentive, min_position in worker_states:
             if route_tasks is None:
                 continue
             self._write(worker, self._sweep(
-                worker, route_tasks, tasks, incentive, budget_rest,
+                worker, route_tasks, cols, incentive, budget_rest,
                 min_position))
 
     def prune_over_budget(self, budget_rest: float) -> None:

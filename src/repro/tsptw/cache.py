@@ -35,6 +35,7 @@ from ..core.entities import SensingTask, Worker
 from ..core.perf import PerfCounters
 from .base import RoutePlanner, RouteResult
 from .insertion import InsertionSweep
+from .kernels import TaskBlock
 
 __all__ = ["CachedPlanner"]
 
@@ -123,14 +124,20 @@ class CachedPlanner:
         answers, and travel-task and sensing-task ids may coincide.  The
         anchored ``min_position`` is part of the key, since the same
         insertion scanned from a different committed position is a
-        different plan.
+        different plan.  ``new_tasks`` may be a
+        :class:`~repro.tsptw.kernels.TaskBlock`; its misses reach the
+        backend as a sub-block.
         """
         base = tuple(base_tasks)
-        new_tasks = list(new_tasks)
+        if isinstance(new_tasks, TaskBlock):
+            ids = new_tasks.ids.tolist()
+        else:
+            new_tasks = list(new_tasks)
+            ids = [t.task_id for t in new_tasks]
         route_key = tuple((isinstance(t, SensingTask), t.task_id)
                           for t in base)
-        keys = [(id(worker), route_key, t.task_id, min_position)
-                for t in new_tasks]
+        keys = [(id(worker), route_key, task_id, min_position)
+                for task_id in ids]
         pos = [-1] * len(keys)
         rtt = [math.inf] * len(keys)
         missing = []
@@ -143,7 +150,9 @@ class CachedPlanner:
         if missing:
             self.misses += len(missing)
             self.backend_calls += 1  # one batched call serves every miss
-            tasks = [new_tasks[i] for i in missing]
+            tasks = new_tasks.take(missing) \
+                if isinstance(new_tasks, TaskBlock) \
+                else [new_tasks[i] for i in missing]
             if batched:
                 results = self.planner.plan_insertions_many(
                     worker, base, tasks, min_position=min_position)

@@ -11,8 +11,10 @@ all *feasible* positions.  Improvement then relocates single tasks (or-opt
 with segment length 1) while feasibility holds.
 
 Batched candidate checks (:meth:`InsertionSolver.plan_insertions_many`)
-run one vectorized :func:`repro.tsptw.kernels.sweep_insertions` over the
-packed arrays of a bound instance (:meth:`InsertionSolver.bind_instance`),
+run one vectorized :func:`repro.tsptw.kernels.sweep_insertions` over a
+:class:`~repro.tsptw.kernels.TaskBlock` of the candidate tasks, reading
+distances from the packed matrix of a bound instance
+(:meth:`InsertionSolver.bind_instance`) where route and tasks are in it,
 scoring every (position, task) lane at once, and answer with arrays
 (:class:`InsertionSweep`) rather than one result object per task.
 Single-insertion scans run the scalar :func:`cheapest_insertion_position`
@@ -40,6 +42,7 @@ from ..core.route import WorkingRoute, simulate_route
 from ..obs.profile import scope as profile_scope
 from . import kernels
 from .base import PlannerBase, RouteResult, combined_tasks
+from .kernels import TaskBlock
 
 __all__ = ["InsertionSolver", "InsertionSweep", "cheapest_insertion_position"]
 
@@ -94,6 +97,7 @@ class InsertionSweep(Sequence):
     One lane per new task: ``pos[i]`` is where the scan inserts
     ``tasks[i]`` into ``base`` (``-1`` when no position is feasible) and
     ``rtt[i]`` the route travel time after the insertion (``inf`` then).
+    ``tasks`` is the task sequence or :class:`TaskBlock` that was swept.
     ``feasible`` also requires ``base`` to visit every travel task of the
     worker, a verdict all lanes share, since inserting a sensing task
     cannot change travel-task membership.
@@ -112,7 +116,7 @@ class InsertionSweep(Sequence):
                  pos: np.ndarray, rtt: np.ndarray, speed: float):
         self.worker = worker
         self.base = tuple(base)
-        self.tasks = list(tasks)
+        self.tasks = tasks if isinstance(tasks, TaskBlock) else list(tasks)
         self.pos = pos
         self.rtt = rtt
         self.speed = speed
@@ -279,12 +283,13 @@ class InsertionSolver(PlannerBase):
     def bind_instance(self, instance) -> None:
         """Share the instance's packed arrays / travel-distance matrix.
 
-        Kernels work unbound too (they fall back to ``math.hypot``), but a
-        bound solver reuses one lazily built distance matrix across every
-        planner call — and, through copy-on-write ``fork``, across pool
-        children.  Binding also enables the per-worker base-route memo:
-        ``plan(worker, [])`` is a pure function of the (immutable) bound
-        instance, and candidate sweeps re-request it every initialisation.
+        Kernels work unbound too (they compute a route's distances from
+        coordinates on every call), but a bound solver reuses one lazily
+        built distance matrix across every planner call — and, through
+        copy-on-write ``fork``, across pool children.  Binding also
+        enables the per-worker base-route memo: ``plan(worker, [])`` is a
+        pure function of the (immutable) bound instance, and candidate
+        sweeps re-request it every initialisation.
 
         A solver may be bound to several instances at once (multi-instance
         decoding interleaves planner calls across a batch of environments
@@ -406,18 +411,24 @@ class InsertionSolver(PlannerBase):
                                   pos=position)
 
     def plan_insertions_many(self, worker: Worker, base_tasks: Sequence,
-                             new_tasks: Sequence,
-                             min_position: int = 0) -> InsertionSweep:
+                             new_tasks, min_position: int = 0,
+                             dist: np.ndarray | None = None
+                             ) -> InsertionSweep:
         """Check many single-task insertions into one base order.
 
         The batched entry point behind ``CandidateTable``'s init/recompute
-        sweeps: one vectorized sweep scores every (position, task) lane at
-        once (small batches loop the scalar scan).  ``min_position``
-        restricts every lane to positions at or past a worker's committed
-        mid-route position.  The answer is arrays (:class:`InsertionSweep`);
-        no per-task result object is built.
+        sweeps and the shard repair: one vectorized sweep scores every
+        (position, task) lane at once (small batches loop the scalar
+        scan).  ``new_tasks`` is a :class:`TaskBlock` or a sequence of
+        sensing tasks.  ``min_position`` restricts every lane to positions
+        at or past a worker's committed mid-route position; ``dist``
+        optionally supplies the sweep's route-point x task distances
+        (:func:`~repro.tsptw.kernels.sweep_insertions`).  The answer is
+        arrays (:class:`InsertionSweep`); no per-task result object is
+        built.
         """
-        new_tasks = list(new_tasks)
+        if not isinstance(new_tasks, TaskBlock):
+            new_tasks = list(new_tasks)
         base = list(base_tasks)
         if len(new_tasks) < _SWEEP_MIN_TASKS:
             pos = np.full(len(new_tasks), -1, dtype=np.intp)
@@ -431,8 +442,10 @@ class InsertionSolver(PlannerBase):
             with profile_scope("kernel.insertion_sweep"):
                 pack = kernels.pack_route(worker, base, self.speed,
                                           self._packed_for(worker))
+                block = new_tasks if isinstance(new_tasks, TaskBlock) \
+                    else TaskBlock.from_tasks(new_tasks)
                 pos, rtt = kernels.sweep_insertions(
-                    pack, new_tasks, min_position=min_position)
+                    pack, block, min_position=min_position, dist=dist)
         return InsertionSweep(worker, base, new_tasks, pos, rtt, self.speed)
 
     def _two_opt(self, worker: Worker, tasks: list) -> list:

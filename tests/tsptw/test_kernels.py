@@ -6,8 +6,8 @@ IEEE-754 operation sequence rather than approximating it, so `==` on the
 resulting floats is the contract, not `pytest.approx`.
 
 Half the configurations bind a :class:`PackedInstance` (matrix-backed
-distances), half run unbound (per-pair ``math.hypot`` fallback), so both
-kernel distance providers are exercised.
+distances), half run unbound (one ``hypot_array`` block per sweep over
+coordinates), so both kernel distance providers are exercised.
 """
 
 from types import SimpleNamespace
@@ -22,6 +22,7 @@ from repro.tsptw import (
     cheapest_insertion_position,
 )
 from repro.tsptw.kernels import (
+    TaskBlock,
     nearest_neighbor_order_packed,
     pack_route,
     sweep_insertions,
@@ -63,7 +64,7 @@ def test_sweep_insertions_matches_per_task_scans():
         new_tasks, rest = sensing[:split], sensing[split:]
         base = _route_order(rng, worker, rest)
         pos, rtt = sweep_insertions(pack_route(worker, base, SPEED, packed),
-                                    new_tasks)
+                                    TaskBlock.from_tasks(new_tasks))
         ref = [cheapest_insertion_position(worker, base, task, SPEED)
                for task in new_tasks]
         assert len(pos) == len(rtt) == len(ref)
@@ -186,3 +187,116 @@ def test_cached_sweep_mixing_hits_and_misses_returns_identical_arrays():
         _assert_same_arrays(mixed, want)
         for mine, theirs in zip(mixed, want):
             _assert_results_match(mine, theirs)
+
+
+def _scan_arrays(worker, base, tasks, min_position=0):
+    """(pos, rtt) of the scalar scan, task by task: the sweep's oracle."""
+    pos = np.full(len(tasks), -1, dtype=np.intp)
+    rtt = np.full(len(tasks), np.inf)
+    for i, task in enumerate(tasks):
+        found = cheapest_insertion_position(worker, base, task, SPEED,
+                                            min_position=min_position)
+        if found is not None:
+            pos[i], rtt[i] = found
+    return pos, rtt
+
+
+def test_block_tasks_outside_the_packed_view():
+    """A packed route swept against tasks its view does not hold (other
+    shards' boundary tasks) computes those distances from coordinates,
+    with the same floats as the scan; a fully packed block agrees too."""
+    for seed in range(N_CONFIGS):
+        rng, worker, sensing, _ = _scenario(seed, max_sensing=12)
+        split = int(rng.integers(0, len(sensing) + 1))
+        packed = PackedInstance([worker], sensing[:split])
+        base = _route_order(rng, worker, [])
+        strangers = random_sensing(rng, Region(2000, 2400),
+                                   int(rng.integers(1, 9)), start_id=900)
+        block = TaskBlock.from_tasks(sensing + strangers)
+        pack = pack_route(worker, base, SPEED, packed)
+        assert pack.dist_rows is not None
+        assert packed.sensing_rows(block.ids) is None
+        pos, rtt = sweep_insertions(pack, block)
+        want_pos, want_rtt = _scan_arrays(worker, base, sensing + strangers)
+        assert pos.tolist() == want_pos.tolist()
+        assert rtt.tobytes() == want_rtt.tobytes()
+        inside = TaskBlock.from_tasks(sensing[:split])
+        pos, rtt = sweep_insertions(pack, inside)
+        want_pos, want_rtt = _scan_arrays(worker, base, sensing[:split])
+        assert pos.tolist() == want_pos.tolist()
+        assert rtt.tobytes() == want_rtt.tobytes()
+
+
+def test_block_sweeps_with_min_position():
+    for seed in range(N_CONFIGS):
+        rng, worker, sensing, packed = _scenario(seed, max_sensing=12)
+        base = _route_order(rng, worker, sensing[len(sensing) // 2:])
+        tasks = sensing[:len(sensing) // 2] or sensing[:1]
+        block = TaskBlock.from_tasks(tasks)
+        for anchor in range(1, len(base) + 2):
+            pos, rtt = sweep_insertions(
+                pack_route(worker, base, SPEED, packed), block,
+                min_position=anchor)
+            want_pos, want_rtt = _scan_arrays(worker, base, tasks, anchor)
+            assert pos.tolist() == want_pos.tolist()
+            assert rtt.tobytes() == want_rtt.tobytes()
+            assert (pos[pos >= 0] >= anchor).all()
+
+
+def test_precomputed_distances_match_the_sweep_own():
+    """The shard repair passes route-point x block distances computed for
+    many routes at once; the sweep must answer exactly as without them."""
+    for seed in range(0, N_CONFIGS, 4):
+        rng, worker, sensing, packed = _scenario(seed, max_sensing=12)
+        base = _route_order(rng, worker, [])
+        block = TaskBlock.from_tasks(sensing)
+        pack = pack_route(worker, base, SPEED, packed)
+        dist = block.distances(*pack.points())
+        assert sweep_insertions(pack, block, dist=dist)[1].tobytes() \
+            == sweep_insertions(pack, block)[1].tobytes()
+
+
+def test_small_batches_stay_on_the_scalar_scan(monkeypatch):
+    """Below ``_SWEEP_MIN_TASKS`` lanes no RoutePack is built, for task
+    lists and blocks alike — including a block that crossed a process
+    boundary as arrays and rebuilds its tasks on demand."""
+    import pickle
+
+    from repro.tsptw import insertion
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("small batch reached the vectorized sweep")
+
+    for seed in range(0, N_CONFIGS, 2):
+        rng, worker, sensing, _ = _scenario(seed)
+        on, off = _bound_pair(worker, sensing, bind=seed % 2 == 0)
+        base = _route_order(rng, worker, [])
+        tasks = sensing[:insertion._SWEEP_MIN_TASKS - 1]
+        shipped = pickle.loads(pickle.dumps(TaskBlock.from_tasks(tasks)))
+        want = InsertionSweep.from_results(
+            worker, base, tasks, off.plan_insertions_many(worker, base, tasks),
+            SPEED)
+        with monkeypatch.context() as patch:
+            patch.setattr(insertion.kernels, "pack_route", no_sweep)
+            for new_tasks in (tasks, TaskBlock.from_tasks(tasks), shipped):
+                got = on.plan_insertions_many(worker, base, new_tasks)
+                _assert_same_arrays(got, want)
+                for i in np.flatnonzero(got.feasible).tolist():
+                    assert got.route(i).tasks == want.route(i).tasks
+
+
+def test_task_block_round_trip():
+    rng = np.random.default_rng(5)
+    tasks = random_sensing(rng, Region(2000, 2400), 9)
+    block = TaskBlock.from_tasks(tasks)
+    assert block.latest_start.tolist() == [t.latest_start for t in tasks]
+    sub = block.take([4, 0, 7])
+    assert sub.ids.tolist() == [tasks[i].task_id for i in (4, 0, 7)]
+    assert [sub[i] for i in range(3)] == [tasks[i] for i in (4, 0, 7)]
+    assert sub[1] is tasks[0]
+    import pickle
+
+    shipped = pickle.loads(pickle.dumps(block))
+    assert shipped.data.tobytes() == block.data.tobytes()
+    assert list(shipped) == tasks
+    assert shipped.take([2])[0] == tasks[2]
