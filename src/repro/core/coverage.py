@@ -22,7 +22,10 @@ bins unique even in one cell.
 :class:`CoverageState` maintains the histograms incrementally so that the
 marginal gain ``delta_phi`` of a candidate task — needed by TASNet's
 heuristic signals and by the greedy baselines at every step — costs
-O(levels) instead of O(|S'|).
+O(levels) instead of O(|S'|).  Each task's bins (its cell at every level
+and its slot) are computed once, vectorized, into one array store on the
+:class:`CoverageModel`; :meth:`CoverageState.gain_many` scores rows of it
+directly.
 """
 
 from __future__ import annotations
@@ -76,6 +79,33 @@ def _entropy_from_stats(count_total: int, sum_clog: float) -> float:
     return log_n - sum_clog / count_total
 
 
+class _BinStore:
+    """Binned tasks as one array: ``table[rows[task]]`` is the task's cell
+    at every spatial level, finest first, then its slot.
+
+    Rows are appended as tasks are binned; the table grows by doubling,
+    and only its first ``len(rows)`` rows are filled.
+    """
+
+    __slots__ = ("rows", "table", "width")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict[SensingTask, int] = {}
+        self.table = np.empty((0, width), dtype=np.int64)
+
+    def append(self, tasks: list, block: np.ndarray) -> None:
+        start = len(self.rows)
+        stop = start + len(tasks)
+        if stop > len(self.table):
+            grown = np.empty((max(stop, 2 * len(self.table)), self.width),
+                             dtype=np.int64)
+            grown[:start] = self.table[:start]
+            self.table = grown
+        self.table[start:stop] = block
+        self.rows.update(zip(tasks, range(start, stop)))
+
+
 @dataclass(frozen=True)
 class CoverageModel:
     """Configuration of the coverage objective for one sensing project.
@@ -119,10 +149,12 @@ class CoverageModel:
         if self.level_weighting not in ("mean", "capacity", "finest"):
             raise ValueError(
                 f"unknown level_weighting {self.level_weighting!r}")
-        # Task -> (per-level spatial bins, temporal slot).  Binning is a
-        # pure function of the immutable task and grid, so one cache on
-        # the model serves every CoverageState across all rollouts.
-        object.__setattr__(self, "_bin_cache", {})
+        # The bin store: one row per binned task (its cell at every
+        # pyramid level, then its slot).  Binning is a pure function of
+        # the immutable task and grid, so one store on the model serves
+        # every CoverageState across all rollouts.
+        object.__setattr__(self, "_store", _BinStore(
+            len(spatial_pyramid(self.grid)) + 1))
 
     @property
     def num_slots(self) -> int:
@@ -134,16 +166,16 @@ class CoverageModel:
         return min(max(slot, 0), self.num_slots - 1)
 
     def precompute_bins(self, tasks) -> None:
-        """Bulk-fill the bin cache for ``tasks`` with vectorized binning.
+        """Bin ``tasks`` into the store with vectorized binning.
 
-        One numpy pass per pyramid level replaces per-task ``cell_index``
-        calls on first touch; tasks already cached are skipped.  The
-        arithmetic mirrors :meth:`Grid.cell_of` / :meth:`slot_of` exactly
-        (same division, truncation toward zero, same clamp order), so the
-        cached values are identical to the lazy path's.
+        One numpy pass per pyramid level bins every task not yet in the
+        store.  The arithmetic mirrors :meth:`Grid.cell_of` /
+        :meth:`slot_of` exactly (same division, truncation toward zero,
+        same clamp order), so the stored bins equal ``grid.cell_index``
+        and ``slot_of`` per task.
         """
-        cache = self._bin_cache
-        todo = [t for t in tasks if t not in cache]
+        store = self._store
+        todo = list(dict.fromkeys(t for t in tasks if t not in store.rows))
         if not todo:
             return
         count = len(todo)
@@ -151,22 +183,44 @@ class CoverageModel:
                          count=count)
         ys = np.fromiter((t.location.y for t in todo), dtype=np.float64,
                          count=count)
-        per_level = []
-        for grid in spatial_pyramid(self.grid):
+        block = np.empty((count, store.width), dtype=np.int64)
+        for li, grid in enumerate(spatial_pyramid(self.grid)):
             i = np.minimum((xs / grid.cell_width).astype(np.int64),
                            grid.nx - 1)
             np.maximum(i, 0, out=i)
             j = np.minimum((ys / grid.cell_height).astype(np.int64),
                            grid.ny - 1)
             np.maximum(j, 0, out=j)
-            per_level.append(i * grid.ny + j)
+            block[:, li] = i * grid.ny + j
         tw = np.fromiter((t.tw_start for t in todo), dtype=np.float64,
                          count=count)
         slots = np.maximum((tw / self.slot_minutes).astype(np.int64), 0)
         np.minimum(slots, self.num_slots - 1, out=slots)
-        for k, task in enumerate(todo):
-            cache[task] = ([int(col[k]) for col in per_level],
-                           int(slots[k]))
+        block[:, -1] = slots
+        store.append(todo, block)
+
+    def bins(self, tasks) -> np.ndarray:
+        """``(len(tasks), levels + 1)`` bins of ``tasks``: the cell at every
+        spatial level, finest first, then the slot (what
+        :meth:`CoverageState.gain_many` scores)."""
+        tasks = list(tasks)
+        rows = self._store.rows
+        try:
+            idx = np.fromiter((rows[t] for t in tasks), dtype=np.intp,
+                              count=len(tasks))
+        except KeyError:
+            self.precompute_bins(tasks)
+            idx = np.fromiter((rows[t] for t in tasks), dtype=np.intp,
+                              count=len(tasks))
+        return self._store.table[idx]
+
+    def _bins(self, task: SensingTask) -> list[int]:
+        """One task's bins as a list (the scalar paths' form)."""
+        row = self._store.rows.get(task)
+        if row is None:
+            self.precompute_bins([task])
+            row = self._store.rows[task]
+        return self._store.table[row].tolist()
 
     def new_state(self) -> "CoverageState":
         return CoverageState(self)
@@ -270,8 +324,9 @@ class CoverageState:
     def __init__(self, model: CoverageModel):
         self.model = model
         self._levels = spatial_pyramid(model.grid)
-        self._spatial = [_Histogram(grid.num_cells) for grid in self._levels]
-        self._temporal = _Histogram(model.num_slots)
+        # One histogram per bin column: the spatial levels, then time.
+        self._hists = [_Histogram(grid.num_cells) for grid in self._levels]
+        self._hists.append(_Histogram(model.num_slots))
         self._total = 0
         self._weights = self._level_weights()
         self._phi_cache: float | None = None
@@ -297,45 +352,30 @@ class CoverageState:
         """Number of completed sensing tasks tracked."""
         return self._total
 
-    def _bins(self, task: SensingTask) -> tuple[list[int], int]:
-        """Cached (per-level spatial bins, temporal slot) of a task."""
-        cache = self.model._bin_cache
-        bins = cache.get(task)
-        if bins is None:
-            bins = ([grid.cell_index(task.location) for grid in self._levels],
-                    self.model.slot_of(task))
-            cache[task] = bins
-        return bins
-
     def add(self, task: SensingTask) -> None:
-        keys, slot = self._bins(task)
-        for hist, key in zip(self._spatial, keys):
+        for hist, key in zip(self._hists, self.model._bins(task)):
             hist.add(key)
-        self._temporal.add(slot)
         self._total += 1
         self._phi_cache = None
 
     def remove(self, task: SensingTask) -> None:
-        keys, slot = self._bins(task)
-        for hist, key in zip(self._spatial, keys):
+        for hist, key in zip(self._hists, self.model._bins(task)):
             hist.remove(key)
-        self._temporal.remove(slot)
         self._total -= 1
         self._phi_cache = None
 
     # ------------------------------------------------------------------ #
     def entropy(self) -> float:
         """Hierarchical entropy E: weighted spatial levels + temporal."""
-        terms = [hist.entropy() for hist in self._spatial]
-        terms.append(self._temporal.entropy())
+        terms = [hist.entropy() for hist in self._hists]
         return sum(w * t for w, t in zip(self._weights, terms))
 
     def spatial_entropies(self) -> list[float]:
         """Per-level spatial entropies, finest first (for diagnostics)."""
-        return [hist.entropy() for hist in self._spatial]
+        return [hist.entropy() for hist in self._hists[:-1]]
 
     def temporal_entropy(self) -> float:
-        return self._temporal.entropy()
+        return self._hists[-1].entropy()
 
     def phi(self) -> float:
         """Current coverage; phi(empty set) is defined as 0.
@@ -360,14 +400,12 @@ class CoverageState:
 
         Computed analytically per histogram — the entropy each would have
         after the hypothetical add — instead of an add/phi/remove
-        round-trip, so the hot candidate-scoring loops of the policies
-        and baselines pay O(levels) dictionary lookups, no mutation, and
-        no floating-point residue in the running ``sum_clog`` terms.
+        round-trip, so the hot candidate-scoring loops of the baselines
+        pay O(levels) lookups, no mutation, and no floating-point residue
+        in the running ``sum_clog`` terms.
         """
-        keys, slot = self._bins(task)
         terms = [hist.entropy_after_add(key)
-                 for hist, key in zip(self._spatial, keys)]
-        terms.append(self._temporal.entropy_after_add(slot))
+                 for hist, key in zip(self._hists, self.model._bins(task))]
         entropy_after = sum(w * t for w, t in zip(self._weights, terms))
         alpha = self.model.alpha
         n = self._total + 1
@@ -375,31 +413,25 @@ class CoverageState:
         phi_after = alpha * entropy_after + (1.0 - alpha) * log_n
         return phi_after - self.phi()
 
-    def gain_many(self, tasks) -> np.ndarray:
+    def gain_many(self, bins: np.ndarray) -> np.ndarray:
         """Marginal gains of many candidate tasks at once (no mutation).
 
+        ``bins`` holds one row per candidate, as
+        :meth:`CoverageModel.bins` returns them (the candidate table keeps
+        its columns' rows, so the decode loops gather instead of binning).
         One fancy-indexed :meth:`_Histogram.entropy_after_add_many` per
-        level replaces the per-task scalar probes of :meth:`gain` — the
-        decode loops score every feasible candidate of a worker against
-        one fixed state each step.  The weighted accumulation runs in the
-        same level order as the scalar path, so ``out[i]`` is
-        bit-identical to ``gain(tasks[i])``.
+        level replaces the per-task scalar probes of :meth:`gain`.  The
+        weighted accumulation runs in the same level order as the scalar
+        path, so ``out[i]`` is bit-identical to ``gain`` of row ``i``'s
+        task.
         """
-        tasks = list(tasks)
-        if not tasks:
+        if not len(bins):
             return np.empty(0)
-        bins = [self._bins(task) for task in tasks]
-        keys = np.array([b[0] for b in bins], dtype=np.intp)  # (T, levels)
-        slots = np.array([b[1] for b in bins], dtype=np.intp)
         entropy_after = None
-        weights = self._weights
-        for li, hist in enumerate(self._spatial):
-            term = weights[li] * hist.entropy_after_add_many(keys[:, li])
+        for li, (weight, hist) in enumerate(zip(self._weights, self._hists)):
+            term = weight * hist.entropy_after_add_many(bins[:, li])
             entropy_after = term if entropy_after is None \
                 else entropy_after + term
-        term = weights[-1] * self._temporal.entropy_after_add_many(slots)
-        entropy_after = term if entropy_after is None \
-            else entropy_after + term
         alpha = self.model.alpha
         n = self._total + 1
         log_n = _LOG2[n] if n < _LOG_TABLE else math.log2(n)
@@ -407,8 +439,7 @@ class CoverageState:
 
     def copy(self) -> "CoverageState":
         clone = CoverageState(self.model)
-        clone._spatial = [hist.copy() for hist in self._spatial]
-        clone._temporal = self._temporal.copy()
+        clone._hists = [hist.copy() for hist in self._hists]
         clone._total = self._total
         clone._phi_cache = self._phi_cache
         return clone

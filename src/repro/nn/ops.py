@@ -370,6 +370,45 @@ def getitem(a, index) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def scatter_add_rows(like: np.ndarray, indices, grad: np.ndarray
+                     ) -> np.ndarray:
+    """``np.add.at(np.zeros_like(like), indices, grad)`` bit for bit.
+
+    (Where two NaNs meet, which one's sign and payload survive depends on
+    numpy's inner loop, so those NaN bits may differ from ``np.add.at``.)
+    ``indices`` picks rows of ``like`` (any index shape; negative indices
+    count from the end) and ``grad`` has shape ``indices.shape +
+    like.shape[1:]``.  ``np.add.at`` adds one occurrence at a time, in
+    index order; this adds the same terms in the same order per row with
+    a few unbuffered adds.  Gradient rows that are all ±0 are dropped —
+    adding ±0 to a sum that starts at +0.0 never changes it — and the
+    indices are stable-sorted, so the k-th occurrence of every row lands
+    in layer k, where each row appears at most once.
+    """
+    out = np.zeros(like.shape, dtype=like.dtype)
+    width = int(np.prod(like.shape[1:], dtype=np.int64))
+    rows_out = out.reshape(len(out), width)
+    flat = np.asarray(indices, dtype=np.intp).reshape(-1)
+    rows = grad.reshape(len(flat), width)
+    keep = np.flatnonzero(rows.any(axis=1))
+    if not keep.size:
+        return out
+    flat = flat[keep]
+    flat[flat < 0] += len(out)
+    order = np.argsort(flat, kind="stable")
+    flat, rows = flat[order], rows[keep[order]]
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    rank = np.arange(len(flat)) \
+        - np.repeat(starts, np.diff(np.r_[starts, len(flat)]))
+    by_rank = np.argsort(rank, kind="stable")
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        layer = by_rank[lo:hi]
+        rows_out[flat[layer]] += rows[layer]
+        lo = hi
+    return out
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows ``a[indices]`` along axis 0 (differentiable embedding lookup)."""
     a = as_tensor(a)
@@ -377,9 +416,7 @@ def gather_rows(a, indices) -> Tensor:
     out_data = a.data[idx]
 
     def backward(grad):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, grad)
-        return (full,)
+        return (scatter_add_rows(a.data, idx, grad),)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -432,8 +469,7 @@ def pointer_keys(table, indices, extra=None, weight=None) -> Tensor:
         parents = (table, extra, weight)
 
     def backward(grad):
-        grad_table = np.zeros_like(table.data)
-        np.add.at(grad_table, idx, grad)
+        grad_table = scatter_add_rows(table.data, idx, grad)
         if extra is None:
             return (grad_table,)
         grad_weight = np.zeros_like(weight.data)

@@ -439,6 +439,7 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
     if not pool.any():
         return stats
 
+    bins = instance.coverage.bins(tasks)
     state = instance.coverage.new_state()
     for route in routes.values():
         for task in route.sensing_tasks:
@@ -471,7 +472,7 @@ def _boundary_repair(instance: USMDWInstance, planner_cfg: dict,
             if not live.size:
                 break
             gains = np.zeros(len(block))
-            gains[live] = state.gain_many([tasks[c] for c in live.tolist()])
+            gains[live] = state.gain_many(bins[live])
             ok &= gains > 0.0
             if not ok.any():
                 break

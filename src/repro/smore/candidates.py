@@ -13,11 +13,14 @@ a bool :attr:`~CandidateTable.mask` of live pairs and the
 ``delta_incentive``, ``rtt`` and ``pos`` (insertion position, ``-1`` when
 the planner reports none) planes beside it.  Values under a cleared mask
 bit are stale and never read.  A selected or expired task clears a
-column, the budget filter is one comparison over the ``delta_incentive``
-plane, and a snapshot copy is four array copies.  :attr:`order` lists the
-rows in table order — the workers the table was built over, then late
-workers in arrival order — which the greedy rules' cross-row tie-break
-and the flat policy's pair order observe.
+column (and its bit in :attr:`~CandidateTable.pool`, the columns still
+available, whose sweep refreshes the selected worker's row), the budget
+filter is one comparison over the ``delta_incentive`` plane, and a
+snapshot copy is five array copies.  :attr:`~CandidateTable.bins` holds
+each column's coverage bins, which the decode loops score from.
+:attr:`order` lists the rows in table order — the workers the table was
+built over, then late workers in arrival order — which the greedy rules'
+cross-row tie-break and the flat policy's pair order observe.
 
 Every row — at initialisation, on the selected worker's update and in
 streaming repair — comes from one sweep over one planner dispatch
@@ -46,6 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.coverage import CoverageModel
 from ..core.entities import SensingTask, Worker
 from ..core.incentive import IncentiveModel
 from ..core.route import WorkingRoute
@@ -61,11 +65,14 @@ class CandidateTable:
 
     ``workers`` and ``tasks`` fix the row and column universe (every
     worker and sensing task that may ever hold a candidate); the sweeps
-    fill rows of it.
+    fill rows of it.  With a ``coverage`` model, :attr:`bins` holds the
+    columns' coverage bins (:meth:`CoverageModel.bins`), which the decode
+    loops hand to :meth:`CoverageState.gain_many`.
     """
 
     def __init__(self, planner: RoutePlanner, incentives: IncentiveModel,
-                 workers: Sequence[Worker], tasks: Sequence[SensingTask]):
+                 workers: Sequence[Worker], tasks: Sequence[SensingTask],
+                 coverage: CoverageModel | None = None):
         self.planner = planner
         self.incentives = incentives
         self.workers = tuple(workers)
@@ -74,6 +81,8 @@ class CandidateTable:
                                  dtype=np.int64)
         self.row_of = {w.worker_id: r for r, w in enumerate(self.workers)}
         self.col_of = {t.task_id: c for c, t in enumerate(self.tasks)}
+        self.bins = coverage.bins(self.tasks) if coverage is not None \
+            else None
         # The columns' task block, built on the first batched sweep;
         # sweeps hand the planner lanes of it.
         self._block: TaskBlock | None = None
@@ -82,6 +91,9 @@ class CandidateTable:
         self.delta_incentive = np.zeros(shape)
         self.rtt = np.zeros(shape)
         self.pos = np.full(shape, -1, dtype=np.intp)
+        # Columns of the availability pool: swept in, cleared once a task
+        # is selected or expires.  Sweeps of the pool take its columns.
+        self.pool = np.zeros(len(self.tasks), dtype=bool)
         self.order: list[int] = []
         # Per row, what route() builds from: the swept route order (a
         # tuple) or the kept re-planned routes ({col: WorkingRoute}).
@@ -97,8 +109,8 @@ class CandidateTable:
         Each worker's base route (travel tasks only) is planned once; one
         :meth:`_sweep` then checks every sensing task against it.
         """
-        self._reset([self.row_of[w.worker_id] for w in workers])
         cols = self._cols(sensing_tasks)
+        self._reset([self.row_of[w.worker_id] for w in workers], cols)
         for worker in workers:
             base = self.planner.base_route(worker)
             self.incentives.set_base_rtt(worker, base.route_travel_time)
@@ -114,8 +126,10 @@ class CandidateTable:
         return np.fromiter((col_of[t.task_id] for t in tasks),
                            dtype=np.intp)
 
-    def _reset(self, order: list[int]) -> None:
+    def _reset(self, order: list[int], pool: np.ndarray) -> None:
         self.mask[:] = False
+        self.pool[:] = False
+        self.pool[pool] = True
         self._sources = [None] * len(self.workers)
         self.order = order
 
@@ -234,14 +248,14 @@ class CandidateTable:
     def copy(self) -> "CandidateTable":
         """Array copy for snapshot reuse.
 
-        The planes and the order are copied; the row universe and the
-        per-row route sources are immutable and shared.  ``planner_calls``
-        carries over so the copy still reports the cost of building the
-        table it restores — no new planner calls are issued by the copy
-        itself.
+        The planes, the pool and the order are copied; the row universe,
+        the column bins and the per-row route sources are immutable and
+        shared.  ``planner_calls`` carries over so the copy still reports
+        the cost of building the table it restores — no new planner calls
+        are issued by the copy itself.
         """
         clone = copy.copy(self)
-        for name in ("mask", "delta_incentive", "rtt", "pos"):
+        for name in ("mask", "delta_incentive", "rtt", "pos", "pool"):
             setattr(clone, name, getattr(self, name).copy())
         clone.order = list(self.order)
         clone._sources = list(self._sources)
@@ -249,19 +263,23 @@ class CandidateTable:
 
     def remove_task(self, task_id: int) -> None:
         """Line 16: drop a completed task from every worker's candidates
-        (clears its column)."""
-        self.mask[:, self.col_of[task_id]] = False
+        (clears its column) and from the pool."""
+        col = self.col_of[task_id]
+        self.mask[:, col] = False
+        self.pool[col] = False
 
     def recompute_worker(self, worker: Worker,
                          assigned: Sequence[SensingTask],
-                         available: Iterable[SensingTask],
+                         available: Iterable[SensingTask] | np.ndarray,
                          current_incentive: float,
                          budget_rest: float,
                          current_route_tasks: Sequence,
                          min_position: int = 0) -> None:
         """Lines 17-23: refresh the selected worker's candidate row.
 
-        ``current_route_tasks`` — the worker's committed route order — lets
+        ``available`` is the tasks to sweep, or their columns as an
+        integer array (the environment passes the pool's,
+        ``np.flatnonzero(table.pool)``).  ``current_route_tasks`` — the worker's committed route order — lets
         insertion planners check each candidate by single insertion;
         planners without one re-plan ``assigned`` plus the candidate.
         ``min_position`` anchors every insertion at the worker's committed
@@ -269,9 +287,11 @@ class CandidateTable:
         insertion-capable planner, since a full re-plan cannot honour a
         committed prefix.
         """
+        cols = available if isinstance(available, np.ndarray) \
+            else self._cols(available)
         self._write(worker, self._sweep(
-            worker, current_route_tasks, self._cols(available),
-            current_incentive, budget_rest, min_position, assigned))
+            worker, current_route_tasks, cols, current_incentive,
+            budget_rest, min_position, assigned))
 
     # ------------------------------------------------------------------ #
     # Incremental repair (streaming arrivals / expiries / re-anchoring)
@@ -289,6 +309,7 @@ class CandidateTable:
         row.
         """
         cols = self._cols(new_tasks)
+        self.pool[cols] = True
         if not cols.size:
             return
         for worker, route_tasks, incentive, min_position in worker_states:
@@ -298,7 +319,8 @@ class CandidateTable:
                 min_position), replace=False)
 
     def expire_task(self, task_id: int) -> bool:
-        """Repair after an expiry: drop the task from every row.
+        """Repair after an expiry: drop the task from every row and from
+        the pool.
 
         Identical to :meth:`remove_task` (an expired task and a selected
         task leave the table the same way); returns whether any worker
@@ -367,7 +389,7 @@ class CandidateTable:
         worker_states = list(worker_states)
         cols = self._cols(tasks)
         self._reset([self.row_of[worker.worker_id]
-                     for worker, _, _, _ in worker_states])
+                     for worker, _, _, _ in worker_states], cols)
         for worker, route_tasks, incentive, min_position in worker_states:
             if route_tasks is None:
                 continue

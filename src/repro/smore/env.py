@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .. import obs
 from ..obs.profile import scope as profile_scope
 from ..core.incentive import IncentiveModel
@@ -53,13 +55,11 @@ class SelectionEnv:
         self.planner = planner
         self.incentives = IncentiveModel(mu=instance.mu)
         # Share the instance's packed arrays / travel-time matrix with the
-        # planner (kernel engines), and bulk-fill the coverage bin cache so
-        # rollouts never pay per-task binning on first touch.  Both are
-        # no-ops for backends without the capability.
+        # planner (kernel engines); a no-op for backends without the
+        # capability.
         bind = getattr(planner, "bind_instance", None)
         if bind is not None:
             bind(instance)
-        instance.coverage.precompute_bins(instance.sensing_tasks)
         self.state: SelectionState | None = None
         self.perf = PerfCounters()
         self._snapshot: CandidateTable | None = None
@@ -79,7 +79,8 @@ class SelectionEnv:
                 profile_scope("env.init"):
             table = CandidateTable(self.planner, self.incentives,
                                    self.instance.workers,
-                                   self.instance.sensing_tasks)
+                                   self.instance.sensing_tasks,
+                                   coverage=self.instance.coverage)
             table.initialize(workers, tasks, self.instance.budget)
         self.perf.planner_calls += table.planner_calls
         self.perf.init_planner_calls += table.planner_calls
@@ -150,16 +151,13 @@ class SelectionEnv:
         # Spending budget may strand other workers' candidates.
         state.candidates.prune_over_budget(state.budget_rest)
 
-        # Lines 17-23: refresh the selected worker's row.  The pool of
-        # still-available tasks is maintained incrementally on the state
-        # (one dict pop per step) rather than rebuilt from the full task
-        # list; its iteration order is the pool order by construction.
+        # Lines 17-23: refresh the selected worker's row over the pool's
+        # columns (remove_task cleared the selected one).
         state.unselected.pop(task_id, None)
-        available = list(state.unselected.values())
         slot = state.assignments[worker_id]
         state.candidates.recompute_worker(
-            worker, slot.assigned, available, slot.incentive, state.budget_rest,
-            current_route_tasks=slot.route.tasks,
+            worker, slot.assigned, np.flatnonzero(table.pool), slot.incentive,
+            state.budget_rest, current_route_tasks=slot.route.tasks,
             min_position=self._worker_min_position(state, worker_id))
 
         reward = state.coverage.phi() - phi_before

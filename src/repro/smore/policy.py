@@ -468,8 +468,7 @@ class TASNetPolicy:
             cols = np.flatnonzero(table.mask[row])
             task_id_lists.append(table.task_ids[cols].tolist())
             delta_in_rows.append(table.delta_incentive[row, cols])
-            delta_phi_rows.append(state.coverage.gain_many(
-                [table.tasks[c] for c in cols.tolist()]))
+            delta_phi_rows.append(state.coverage.gain_many(table.bins[cols]))
             cand_rows.append(base + multi.task_rows[i][cols])
             assigned_rows.append(
                 [base + task_index[t.task_id]

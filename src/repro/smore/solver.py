@@ -80,8 +80,7 @@ def _best_candidate_pair(state: SelectionState, score):
     table = state.candidates
     live = table.mask.any(axis=0)
     gains = np.zeros(len(table.tasks))
-    gains[live] = state.coverage.gain_many(
-        [table.tasks[c] for c in np.flatnonzero(live).tolist()])
+    gains[live] = state.coverage.gain_many(table.bins[live])
     rows = table.live_rows()
     mask = table.mask[rows]
     delta = table.delta_incentive[rows]

@@ -92,9 +92,8 @@ class SelectionState:
     step_count: int = 0
     # The availability pool, maintained incrementally: tasks in instance
     # order (arrivals appended at the end), minus everything selected or
-    # expired.  Dict insertion order *is* the pool order, so iterating
-    # ``unselected.values()`` reproduces exactly the list the env used to
-    # rebuild from scratch every step.
+    # expired.  Dict insertion order *is* the pool order.  The candidate
+    # table keeps the same pool as a column mask, which step sweeps read.
     unselected: dict[int, SensingTask] = field(default_factory=dict)
 
     @property

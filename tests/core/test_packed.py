@@ -17,6 +17,7 @@ from repro.core import (
     euclidean,
     packed_instance,
 )
+from repro.core.coverage import spatial_pyramid
 from repro.datasets.instances import InstanceOptions, generate_instances
 
 
@@ -115,9 +116,10 @@ class TestInstanceCache:
 
 class TestPrecomputeBins:
     def test_matches_lazy_binning(self):
+        """The vectorized store equals per-task ``cell_index`` and
+        ``slot_of`` at every level."""
         grid = Grid(Region(2000, 2400), 10, 12)
         eager = CoverageModel(grid, time_span=240.0, slot_minutes=30.0)
-        lazy = CoverageModel(grid, time_span=240.0, slot_minutes=30.0)
         rng = np.random.default_rng(11)
         tasks = []
         for k in range(80):
@@ -131,18 +133,20 @@ class TestPrecomputeBins:
         tasks.append(_sensing(501, 2000.0, 2400.0, tw=(230.0, 240.0)))
 
         eager.precompute_bins(tasks)
-        state = lazy.new_state()
-        for task in tasks:
-            assert eager._bin_cache[task] == state._bins(task)
+        levels = spatial_pyramid(grid)
+        want = [[g.cell_index(t.location) for g in levels]
+                + [eager.slot_of(t)] for t in tasks]
+        assert eager.bins(tasks).tolist() == want
+        assert [eager._bins(t) for t in tasks] == want
 
     def test_skips_already_cached(self):
         grid = Grid(Region(100, 100), 4, 4)
         model = CoverageModel(grid, time_span=240.0, slot_minutes=60.0)
         task = _sensing(100, 50, 50)
+        model.precompute_bins([task, task])
+        rows = dict(model._store.rows)
         model.precompute_bins([task])
-        sentinel = model._bin_cache[task]
-        model.precompute_bins([task])
-        assert model._bin_cache[task] is sentinel
+        assert model._store.rows == rows == {task: 0}
 
 
 class TestRowCacheBudget:

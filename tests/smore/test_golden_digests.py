@@ -143,13 +143,14 @@ def _brute_force_best(table, gains, score):
 
 
 class _FixedGains:
-    """Coverage stand-in whose marginal gains are fixed per task id."""
+    """Coverage stand-in whose marginal gains are fixed per task id (the
+    table's stand-in bins hold each column's task id)."""
 
     def __init__(self, gains):
         self.gains = gains
 
-    def gain_many(self, tasks):
-        return np.array([self.gains[t.task_id] for t in tasks])
+    def gain_many(self, bins):
+        return np.array([self.gains[i] for i in bins[:, 0].tolist()])
 
 
 @pytest.mark.parametrize("trial", range(200))
@@ -163,6 +164,7 @@ def test_arg_best_matches_brute_force_under_ties(trial):
     task_ids = rng.permutation(100)[:num_tasks] + 200
     tasks = [SimpleNamespace(task_id=int(t)) for t in task_ids]
     table = CandidateTable(None, None, workers, tasks)
+    table.bins = table.task_ids[:, None]
     table.order = rng.permutation(num_workers).tolist()
     table.mask[:] = rng.random(table.mask.shape) < 0.6
     table.mask[table.order[0], 0] = True
