@@ -35,10 +35,11 @@ bench-serve:
 	PYTHONPATH=src pytest benchmarks/test_serving_regression.py \
 		--benchmark-only
 
-# Dynamic-repair regression: incremental candidate-table repair vs a
-# per-epoch rebuild over a streamed arrival schedule at paper scale
-# (per-event speedup floor + bit-identical episode; writes
-# results/BENCH_PR8.json).
+# Dynamic-repair regression: the dynamic env's epoch sweep (arrivals
+# and late workers only) vs the per-epoch rebuild test oracle
+# (tests/smore/oracle.py::RebuildDynamicEnv) over a streamed arrival
+# schedule at paper scale (per-event speedup floor + bit-identical
+# episode + fewer planner calls; writes results/BENCH_PR8.json).
 bench-dynamic:
 	PYTHONPATH=src pytest benchmarks/test_dynamic_regression.py \
 		--benchmark-only

@@ -1,15 +1,18 @@
-"""Perf regression bench for PR 8 (dynamic candidate-table repair).
+"""Perf regression bench for the dynamic env's epoch sweep.
 
-Pins the incremental repair path's win over the per-epoch rebuild at
-paper scale (delivery at ``task_density=0.15``: S=144 sensing tasks,
-W=7 workers), and its exactness:
+Pins the epoch sweep's win — each worker sweeps only the epoch's
+arrivals — over the per-epoch rebuild oracle (``RebuildDynamicEnv`` in
+``tests/smore/oracle.py``) at paper scale (delivery at
+``task_density=0.15``: S=144 sensing tasks, W=7 workers), and its
+exactness:
 
 - a full greedy dynamic episode over a streamed Poisson schedule is
   bit-identical — objective, selected / rejected sets, event count,
-  final routes — with ``repair=True`` and ``repair=False``;
-- per event epoch, incremental repair is at least
-  ``MIN_REPAIR_SPEEDUP``x faster than rebuilding the table from
-  scratch, and issues strictly fewer planner calls.
+  final routes — on the production env and on the rebuild oracle;
+- per event epoch, the sweep is at least ``MIN_REPAIR_SPEEDUP``x faster
+  than rebuilding the table from scratch, and issues strictly fewer
+  planner calls.  ``tests/smore/test_dynamic.py`` runs the same
+  exactness checks at small scale.
 
 Timings land in ``results/BENCH_PR8.json`` (a CI artifact), so a
 regression shows up as a diff; the assertion pins the speedup ratio
@@ -24,6 +27,7 @@ from repro.datasets import InstanceOptions, generate_instances, poisson_arrivals
 from repro.smore import DynamicSelectionEnv, GreedySelectionRule, \
     run_episode
 from repro.tsptw import InsertionSolver
+from tests.smore.oracle import RebuildDynamicEnv
 
 from .conftest import write_bench
 
@@ -32,9 +36,11 @@ MIN_REPAIR_SPEEDUP = 3.0
 
 
 def _episode(instance, schedule, repair):
-    """One greedy dynamic episode; returns (state, env, advance_seconds)."""
+    """One greedy dynamic episode on the production env (``repair``) or
+    the rebuild oracle; returns (state, env)."""
     planner = InsertionSolver(speed=instance.speed)
-    env = DynamicSelectionEnv(instance, planner, schedule, repair=repair)
+    env_cls = DynamicSelectionEnv if repair else RebuildDynamicEnv
+    env = env_cls(instance, planner, schedule)
     state, _ = run_episode(env, GreedySelectionRule())[:2]
     return state, env
 
@@ -55,7 +61,7 @@ def test_dynamic_repair_regression(benchmark, results_dir):
         # Alternate the modes and keep each one's fastest round: the
         # minimum is the scheduler-noise-free estimate.  ``repair_time``
         # accumulates exactly the advance() epochs — selection steps are
-        # identical in both modes and excluded from the ratio.
+        # identical on both envs and excluded from the ratio.
         repair_event = rebuild_event = float("inf")
         for _ in range(BENCH_ROUNDS):
             repair_state, repair_env = _episode(instance, schedule, True)
@@ -102,7 +108,7 @@ def test_dynamic_repair_regression(benchmark, results_dir):
     assert scale["S"] == 144
 
     episode = record["episode"]
-    # Repair changes the wall clock, never the episode: same objective,
+    # The sweep changes the wall clock, never the episode: same objective,
     # same selections, same rejections, same final routes.
     assert episode["phi_repair"] == episode["phi_rebuild"]
     assert episode["selected_repair"] == episode["selected_rebuild"]

@@ -89,10 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--schedule", default="poisson",
                         choices=["poisson", "burst"],
                         help="dynamic: the arrival process to stream")
-    parser.add_argument("--rebuild-table", action="store_true",
-                        help="dynamic: rebuild the candidate table per "
-                             "event epoch instead of incremental repair "
-                             "(identical results, slower)")
     parser.add_argument("--shards", default="1,2,4",
                         help="shard: comma-separated shard counts to sweep")
     parser.add_argument("--tasks", type=int, default=2000,
@@ -192,8 +188,7 @@ def _dispatch(args) -> int:
         from .dynamic import dynamic_curves, render_dynamic
 
         results = dynamic_curves(runner, datasets=datasets,
-                                 schedule=args.schedule,
-                                 repair=not args.rebuild_table)
+                                 schedule=args.schedule)
         print(render_dynamic(results, schedule=args.schedule))
     elif args.experiment == "shard":
         from .shard import render_shard_scaling, shard_scaling

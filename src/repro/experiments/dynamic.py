@@ -74,8 +74,7 @@ def dynamic_curves(runner: ExperimentRunner,
                    schedule: str = "poisson",
                    ttls=DEFAULT_TTLS,
                    initial_fraction: float = 0.4,
-                   num_samples: int = 1,
-                   repair: bool = True) -> dict[str, list[DynamicPoint]]:
+                   num_samples: int = 1) -> dict[str, list[DynamicPoint]]:
     """Coverage-vs-rejection curves per dataset.
 
     Every (method, ttl) cell replays the *same* seeded schedules — one
@@ -104,8 +103,7 @@ def dynamic_curves(runner: ExperimentRunner,
                               ttl=-1.0 if ttl is None else ttl):
                     outcomes = [
                         solver.solve_dynamic(instance, sched,
-                                             num_samples=num_samples,
-                                             repair=repair)
+                                             num_samples=num_samples)
                         for instance, sched in zip(instances, schedules)]
                 n = len(outcomes)
                 points.append(DynamicPoint(

@@ -22,8 +22,10 @@ each column's coverage bins, which the decode loops score from.
 built over, then late workers in arrival order — which the greedy rules'
 cross-row tie-break and the flat policy's pair order observe.
 
-Every row — at initialisation, on the selected worker's update and in
-streaming repair — comes from one sweep over one planner dispatch
+Every row — at initialisation, on the selected worker's update and at a
+streaming epoch (:meth:`~repro.smore.dynamic.DynamicSelectionEnv.advance`
+sweeps arrivals and late workers through :meth:`recompute_worker`) —
+comes from one sweep over one planner dispatch
 (:meth:`CandidateTable._plan`), the only place the table probes planner
 capabilities.  It tries ``plan_insertions_many`` first (one batched call
 per worker; on :class:`~repro.tsptw.InsertionSolver`, optionally behind
@@ -110,7 +112,11 @@ class CandidateTable:
         :meth:`_sweep` then checks every sensing task against it.
         """
         cols = self._cols(sensing_tasks)
-        self._reset([self.row_of[w.worker_id] for w in workers], cols)
+        self.mask[:] = False
+        self.pool[:] = False
+        self.pool[cols] = True
+        self._sources = [None] * len(self.workers)
+        self.order = [self.row_of[w.worker_id] for w in workers]
         for worker in workers:
             base = self.planner.base_route(worker)
             self.incentives.set_base_rtt(worker, base.route_travel_time)
@@ -125,13 +131,6 @@ class CandidateTable:
         col_of = self.col_of
         return np.fromiter((col_of[t.task_id] for t in tasks),
                            dtype=np.intp)
-
-    def _reset(self, order: list[int], pool: np.ndarray) -> None:
-        self.mask[:] = False
-        self.pool[:] = False
-        self.pool[pool] = True
-        self._sources = [None] * len(self.workers)
-        self.order = order
 
     # ------------------------------------------------------------------ #
     # The one planner dispatch and the one row writer
@@ -162,7 +161,8 @@ class CandidateTable:
         if insert_many is None and insert_one is None and (
                 assigned is None or min_position > 0):
             raise TypeError(
-                "anchored or incremental candidate sweeps require an "
+                "anchored sweeps, and sweeps without the assigned tasks, "
+                "require an "
                 "insertion-capable planner (plan_insertions_many or "
                 "plan_with_insertion)")
         self.planner_calls += len(cols)
@@ -224,25 +224,16 @@ class CandidateTable:
             col: source[i].route
             for col, i in zip(kept.tolist(), idx.tolist())}
 
-    def _write(self, worker: Worker, swept: tuple,
-               replace: bool = True) -> None:
-        """Write a sweep's pairs into the worker's row; ``replace`` clears
-        the row first, otherwise the pairs are merged in."""
+    def _write(self, worker: Worker, swept: tuple) -> None:
+        """Replace the worker's row with a sweep's pairs."""
         cols, rtt, delta, pos, source = swept
         r = self.row_of[worker.worker_id]
-        if replace:
-            self.mask[r] = False
+        self.mask[r] = False
         self.mask[r, cols] = True
         self.rtt[r, cols] = rtt
         self.delta_incentive[r, cols] = delta
         self.pos[r, cols] = -1 if pos is None else pos
         self._sources[r] = source
-
-    def _admit(self, worker: Worker) -> None:
-        """Append a worker's row to the table order if it is not there."""
-        r = self.row_of[worker.worker_id]
-        if r not in self.order:
-            self.order.append(r)
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "CandidateTable":
@@ -269,7 +260,7 @@ class CandidateTable:
         self.pool[col] = False
 
     def recompute_worker(self, worker: Worker,
-                         assigned: Sequence[SensingTask],
+                         assigned: Sequence[SensingTask] | None,
                          available: Iterable[SensingTask] | np.ndarray,
                          current_incentive: float,
                          budget_rest: float,
@@ -279,11 +270,13 @@ class CandidateTable:
 
         ``available`` is the tasks to sweep, or their columns as an
         integer array (the environment passes the pool's,
-        ``np.flatnonzero(table.pool)``).  ``current_route_tasks`` — the worker's committed route order — lets
-        insertion planners check each candidate by single insertion;
-        planners without one re-plan ``assigned`` plus the candidate.
-        ``min_position`` anchors every insertion at the worker's committed
-        mid-route position (dynamic re-planning); it requires an
+        ``np.flatnonzero(table.pool)``); the row is replaced by the
+        sweep's pairs.  ``current_route_tasks`` — the worker's committed
+        route order — lets insertion planners check each candidate by
+        single insertion; planners without one re-plan ``assigned`` plus
+        the candidate.  ``min_position`` anchors every insertion at the
+        worker's committed mid-route position (dynamic re-planning); it,
+        like ``assigned=None`` (the streaming epoch sweep), requires an
         insertion-capable planner, since a full re-plan cannot honour a
         committed prefix.
         """
@@ -292,110 +285,6 @@ class CandidateTable:
         self._write(worker, self._sweep(
             worker, current_route_tasks, cols, current_incentive,
             budget_rest, min_position, assigned))
-
-    # ------------------------------------------------------------------ #
-    # Incremental repair (streaming arrivals / expiries / re-anchoring)
-    # ------------------------------------------------------------------ #
-    def add_tasks(self, new_tasks: Sequence[SensingTask],
-                  worker_states: Iterable[tuple],
-                  budget_rest: float) -> None:
-        """Repair after arrivals: sweep the new tasks against each worker.
-
-        ``worker_states`` yields ``(worker, route_tasks, incentive,
-        min_position)`` for every worker that can still accept tasks — its
-        committed route order, the incentive currently owed, and the
-        anchor of its committed mid-route position.  Each worker gets one
-        batched anchored sweep over the arrival batch, merged into its
-        row.
-        """
-        cols = self._cols(new_tasks)
-        self.pool[cols] = True
-        if not cols.size:
-            return
-        for worker, route_tasks, incentive, min_position in worker_states:
-            self._admit(worker)
-            self._write(worker, self._sweep(
-                worker, route_tasks, cols, incentive, budget_rest,
-                min_position), replace=False)
-
-    def expire_task(self, task_id: int) -> bool:
-        """Repair after an expiry: drop the task from every row and from
-        the pool.
-
-        Identical to :meth:`remove_task` (an expired task and a selected
-        task leave the table the same way); returns whether any worker
-        still held it, which rejection accounting reports.
-        """
-        present = bool(self.mask[:, self.col_of[task_id]].any())
-        self.remove_task(task_id)
-        return present
-
-    def reanchor_worker(self, worker: Worker, route_tasks: Sequence,
-                        current_incentive: float, budget_rest: float,
-                        min_position: int) -> int:
-        """Repair after time passes: advance a worker's committed anchor.
-
-        Only pairs the new anchor invalidates — recorded insertion
-        position before ``min_position``, or none recorded — are re-swept
-        (one batched anchored call); the rest are provably identical to
-        an anchored rescan and keep their values.  A pair that loses every
-        anchored position is dropped; a task absent from the row cannot
-        re-enter (the feasible position set only shrinks as the anchor
-        advances).  Returns the number of pairs re-swept.
-        """
-        r = self.row_of[worker.worker_id]
-        stale = np.flatnonzero(self.mask[r] & (self.pos[r] < min_position))
-        if not stale.size:
-            return 0
-        self.mask[r, stale] = False
-        self._write(worker, self._sweep(
-            worker, route_tasks, stale, current_incentive, budget_rest,
-            min_position), replace=False)
-        return int(stale.size)
-
-    def add_worker(self, worker: Worker, tasks: Sequence[SensingTask],
-                   budget_rest: float, min_position: int = 0) -> bool:
-        """Repair after a late worker arrival: build its row from scratch.
-
-        Plans the worker's base route (recording its base travel time with
-        the incentive model), then sweeps every current task against it.
-        The row joins the end of :attr:`order`.  Returns False — with an
-        empty row — when the worker cannot even complete their own trip.
-        """
-        base = self.planner.base_route(worker)
-        self.incentives.set_base_rtt(worker, base.route_travel_time)
-        self._admit(worker)
-        r = self.row_of[worker.worker_id]
-        self.mask[r] = False
-        if not base.feasible:
-            return False
-        base_tasks = base.route.tasks if base.route is not None else ()
-        self._write(worker, self._sweep(
-            worker, base_tasks, self._cols(tasks), 0.0, budget_rest,
-            min_position))
-        return True
-
-    def rebuild(self, worker_states: Iterable[tuple],
-                tasks: Sequence[SensingTask], budget_rest: float) -> None:
-        """Fresh anchored build over the current task pool.
-
-        The from-scratch reference the incremental repair path is tested
-        against (and the dynamic env's ``repair=False`` mode): every
-        worker's row is recomputed with one anchored sweep over the whole
-        pool.  ``worker_states`` yields ``(worker, route_tasks, incentive,
-        min_position)``; a ``route_tasks`` of None marks a stranded worker
-        (infeasible own trip), whose row stays empty.
-        """
-        worker_states = list(worker_states)
-        cols = self._cols(tasks)
-        self._reset([self.row_of[worker.worker_id]
-                     for worker, _, _, _ in worker_states], cols)
-        for worker, route_tasks, incentive, min_position in worker_states:
-            if route_tasks is None:
-                continue
-            self._write(worker, self._sweep(
-                worker, route_tasks, cols, incentive, budget_rest,
-                min_position))
 
     def prune_over_budget(self, budget_rest: float) -> None:
         """Drop pairs whose marginal cost no longer fits the budget.

@@ -11,28 +11,33 @@ cannot be re-ordered).
 Between epochs the selection dynamics are exactly the static MDP — the
 same :meth:`~repro.smore.env.SelectionEnv.step_state`, the same policies,
 the same tie-breaking — so a schedule whose tasks all arrive at time zero
-reproduces the static solver decision-for-decision.  What changes is the
-candidate table's life cycle: instead of being rebuilt from scratch at
-every epoch (the ``repair=False`` reference mode), it is *repaired*
-incrementally —
+reproduces the static solver decision-for-decision.  An epoch opens only
+once the candidate table has drained (the decode loop advances when no
+pair is left), and it keeps the static table's one row writer:
 
 * an expiry clears the task's column, as a selection does
-  (``expire_task``),
-* arrivals are swept once per worker as one batched anchored insertion
-  call (``add_tasks``),
-* an advancing committed position re-sweeps only the pairs whose
-  recorded insertion position it invalidates (``reanchor_worker``).
+  (:meth:`~repro.smore.candidates.CandidateTable.remove_task`),
+* every active worker's committed lock advances with the clock,
+* arrivals join the pool, and each worker sweeps them once — one batched
+  anchored insertion call through
+  :meth:`~repro.smore.candidates.CandidateTable.recompute_worker`; a late
+  worker sweeps the whole pool instead.
 
-Repair is provably plane-identical to a fresh anchored rebuild over the
-current pool (the property tests sweep both paths across planner
-backends), while planning O(changed pairs) instead of O(W x S) per
-event.
+No other pool task needs a re-sweep: on a drained table every remaining
+pair was infeasible or unaffordable, and an advancing lock and a
+shrinking budget only take positions and money away.  The rows after an
+epoch therefore equal a fresh anchored build over the current pool,
+planned in O(arrivals x workers) instead of O(W x S) per event; that
+from-scratch rebuild is the test oracle (``tests/smore/oracle.py``) the
+property tests compare against at every epoch, across planner backends.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..core.entities import Worker
 from ..core.instance import USMDWInstance
@@ -51,10 +56,10 @@ __all__ = ["DynamicSelectionEnv", "DynamicSelectionState", "DynamicResult"]
 class DynamicSelectionState(SelectionState):
     """Static MDP state plus the streaming bookkeeping.
 
-    ``unselected`` (inherited) doubles as the availability pool: its
-    insertion order — schedule-initial tasks first, arrivals appended in
-    event order — is the pool order every candidate row is a subsequence
-    of.  ``locks[w]`` is worker ``w``'s committed route position: the
+    ``unselected`` (inherited) holds the tasks of the availability pool
+    (the table's ``pool`` columns): schedule-initial tasks first, arrivals
+    appended in event order, which is the order expiries are rejected
+    in.  ``locks[w]`` is worker ``w``'s committed route position: the
     number of route stops already departed toward, below which no
     insertion may land.  ``epoch_selected``: ``len(selected)`` when the
     current epoch opened.
@@ -95,22 +100,16 @@ class DynamicSelectionEnv(SelectionEnv):
         coverage bins) keep working unchanged.
     schedule:
         When each task enters and leaves the pool.
-    repair:
-        True (default): maintain the candidate table incrementally at
-        each event epoch.  False: rebuild it from scratch per epoch — the
-        reference the repair path is verified against, and the slow side
-        of the repair-speedup benchmark.
     worker_arrivals:
         Optional ``{worker_id: time}`` for workers who join late; they
         hold no candidates before their arrival epoch.
     """
 
     def __init__(self, instance: USMDWInstance, planner: RoutePlanner,
-                 schedule: ArrivalSchedule, repair: bool = True,
+                 schedule: ArrivalSchedule,
                  worker_arrivals: dict[int, float] | None = None):
         schedule.validate(instance)
         self.schedule = schedule
-        self.repair = repair
         self.worker_arrivals = dict(worker_arrivals or {})
         unknown = [w for w in self.worker_arrivals
                    if not any(x.worker_id == w for x in instance.workers)]
@@ -120,6 +119,7 @@ class DynamicSelectionEnv(SelectionEnv):
         super().__init__(instance, planner)
         self._tasks_by_id = {s.task_id: s for s in instance.sensing_tasks}
         self._base_routes: dict[int, WorkingRoute | None] = {}
+        # Wall time spent opening epochs (advance), summed over episodes.
         self.repair_time = 0.0
 
     # ------------------------------------------------------------------ #
@@ -218,22 +218,26 @@ class DynamicSelectionEnv(SelectionEnv):
         """Close this epoch, open the next; False when no events remain.
 
         One epoch, in order: (1) expire overdue unselected tasks
-        (rejection accounting), (2) admit late workers, (3) advance every
-        active worker's committed lock, (4) admit arrivals.  In repair
-        mode each sub-step patches the candidate table incrementally; in
-        rebuild mode the pool and locks are updated identically and the
-        table is then rebuilt from scratch — both orders leave every row
-        equal to the anchored sweep over the final pool.
+        (rejection accounting), (2) admit late workers and advance every
+        active worker's committed lock, (3) admit arrivals into the pool,
+        (4) :meth:`_sweep_epoch`.  The table must have drained: a live
+        pair could record an insertion position before the new lock, so
+        ``RuntimeError`` is raised instead of keeping it.
 
         An installed SLO tracker (:func:`repro.obs.slo.install`) is fed
         on simulation time: the closing epoch's selections as ``ok`` and
         one ``maybe_check`` at its time, then the new epoch's expiries
-        and dead arrivals as ``rejected`` and its repair ms, at ``t``.
+        and dead arrivals as ``rejected`` and its epoch ms, at ``t``.
         """
         if state is None:
             state = self._require_state()
             if not isinstance(state, DynamicSelectionState):
                 raise TypeError("advance() needs a dynamic state")
+        table = state.candidates
+        if not table.empty:
+            raise RuntimeError(
+                "advance() needs a drained candidate table: a live pair "
+                "may be anchored before the new lock")
         tracker = current_slo_tracker()
         if tracker is not None:
             for _ in range(len(state.selected) - state.epoch_selected):
@@ -244,7 +248,7 @@ class DynamicSelectionEnv(SelectionEnv):
         if t is None:
             return False
         start = time.perf_counter()
-        calls_before = state.candidates.planner_calls
+        calls_before = table.planner_calls
         rejected_before = len(state.rejected)
         state.now = t
         state.events += 1
@@ -254,54 +258,21 @@ class DynamicSelectionEnv(SelectionEnv):
                    if state.expiry[task_id] <= t]
         for task_id in overdue:
             del state.unselected[task_id]
-            state.candidates.expire_task(task_id)
+            table.remove_task(task_id)
             state.rejected.append(task_id)
 
-        # (2) Late workers join: base route planned, row built over the
-        # current pool (arrivals of this very epoch reach them in (4)).
+        # (2) Late workers join; every lock advances with the clock.
         joined: list[int] = []
         while state.pending_workers and state.pending_workers[0][0] <= t:
             _, worker_id = state.pending_workers.pop(0)
             state.active_workers.append(worker_id)
             joined.append(worker_id)
-            state.locks[worker_id] = self._lock_at(state, worker_id, t)
-        if self.repair:
-            for worker_id in joined:
-                worker = self.instance.worker(worker_id)
-                state.candidates.add_worker(
-                    worker, list(state.unselected.values()),
-                    state.budget_rest,
-                    min_position=state.locks[worker_id])
-        else:
-            for worker_id in joined:
-                # Rebuild mode still needs the base travel time on record
-                # for the incentive model.
-                result = self.planner.base_route(
-                    self.instance.worker(worker_id))
-                self.incentives.set_base_rtt(
-                    self.instance.worker(worker_id),
-                    result.route_travel_time)
-
-        # (3) Locks advance with the clock; repair re-sweeps only pairs
-        # the new anchor invalidates.
         for worker_id in state.active_workers:
-            if worker_id in joined:
-                continue
-            lock = self._lock_at(state, worker_id, t)
-            if lock <= state.locks[worker_id]:
-                continue
-            state.locks[worker_id] = lock
-            if self.repair:
-                route = self._committed_route(state, worker_id)
-                if route is not None:
-                    state.candidates.reanchor_worker(
-                        self.instance.worker(worker_id), route.tasks,
-                        state.assignments[worker_id].incentive,
-                        state.budget_rest, lock)
+            state.locks[worker_id] = max(state.locks[worker_id],
+                                         self._lock_at(state, worker_id, t))
 
-        # (4) Arrivals enter the pool in event order (appended — pool
-        # order stays the row-order convention).
-        arrivals = []
+        # (3) Arrivals enter the pool in event order.
+        arrivals: list[int] = []
         while state.pending_arrivals \
                 and state.pending_arrivals[0].arrival <= t:
             record = state.pending_arrivals.pop(0)
@@ -310,23 +281,16 @@ class DynamicSelectionEnv(SelectionEnv):
                 # Dead on arrival (zero time-to-live): rejected outright.
                 state.rejected.append(record.task_id)
                 continue
-            task = self._tasks_by_id[record.task_id]
-            state.unselected[record.task_id] = task
+            state.unselected[record.task_id] = \
+                self._tasks_by_id[record.task_id]
             state.expiry[record.task_id] = record.expiry
-            arrivals.append(task)
+            arrivals.append(table.col_of[record.task_id])
+        table.pool[arrivals] = True
 
-        if self.repair:
-            if arrivals:
-                state.candidates.add_tasks(
-                    arrivals, self._worker_states(state, stranded=False),
-                    state.budget_rest)
-        else:
-            state.candidates.rebuild(
-                self._worker_states(state, stranded=True),
-                list(state.unselected.values()), state.budget_rest)
+        # (4) One sweep per worker.
+        self._sweep_epoch(state, joined, np.array(arrivals, dtype=np.intp))
 
-        self.perf.planner_calls += \
-            state.candidates.planner_calls - calls_before
+        self.perf.planner_calls += table.planner_calls - calls_before
         elapsed = time.perf_counter() - start
         self.repair_time += elapsed
         if tracker is not None:
@@ -335,26 +299,35 @@ class DynamicSelectionEnv(SelectionEnv):
             tracker.observe_latency(elapsed * 1e3, now=t)
         return True
 
-    def _worker_states(self, state: DynamicSelectionState,
-                       stranded: bool) -> list[tuple]:
-        """``(worker, route_tasks, incentive, lock)`` per active worker.
+    def _sweep_epoch(self, state: DynamicSelectionState, joined: list[int],
+                     arrivals: np.ndarray) -> None:
+        """Sweep each non-stranded active worker once, anchored at its lock.
 
-        ``stranded=True`` (rebuild) includes workers whose own trip is
-        infeasible with ``route_tasks=None`` so their rows exist (empty);
-        repair sweeps skip them — their rows hold nothing to patch.
+        A worker in ``joined`` records its base travel time with the
+        incentive model, takes the end of the table order and sweeps the
+        whole pool; every other worker sweeps only the ``arrivals``
+        columns, and none at all when nothing arrived.  The sweeps pass no
+        assigned tasks, so re-plan planners raise ``TypeError``.
         """
-        states = []
+        table = state.candidates
+        pool = np.flatnonzero(table.pool)
         for worker_id in state.active_workers:
-            route = self._committed_route(state, worker_id)
-            if route is None and not stranded:
+            worker = self.instance.worker(worker_id)
+            if worker_id in joined:
+                base = self.planner.base_route(worker)
+                self.incentives.set_base_rtt(worker, base.route_travel_time)
+                table.order.append(table.row_of[worker_id])
+                cols = pool
+            elif arrivals.size:
+                cols = arrivals
+            else:
                 continue
-            states.append((
-                self.instance.worker(worker_id),
-                route.tasks if route is not None else None,
-                state.assignments[worker_id].incentive,
-                state.locks[worker_id],
-            ))
-        return states
+            route = self._committed_route(state, worker_id)
+            if route is None:
+                continue  # stranded: the row stays empty
+            table.recompute_worker(
+                worker, None, cols, state.assignments[worker_id].incentive,
+                state.budget_rest, route.tasks, state.locks[worker_id])
 
 
 # ---------------------------------------------------------------------- #

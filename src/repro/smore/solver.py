@@ -296,7 +296,6 @@ class SMORESolver:
                       greedy: bool = True,
                       rng: np.random.Generator | None = None,
                       num_samples: int = 1, workers: int = 1,
-                      repair: bool = True,
                       worker_arrivals: dict[int, float] | None = None):
         """Solve one instance under a streaming arrival schedule.
 
@@ -305,9 +304,10 @@ class SMORESolver:
         the full dynamic episode, in lock-step, best coverage wins — on
         a :class:`~repro.smore.dynamic.DynamicSelectionEnv`.  A rollout
         whose candidate table drains advances to the next
-        arrival/expiry epoch (incremental table repair by default,
-        per-epoch rebuild with ``repair=False``) until nothing more can
-        arrive.  ``workers > 1`` fans rollout chunks over a process pool
+        arrival/expiry epoch, where each worker sweeps only the epoch's
+        arrivals (a late worker the whole pool), until nothing more can
+        arrive.  ``worker_arrivals`` maps late workers to their join
+        times.  ``workers > 1`` fans rollout chunks over a process pool
         with the same derived-seed schedule as :meth:`solve`, so
         parallel and serial decoding return identical results.  Returns
         a :class:`~repro.smore.dynamic.DynamicResult` with explicit
@@ -317,11 +317,10 @@ class SMORESolver:
 
         start = time.perf_counter()
         with obs.span("solve_dynamic", method=self.name,
-                      num_samples=num_samples, workers=workers,
-                      repair=repair), profile_scope("solve"):
-            env = DynamicSelectionEnv(
-                instance, self.planner, schedule, repair=repair,
-                worker_arrivals=worker_arrivals)
+                      num_samples=num_samples, workers=workers), \
+                profile_scope("solve"):
+            env = DynamicSelectionEnv(instance, self.planner, schedule,
+                                      worker_arrivals=worker_arrivals)
             best, perf, rollouts = self._sample_best(
                 env, greedy, rng, num_samples, workers)
             phi, routes, incentives, selected, rejected, arrived, events = best

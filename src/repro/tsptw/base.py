@@ -48,9 +48,9 @@ class RouteResult:
     timing: RouteTiming | None
     feasible: bool
     #: For single-insertion plans: where the scan placed the new task
-    #: (None for full plans or backends that do not report it).  Dynamic
-    #: candidate repair uses it to decide which entries an advancing
-    #: committed position invalidates.
+    #: (None for full plans or backends that do not report it).  The
+    #: candidate table records it in its ``pos`` plane, from which
+    #: ``CandidateTable.route`` rebuilds the pair's route.
     pos: int | None = None
 
     @property

@@ -18,12 +18,16 @@ references it is pinned against live here:
   agree to BLAS-reassociation tolerance.
 * ``run_dynamic_episode`` is the per-state epoch loop of a streaming
   episode, SLO-tracker feed included.
+* ``rebuild_table`` is the from-scratch candidate table of a streaming
+  epoch, and ``RebuildDynamicEnv`` the dynamic env that rebuilds it at
+  every epoch instead of sweeping only the arrivals and late workers.
 """
 
 import numpy as np
 
 from repro import nn
-from repro.smore import TASNetTrainer
+from repro.smore import DynamicSelectionEnv, TASNetTrainer
+from repro.smore.candidates import CandidateTable
 from repro.smore.critic import critic_features
 from repro.smore.heuristics import soft_mask
 from repro.smore.policy import (ActionRecord, _choose,
@@ -207,8 +211,8 @@ def run_dynamic_episode(env, policy, greedy: bool = True, rng=None,
     When given an SLO ``tracker``, the per-epoch loop feeds it on
     **simulation time**: every committed selection records ``ok`` and
     every expiry/dead-on-arrival records ``rejected`` at the epoch it
-    happened, and each epoch's incremental repair cost lands in the
-    latency window (ms) — so the windowed rejection rate and repair
+    happened, and each epoch's ``advance`` cost lands in the latency
+    window (ms) — so the windowed rejection rate and epoch-latency
     percentiles track the arrival process, not wall clock.  Objective
     checks run at most once per epoch.  The tracker is passed, not
     installed: ``env.advance`` feeds an installed tracker itself, and
@@ -240,6 +244,51 @@ def run_dynamic_episode(env, policy, greedy: bool = True, rng=None,
         if not env.advance(state):
             break
     return state, total_reward
+
+
+def rebuild_table(env, state, table=None):
+    """A dynamic state's candidate table built from scratch.
+
+    Every active worker's row is one anchored sweep, at its lock, over
+    the whole pool (``state.unselected``); a stranded worker (infeasible
+    own trip) keeps an empty row; the order is the active workers'.
+    Writes into ``table`` (a fresh one over the instance when None) and
+    returns it.
+    """
+    instance = env.instance
+    if table is None:
+        table = CandidateTable(env.planner, env.incentives, instance.workers,
+                               instance.sensing_tasks)
+    pool = table._cols(state.unselected.values())
+    table.mask[:] = False
+    table.pool[:] = False
+    table.pool[pool] = True
+    table.order = [table.row_of[w] for w in state.active_workers]
+    for worker_id in state.active_workers:
+        route = env._committed_route(state, worker_id)
+        if route is None:
+            continue
+        table.recompute_worker(
+            instance.worker(worker_id), None, pool,
+            state.assignments[worker_id].incentive, state.budget_rest,
+            route.tasks, state.locks[worker_id])
+    return table
+
+
+class RebuildDynamicEnv(DynamicSelectionEnv):
+    """The dynamic env with a from-scratch table rebuild at every epoch.
+
+    Expiries, locks and arrivals are the production env's; only the
+    epoch sweep is replaced, by :func:`rebuild_table` alone, so
+    ``repair_time`` times the rebuild and nothing else.
+    """
+
+    def _sweep_epoch(self, state, joined, arrivals):
+        for worker_id in joined:
+            worker = self.instance.worker(worker_id)
+            self.incentives.set_base_rtt(
+                worker, self.planner.base_route(worker).route_travel_time)
+        rebuild_table(self, state, state.candidates)
 
 
 class PerInstanceTrainer(TASNetTrainer):

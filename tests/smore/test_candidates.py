@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import IncentiveModel
-from repro.smore import CandidateTable
+from repro.datasets.dynamic import ArrivalSchedule, TaskArrival
+from repro.smore import CandidateTable, DynamicSelectionEnv
 from repro.tsptw import CachedPlanner, InsertionSolver, NearestNeighborSolver
 
 from .planes import (live_worker_ids, num_pairs, pair_route, pair_values,
@@ -406,10 +407,24 @@ class TestCapabilityMatrix:
                                    small_instance.budget,
                                    current_route_tasks=route_tasks,
                                    min_position=1)
-        with pytest.raises(TypeError):
-            table.add_tasks(tasks[:1], [(worker, route_tasks, 0.0, 0)],
-                            small_instance.budget)
         assert table.planner_calls == calls
+
+        # A streaming episode reaches the same refusal at its first
+        # arrival epoch: the epoch sweep passes no assigned tasks.
+        late = tasks[-1]
+        schedule = ArrivalSchedule(horizon=240.0, arrivals=tuple(
+            TaskArrival(t.task_id, 0.0, 240.0) for t in tasks[:-1])
+            + (TaskArrival(late.task_id, 1.0, 240.0),))
+        env = DynamicSelectionEnv(small_instance, make(), schedule)
+        state = env.reset()
+        while not state.candidates.empty:
+            row, col = np.argwhere(state.candidates.mask)[0]
+            env.step_state(state, state.candidates.workers[row].worker_id,
+                           int(state.candidates.task_ids[col]))
+        calls = state.candidates.planner_calls
+        with pytest.raises(TypeError):
+            env.advance(state)
+        assert state.candidates.planner_calls == calls
 
     def test_anchored_recompute_on_insertion_only_planner(self,
                                                           small_instance):
@@ -432,69 +447,3 @@ class TestCapabilityMatrix:
             if table.mask[row, col]:
                 assert table.pos[row, col] == result.pos >= 1
                 assert table.rtt[row, col] == result.route_travel_time
-
-
-class TestRepairOnLiveRows:
-    """Repair sweeps merged into rows that still hold pairs equal a fresh
-    anchored sweep.  (Within an episode the table has drained by the time
-    an epoch opens, so these paths see live rows only here.)"""
-
-    @staticmethod
-    def _row(table, worker_id):
-        r = table.row_of[worker_id]
-        live = table.mask[r]
-        return (live.tolist(), table.rtt[r][live].tolist(),
-                table.delta_incentive[r][live].tolist(),
-                table.pos[r][live].tolist())
-
-    def test_add_tasks_merges_into_live_rows(self, small_instance, planner):
-        tasks = list(small_instance.sensing_tasks)
-        budget = small_instance.budget
-        full = _table(planner, small_instance)
-        full.initialize(small_instance.workers, tasks, budget)
-        split = _table(planner, small_instance, full.incentives)
-        split.initialize(small_instance.workers, tasks[::2], budget)
-        states = [(w, planner.base_route(w).route.tasks, 0.0, 0)
-                  for w in small_instance.workers]
-        split.add_tasks(tasks[1::2], states, budget)
-        assert split.order == full.order
-        for worker in small_instance.workers:
-            assert self._row(split, worker.worker_id) \
-                == self._row(full, worker.worker_id)
-
-    @pytest.mark.parametrize("min_position", (1, 2))
-    def test_reanchor_equals_anchored_sweep(self, min_position):
-        from repro.datasets import InstanceOptions, generate_instances
-
-        instance = generate_instances(
-            "delivery", 1, seed=0,
-            options=InstanceOptions(task_density=0.05, num_workers=4))[0]
-        planner = InsertionSolver(speed=instance.speed)
-        tasks = list(instance.sensing_tasks)
-        resweeps = dropped = 0
-        for worker in instance.workers:
-            table = _table(planner, instance)
-            table.initialize(instance.workers, tasks, instance.budget)
-            r = table.row_of[worker.worker_id]
-            before = int(table.mask[r].sum())
-            stale = int((table.mask[r] & (table.pos[r] < min_position)).sum())
-            route_tasks = planner.base_route(worker).route.tasks
-            assert table.reanchor_worker(worker, route_tasks, 0.0,
-                                         instance.budget,
-                                         min_position) == stale
-            fresh = table.copy()
-            fresh.recompute_worker(worker, [], tasks, 0.0, instance.budget,
-                                   current_route_tasks=route_tasks,
-                                   min_position=min_position)
-            assert self._row(table, worker.worker_id) \
-                == self._row(fresh, worker.worker_id)
-            resweeps += stale
-            dropped += before - int(table.mask[r].sum())
-        # Some re-swept pairs survive at a later position, some are lost.
-        assert resweeps > dropped > 0
-
-    def test_expire_task_reports_presence(self, table):
-        _, task_id = _first_pair(table)
-        assert table.expire_task(task_id)
-        assert not table.mask[:, table.col_of[task_id]].any()
-        assert not table.expire_task(task_id)

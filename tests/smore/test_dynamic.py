@@ -1,10 +1,11 @@
 """Dynamic selection environment: streaming arrivals, expiries, locks.
 
 Covers the episode mechanics (accounting, termination, lock monotonicity,
-dead-on-arrival handling, late workers), the equivalence of repair and
-per-epoch rebuild at the episode level, the static-schedule degeneration
-to the classic solver, solve_dynamic's serial-vs-pool determinism, and
-its bit-identity with the per-state epoch loop of ``oracle.py``.
+dead-on-arrival handling, late workers, the drained-table precondition of
+``advance``), the equivalence of the epoch sweep and the per-epoch
+rebuild oracle at the episode level, the static-schedule degeneration to
+the classic solver, solve_dynamic's serial-vs-pool determinism, and its
+bit-identity with the per-state epoch loop of ``oracle.py``.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.smore import (
     DynamicSelectionEnv,
     GreedySelectionRule,
     RatioSelectionRule,
+    SelectionEnv,
     SMORESolver,
     TASNet,
     TASNetConfig,
@@ -31,7 +33,7 @@ from repro.smore import (
 from repro.tsptw import InsertionSolver
 from repro.tsptw.cache import CachedPlanner
 
-from .oracle import run_dynamic_episode
+from .oracle import RebuildDynamicEnv, run_dynamic_episode
 
 
 def _instance(seed=3, density=0.05, workers=4):
@@ -41,10 +43,9 @@ def _instance(seed=3, density=0.05, workers=4):
                                 num_workers=workers))[0]
 
 
-def _episode(instance, schedule, repair=True, **env_kwargs):
+def _episode(instance, schedule, env_cls=DynamicSelectionEnv, **env_kwargs):
     planner = CachedPlanner(InsertionSolver(speed=instance.speed))
-    env = DynamicSelectionEnv(instance, planner, schedule, repair=repair,
-                              **env_kwargs)
+    env = env_cls(instance, planner, schedule, **env_kwargs)
     state, reward = run_episode(env, GreedySelectionRule())[:2]
     return env, state, reward
 
@@ -140,6 +141,29 @@ def test_dead_on_arrival_is_rejected():
     assert not state.selected
 
 
+def test_advance_requires_a_drained_table():
+    """An epoch opens on a drained table only: a live pair could record an
+    insertion position before the new lock.  The static env has no
+    epochs and answers False whatever its table holds."""
+    instance = _instance()
+    schedule = poisson_arrivals(instance, np.random.default_rng(0),
+                                initial_fraction=0.5)
+    planner = CachedPlanner(InsertionSolver(speed=instance.speed))
+    env = DynamicSelectionEnv(instance, planner, schedule)
+    state = env.reset()
+    assert not state.candidates.empty
+    mask, events = state.candidates.mask.copy(), state.events
+    with pytest.raises(RuntimeError, match="drained"):
+        env.advance(state)
+    assert (state.candidates.mask == mask).all()
+    assert state.events == events and state.now == 0.0
+
+    static = SelectionEnv(instance, planner)
+    static_state = static.reset()
+    assert not static_state.candidates.empty
+    assert static.advance(static_state) is False
+
+
 def test_zero_pressure_schedule_matches_static_solver():
     """All tasks at t=0 with full windows: the dynamic episode's selection
     decisions are exactly the static solver's."""
@@ -161,20 +185,33 @@ def test_zero_pressure_schedule_matches_static_solver():
 
 
 # --------------------------------------------------------------------- #
-# Repair vs rebuild, late workers, solver surface
+# Epoch sweep vs rebuild oracle, late workers, solver surface
 # --------------------------------------------------------------------- #
+def _routes(state):
+    return {w: [t.task_id for t in r.tasks]
+            for w, r in state.assignments.routes().items()}
+
+
 @pytest.mark.parametrize("make_schedule", [poisson_arrivals, burst_arrivals])
 def test_repair_equals_rebuild_episode(make_schedule):
+    """The episode-level checks of the dynamic bench, at small scale: the
+    epoch sweep and the per-epoch rebuild give the bit-identical episode,
+    and the sweep plans strictly fewer pairs."""
     instance = _instance(seed=5)
     schedule = make_schedule(instance, np.random.default_rng(9),
                              initial_fraction=0.4)
-    _, repaired, _ = _episode(instance, schedule, repair=True)
-    _, rebuilt, _ = _episode(instance, schedule, repair=False)
-    assert repaired.phi() == rebuilt.phi()
-    assert [t.task_id for t in repaired.selected] == \
+    swept_env, swept, _ = _episode(instance, schedule)
+    rebuilt_env, rebuilt, _ = _episode(instance, schedule,
+                                       env_cls=RebuildDynamicEnv)
+    assert swept.phi() == rebuilt.phi()
+    assert [t.task_id for t in swept.selected] == \
         [t.task_id for t in rebuilt.selected]
-    assert repaired.rejected == rebuilt.rejected
-    assert repaired.events == rebuilt.events
+    assert swept.rejected == rebuilt.rejected
+    assert swept.events == rebuilt.events > 0
+    assert _routes(swept) == _routes(rebuilt)
+    assert swept.assignments.incentives() == rebuilt.assignments.incentives()
+    assert len(swept.selected) + len(swept.rejected) == swept.arrived
+    assert swept_env.perf.planner_calls < rebuilt_env.perf.planner_calls
 
 
 def test_late_worker_joins_and_contributes():
@@ -187,7 +224,7 @@ def test_late_worker_joins_and_contributes():
     # Before its arrival epoch the late worker holds no assignments made
     # at t=0; afterwards it participates normally.
     assert late in with_late.locks
-    _, rebuilt, _ = _episode(instance, schedule, repair=False,
+    _, rebuilt, _ = _episode(instance, schedule, env_cls=RebuildDynamicEnv,
                              worker_arrivals=late_at)
     assert with_late.phi() == rebuilt.phi()
     assert with_late.rejected == rebuilt.rejected
@@ -258,11 +295,11 @@ def _outcome(result):
             result.perf.planner_calls)
 
 
-def _oracle_outcome(solver, instance, schedule, repair, plan):
+def _oracle_outcome(solver, instance, schedule, env_cls, plan):
     """solve_dynamic's answer rebuilt from per-state oracle episodes: one
-    env, the rollouts of ``plan`` in order, the first best phi wins."""
-    env = DynamicSelectionEnv(instance, solver.planner, schedule,
-                              repair=repair)
+    ``env_cls`` env, the rollouts of ``plan`` in order, the first best phi
+    wins."""
+    env = env_cls(instance, solver.planner, schedule)
     best = None
     for use_greedy, seed in plan:
         rng = None if use_greedy else np.random.default_rng(seed)
@@ -284,6 +321,9 @@ def _oracle_outcome(solver, instance, schedule, repair, plan):
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_solve_dynamic_matches_oracle_loop(policy, repair, num_samples,
                                            workers):
+    """``repair``: the oracle loop runs the production epoch sweep (True)
+    or the per-epoch rebuild oracle (False), which gives the same answer
+    from more planner calls."""
     instance = _instance(seed=19, density=0.03)
     schedule = poisson_arrivals(instance, np.random.default_rng(8),
                                 initial_fraction=0.5, ttl=40.0)
@@ -291,12 +331,17 @@ def test_solve_dynamic_matches_oracle_loop(policy, repair, num_samples,
                          POLICIES[policy](instance))
     result = solver.solve_dynamic(
         instance, schedule, num_samples=num_samples, workers=workers,
-        repair=repair, rng=np.random.default_rng(123))
+        rng=np.random.default_rng(123))
     plan = solver._rollout_plan(True, np.random.default_rng(123),
                                 num_samples)
     assert len(plan) == num_samples
-    expected = _oracle_outcome(solver, instance, schedule, repair, plan)
-    assert _outcome(result) == expected
+    env_cls = DynamicSelectionEnv if repair else RebuildDynamicEnv
+    expected = _oracle_outcome(solver, instance, schedule, env_cls, plan)
+    if repair:
+        assert _outcome(result) == expected
+    else:
+        assert _outcome(result)[:-1] == expected[:-1]
+        assert _outcome(result)[-1] < expected[-1]
     assert result.events > 0 and result.rejected_ids
 
 

@@ -31,6 +31,8 @@ from repro.smore import (
 from repro.tsptw import GPNSolver, InsertionSolver, make_default_gpn
 from repro.tsptw.cache import CachedPlanner
 
+from .oracle import RebuildDynamicEnv, run_dynamic_episode
+
 GOLDEN = {
     "greedy-rule":
         "37a317d31c3d3e4c1f1fafe67285bfc8d7a1bda47a9aaca925b87a08e6c8e653",
@@ -97,15 +99,26 @@ def _digest(case: str) -> str:
     elif case.startswith("dynamic"):
         schedule = poisson_arrivals(instance, np.random.default_rng(4),
                                     initial_fraction=0.5, ttl=40.0)
-        late = instance.workers[-1].worker_id
-        result = SMORESolver(CachedPlanner(planner),
-                             RatioSelectionRule()).solve_dynamic(
-            instance, schedule, repair=case == "dynamic-late-worker",
-            worker_arrivals={late: 30.0})
-        assert result.rejected_ids and result.events > 0
-        solution = SimpleNamespace(routes=result.routes,
-                                   incentives=result.incentives,
-                                   objective=result.phi)
+        late = {instance.workers[-1].worker_id: 30.0}
+        if case == "dynamic-late-worker":
+            result = SMORESolver(CachedPlanner(planner),
+                                 RatioSelectionRule()).solve_dynamic(
+                instance, schedule, worker_arrivals=late)
+            routes, incentives, phi = (result.routes, result.incentives,
+                                       result.phi)
+            rejected, events = result.rejected_ids, result.events
+        else:
+            # The per-epoch rebuild oracle, decoded by the oracle loop.
+            env = RebuildDynamicEnv(instance, CachedPlanner(planner),
+                                    schedule, worker_arrivals=late)
+            state, _ = run_dynamic_episode(env, RatioSelectionRule())
+            routes, incentives, phi = (state.assignments.routes(),
+                                       state.assignments.incentives(),
+                                       state.phi())
+            rejected, events = state.rejected, state.events
+        assert rejected and events > 0
+        solution = SimpleNamespace(routes=routes, incentives=incentives,
+                                   objective=phi)
     elif case == "sharded-p2":
         solution = solve_sharded(SMORESolver(planner, GreedySelectionRule()),
                                  _instance(seed=3, workers=8), 2)
