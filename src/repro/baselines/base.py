@@ -31,7 +31,6 @@ class RouteBuilder:
         self.instance = instance
         self.speed = instance.speed
         base_planner = InsertionSolver(speed=instance.speed)
-        base_planner.bind_instance(instance)
         # Every distance below comes from the instance's shared packed
         # travel-distance matrix (identical floats to per-pair hypot).
         self._dist = packed_instance(instance).distance_between

@@ -112,6 +112,13 @@ class USMDWInstance:
                     f"sensing task {task.task_id} window ends after the "
                     f"project time span {self.coverage.time_span}")
 
+    def __getstate__(self):
+        """The problem without what is derived from it: the packed arrays
+        and planner bindings rebuild on first use, so they never travel
+        to pool workers."""
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_packed", "_bindings")}
+
     # ------------------------------------------------------------------ #
     @property
     def num_workers(self) -> int:

@@ -38,7 +38,6 @@ class PerfCounters:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_size: int = 0
-    cache_evictions: int = 0
     init_time: float = 0.0
     selection_time: float = 0.0
     rollouts: int = 0
@@ -63,7 +62,6 @@ class PerfCounters:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.cache_size = max(self.cache_size, other.cache_size)
-        self.cache_evictions += other.cache_evictions
         self.init_time += other.init_time
         self.selection_time += other.selection_time
         self.rollouts += other.rollouts
@@ -86,7 +84,6 @@ class PerfCounters:
             cache_hits=self.cache_hits - baseline.cache_hits,
             cache_misses=self.cache_misses - baseline.cache_misses,
             cache_size=self.cache_size,
-            cache_evictions=self.cache_evictions - baseline.cache_evictions,
             init_time=self.init_time - baseline.init_time,
             selection_time=self.selection_time - baseline.selection_time,
             rollouts=self.rollouts - baseline.rollouts,

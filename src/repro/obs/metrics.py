@@ -258,8 +258,7 @@ class Histogram:
 
 #: PerfCounters fields that are schedule-invariant -> ``counters``.
 PERF_COUNTER_NAMES = ("planner_calls", "init_planner_calls", "backend_calls",
-                      "cache_hits", "cache_misses", "cache_evictions",
-                      "rollouts")
+                      "cache_hits", "cache_misses", "rollouts")
 #: PerfCounters wall-clock fields -> ``timings``.
 PERF_TIMING_NAMES = ("init_time", "selection_time")
 #: PerfCounters fields merged by maximum -> ``gauges``.

@@ -11,7 +11,11 @@ candidate table is rebuilt from scratch (the O(W x S) init sweep).
 * a bounded LRU of :class:`~repro.smore.env.SelectionEnv` objects keyed
   by instance identity keeps **candidate-table snapshots** resident —
   a repeat request for a known instance restores its table by copy
-  instead of re-running the init sweep.
+  instead of re-running the init sweep — and, in the same entry, the
+  policy's **static encodings** of the instance.
+
+The planner's memo of an instance lives on the instance itself, so it
+outlasts an env eviction for as long as the caller keeps the instance.
 
 The engine is *not* thread-safe; the service drives it from a single
 dispatcher thread (see :mod:`repro.serve.service`).
@@ -24,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..smore.env import SelectionEnv
-from ..smore.policy import EpisodeStaticsCache
 from ..smore.solver import SMORESolver, SolveBatch
 
 __all__ = ["WarmEngine", "BatchReport"]
@@ -48,6 +51,36 @@ class BatchReport:
     statics_misses: int = 0
 
 
+@dataclass
+class _Resident:
+    """One LRU entry: an instance's env and, once encoded, its statics."""
+
+    env: SelectionEnv
+    statics: object = None
+
+
+class _ResidentStatics:
+    """The policy's statics seam (``get``/``put``) over the engine's LRU:
+    an instance's statics live in its entry and leave with its env.  The
+    entry's env holds the instance, so its ``id()`` key stays valid."""
+
+    def __init__(self, entries: OrderedDict):
+        self._entries = entries
+        self.hits = self.misses = 0
+
+    def get(self, instance):
+        entry = self._entries.get(id(instance))
+        statics = None if entry is None else entry.statics
+        self.hits += statics is not None
+        self.misses += statics is None
+        return statics
+
+    def put(self, instance, statics) -> None:
+        entry = self._entries.get(id(instance))
+        if entry is not None:
+            entry.statics = statics
+
+
 class WarmEngine:
     """Resident solver state shared by every request the service handles.
 
@@ -57,9 +90,10 @@ class WarmEngine:
         The :class:`~repro.smore.solver.SMORESolver` whose policy weights
         and planner stay resident.
     max_warm_instances:
-        Capacity of the per-instance env LRU.  Each entry holds one
-        :class:`SelectionEnv` (and thereby one candidate-table snapshot);
-        the least recently used entry is evicted past capacity.
+        Capacity of the per-instance LRU.  Each entry holds one
+        :class:`SelectionEnv` (and thereby one candidate-table snapshot)
+        and the policy's statics of its instance; the least recently used
+        entry is evicted past capacity.
     """
 
     def __init__(self, solver: SMORESolver,
@@ -69,17 +103,16 @@ class WarmEngine:
                 f"max_warm_instances must be >= 1, got {max_warm_instances}")
         self.solver = solver
         self.max_warm_instances = max_warm_instances
+        # id(instance) -> _Resident; the entry's env holds the instance.
+        self._envs: OrderedDict[int, _Resident] = OrderedDict()
         # Keep the static encoder pass resident too: serving weights are
         # frozen, so per-instance TASNet statics (travel-grid conv, task
         # encoder, pointer keys) stay valid across requests.  Policies
         # without the seam (selection rules, ablations) just skip it.
         self.statics_cache = None
         if hasattr(solver.policy, "statics_cache"):
-            self.statics_cache = EpisodeStaticsCache(max_warm_instances)
+            self.statics_cache = _ResidentStatics(self._envs)
             solver.policy.statics_cache = self.statics_cache
-        # id(instance) -> (instance, env).  The stored instance reference
-        # keeps the id stable for the lifetime of the entry.
-        self._envs: OrderedDict[int, tuple] = OrderedDict()
         self.env_hits = 0
         self.env_misses = 0
         self.env_evictions = 0
@@ -103,26 +136,15 @@ class WarmEngine:
             self.env_hits += 1
             if self._env_events is not None:
                 self._env_events.setdefault(key, "hit")
-            return entry[1]
+            return entry.env
         self.env_misses += 1
         if self._env_events is not None:
             self._env_events.setdefault(key, "miss")
         env = SelectionEnv(instance, self.solver.planner)
-        self._envs[key] = (instance, env)
+        self._envs[key] = _Resident(env)
         if len(self._envs) > self.max_warm_instances:
-            evicted_key, _ = self._envs.popitem(last=False)
+            self._envs.popitem(last=False)
             self.env_evictions += 1
-            if self.statics_cache is not None:
-                # Coupled eviction: both LRUs key by id(instance), and the
-                # entries pin the instance reference.  Dropping the env
-                # entry alone would leave the statics entry as the only
-                # pin — or, once the statics LRU churned it independently,
-                # free the id for reuse while this side still tracked it.
-                # Evicting the statics entry in the same breath keeps one
-                # invariant: statics are cached only for instances whose
-                # env is resident, so an id can never be recycled while
-                # either cache still maps it.
-                self.statics_cache.evict(evicted_key)
         return env
 
     @property
@@ -150,10 +172,8 @@ class WarmEngine:
         attribution: wall time, per-instance env hit/miss, and the
         statics-cache delta.  Returns ``(results, report)``.
         """
-        statics_before = (0, 0)
-        if self.statics_cache is not None:
-            statics_before = (self.statics_cache.hits,
-                              self.statics_cache.misses)
+        statics = self.statics_cache
+        before = (statics.hits, statics.misses) if statics else (0, 0)
         self._env_events = {}
         start = time.perf_counter()
         try:
@@ -162,10 +182,9 @@ class WarmEngine:
             events, self._env_events = self._env_events, None
         report = BatchReport(execute_s=time.perf_counter() - start,
                              env_events=events)
-        if self.statics_cache is not None:
-            report.statics_hits = self.statics_cache.hits - statics_before[0]
-            report.statics_misses = (self.statics_cache.misses
-                                     - statics_before[1])
+        if statics is not None:
+            report.statics_hits = statics.hits - before[0]
+            report.statics_misses = statics.misses - before[1]
         return results, report
 
     # ------------------------------------------------------------------ #

@@ -54,6 +54,7 @@ from ..core.route import WorkingRoute
 from ..core.solution import Solution
 from ..parallel import (PersistentPool, _shm_module, derive_seeds,
                         shared_arrays)
+from ..tsptw.base import bind
 from ..tsptw.insertion import InsertionSolver
 from ..tsptw.kernels import TaskBlock
 from .partition import partition_instance, sub_instance
@@ -251,8 +252,8 @@ def _solve_shard(job: _ShardJob):
     the worker's :func:`_repair_rows` row — its final order swept against
     the boundary tasks this shard left unserved, with the solve's own
     :class:`InsertionSolver` (configured like the planner
-    :func:`_boundary_repair` uses, so the floats match), whose base-route
-    memo already holds every worker's base route.  In a worker, the
+    :func:`_boundary_repair` uses, so the floats match) bound to the
+    shard, whose base-route memo already holds every worker's base route.  In a worker, the
     shard's packed arrays are attached zero-copy
     (:func:`repro.parallel.shared_arrays`); most boundary tasks lie
     outside that view, so every worker's route points x the boundary
@@ -280,8 +281,8 @@ def _solve_shard(job: _ShardJob):
         served = [t.task_id for route in solution.routes.values()
                   for t in route.sensing_tasks]
         unserved = np.flatnonzero(~np.isin(job.boundary.ids, served))
-        rows = _repair_rows(solver.planner, sub.workers, solution.routes,
-                            job.boundary, unserved)
+        rows = _repair_rows(bind(solver.planner, sub), sub.workers,
+                            solution.routes, job.boundary, unserved)
     return (solution.routes, solution.incentives, solution.perf,
             solution.objective, rows)
 

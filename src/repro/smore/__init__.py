@@ -35,7 +35,6 @@ from .env import SelectionEnv
 from .heuristics import coverage_incentive_ratio, soft_mask
 from .policy import (
     ActionRecord,
-    EpisodeStaticsCache,
     FlatSelectionNet,
     FlatSelectionPolicy,
     TASNetPolicy,
@@ -71,7 +70,6 @@ __all__ = [
     "TASNet", "TASNetConfig", "WorkerEncoder", "SensingTaskEncoder",
     "WorkerSelection", "TaskSelection",
     "TASNetPolicy", "FlatSelectionNet", "FlatSelectionPolicy", "ActionRecord",
-    "EpisodeStaticsCache",
     "worker_travel_grid", "sensing_task_features",
     "CriticNetwork", "critic_features",
     "SMORESolver", "SolveBatch", "GreedySelectionRule", "RatioSelectionRule",

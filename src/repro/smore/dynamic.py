@@ -35,6 +35,7 @@ property tests compare against at every epoch, across planner backends.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,9 @@ class DynamicSelectionState(SelectionState):
     in.  ``locks[w]`` is worker ``w``'s committed route position: the
     number of route stops already departed toward, below which no
     insertion may land.  ``epoch_selected``: ``len(selected)`` when the
-    current epoch opened.
+    current epoch opened.  ``finishes[w]`` is ``(route, departure, stop
+    finish times)`` of worker ``w``'s committed route, taken once per
+    route the first time a lock reads it.
     """
 
     now: float = 0.0
@@ -75,6 +78,7 @@ class DynamicSelectionState(SelectionState):
     arrived: int = 0
     events: int = 0
     epoch_selected: int = 0
+    finishes: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def done(self) -> bool:  # type: ignore[override]
@@ -187,19 +191,24 @@ class DynamicSelectionEnv(SelectionEnv):
         toward stop ``i`` when stop ``i - 1`` finishes; a stop en route
         cannot be preempted, so insertions land at positions >= the lock.
         A worker already bound for their destination gets
-        ``len(stops) + 1`` — no open positions at all.
+        ``len(stops) + 1`` — no open positions at all.  A route changes
+        only when its worker is selected, so its stop finish times (non-
+        decreasing along the route) are simulated once per route and the
+        lock is one binary search.
         """
         route = self._committed_route(state, worker_id)
         if route is None:
             return 0  # stranded: the row is empty, the lock is moot
-        timing = route.simulate()
-        if t < timing.departure:
+        kept = state.finishes.get(worker_id)
+        if kept is None or kept[0] is not route:
+            timing = route.simulate()
+            kept = state.finishes[worker_id] = (
+                route, timing.departure,
+                [stop.finish for stop in timing.stops])
+        _, departure, finish = kept
+        if t < departure:
             return 0
-        lock = 1
-        for stop in timing.stops:
-            if stop.finish <= t:
-                lock += 1
-        return lock
+        return 1 + bisect_right(finish, t)
 
     # ------------------------------------------------------------------ #
     def _next_event_time(self, state: DynamicSelectionState) -> float | None:

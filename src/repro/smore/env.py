@@ -28,7 +28,7 @@ from ..obs.profile import scope as profile_scope
 from ..core.incentive import IncentiveModel
 from ..core.instance import USMDWInstance
 from ..core.perf import PerfCounters
-from ..tsptw.base import RoutePlanner
+from ..tsptw.base import RoutePlanner, bind
 from .candidates import CandidateTable
 from .state import AssignmentState, SelectionState
 
@@ -47,19 +47,15 @@ class SelectionEnv:
 
     The initial candidate table is computed once and restored by copy on
     later resets — sound because it depends only on the (immutable)
-    instance and the planner.
+    instance and the planner.  :attr:`planner` is the planner bound to
+    the instance (:func:`~repro.tsptw.base.bind`): the instance's packed
+    arrays and memo tables, which live as long as the instance does.
     """
 
     def __init__(self, instance: USMDWInstance, planner: RoutePlanner):
         self.instance = instance
-        self.planner = planner
+        self.planner = bind(planner, instance)
         self.incentives = IncentiveModel(mu=instance.mu)
-        # Share the instance's packed arrays / travel-time matrix with the
-        # planner (kernel engines); a no-op for backends without the
-        # capability.
-        bind = getattr(planner, "bind_instance", None)
-        if bind is not None:
-            bind(instance)
         self.state: SelectionState | None = None
         self.perf = PerfCounters()
         self._snapshot: CandidateTable | None = None

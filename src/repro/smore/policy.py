@@ -13,7 +13,6 @@ pairs at once.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from ..core.packed import RaggedRows
 from .state import SelectionState
 from .tasnet import TASNet, TASNetConfig
 
-__all__ = ["ActionRecord", "EpisodeStaticsCache", "TASNetPolicy",
+__all__ = ["ActionRecord", "TASNetPolicy",
            "FlatSelectionNet", "FlatSelectionPolicy", "worker_travel_grid",
            "sensing_task_features"]
 
@@ -82,7 +81,7 @@ class _InstanceStatics:
 
     Depends only on the instance and the network parameters, so a warm
     serving engine can keep it resident across requests
-    (:class:`EpisodeStaticsCache`).
+    (:attr:`TASNetPolicy.statics_cache`).
     """
 
     worker_emb: nn.Tensor        # (n_w, d)
@@ -92,76 +91,6 @@ class _InstanceStatics:
     worker_ids: list[int]
     task_index: dict[int, int]
     task_rows: np.ndarray        # (n_s,) embedding row of each table column
-
-
-class EpisodeStaticsCache:
-    """Bounded LRU of per-instance static encodings, keyed by identity.
-
-    The static encoder pass (worker travel-grid conv + sensing-task
-    encoder + pointer-key projection) depends only on the instance and
-    the network weights, so a serving engine with *frozen* weights can
-    reuse it across every request for the same instance object.  Entries
-    pin the instance reference, keeping identity keys valid while
-    cached.
-
-    The cache is only sound while the network's parameters do not
-    change: any weight update must :meth:`clear` it (training paths
-    never install one).  Cached tensors are typically produced under
-    ``nn.no_grad()`` — reusing them in a gradient context would detach
-    the encoders from the graph, another reason this is a serving-only
-    fast path.
-    """
-
-    def __init__(self, max_instances: int = 64):
-        if max_instances < 1:
-            raise ValueError(
-                f"max_instances must be >= 1, got {max_instances}")
-        self.max_instances = max_instances
-        self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, instance) -> _InstanceStatics | None:
-        entry = self._entries.get(id(instance))
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(id(instance))
-        self.hits += 1
-        return entry[1]
-
-    def put(self, instance, statics: _InstanceStatics) -> None:
-        self._entries[id(instance)] = (instance, statics)
-        if len(self._entries) > self.max_instances:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def evict(self, instance_or_id) -> bool:
-        """Drop one instance's entry; accepts the instance or its ``id()``.
-
-        The id form lets a sibling cache evict in lock-step *after* its
-        own entry (and possibly the last strong reference) is gone —
-        exactly when re-deriving ``id(instance)`` is no longer possible.
-        Returns whether an entry was present.
-        """
-        key = (instance_or_id if isinstance(instance_or_id, int)
-               else id(instance_or_id))
-        if self._entries.pop(key, None) is not None:
-            self.evictions += 1
-            return True
-        return False
-
-    def __contains__(self, instance_or_id) -> bool:
-        key = (instance_or_id if isinstance(instance_or_id, int)
-               else id(instance_or_id))
-        return key in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -241,10 +170,13 @@ class TASNetPolicy:
 
     def __init__(self, net: TASNet):
         self.net = net
-        #: Optional :class:`EpisodeStaticsCache` installed by a serving
-        #: engine with frozen weights; None (default) re-encodes per
-        #: episode, which training requires.
-        self.statics_cache: EpisodeStaticsCache | None = None
+        #: Optional store with ``get(instance)`` (the statics or None) and
+        #: ``put(instance, statics)``, installed by a serving engine with
+        #: frozen weights (:class:`~repro.serve.WarmEngine`); None
+        #: (default) re-encodes per episode, which training requires:
+        #: cached statics are only sound while the weights do not change,
+        #: and they are produced under ``nn.no_grad()``.
+        self.statics_cache = None
         # Per-run decode state: the begin_episodes statics and the
         # assigned-embedding bank of _assigned_bank_rows.
         self.end_episodes()

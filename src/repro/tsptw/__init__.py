@@ -12,9 +12,12 @@ All backends share the :class:`~repro.tsptw.base.RoutePlanner` protocol:
   RL (lower: window satisfaction; upper: + length penalty), the solver the
   paper uses.
 * :class:`CachedPlanner` — memoisation wrapper for any backend.
+
+Per-instance state (packed arrays, memo tables) lives in a planner's
+binding to the instance, :func:`bind`, which the instance keeps.
 """
 
-from .base import PlannerBase, RoutePlanner, RouteResult, combined_tasks
+from .base import PlannerBase, RoutePlanner, RouteResult, bind, combined_tasks
 from .cache import CachedPlanner
 from .exact import ExactDPSolver
 from .gpn import DecodeResult, GPNModel, GPNScale, GPNSolver, HierarchicalGPN
@@ -33,7 +36,7 @@ from .kernels import RoutePack, pack_route, sweep_insertions
 from .nearest import NearestNeighborSolver, nearest_neighbor_order
 
 __all__ = [
-    "RoutePlanner", "PlannerBase", "RouteResult", "combined_tasks",
+    "RoutePlanner", "PlannerBase", "RouteResult", "combined_tasks", "bind",
     "ExactDPSolver", "InsertionSolver", "InsertionSweep",
     "cheapest_insertion_position",
     "NearestNeighborSolver", "nearest_neighbor_order", "CachedPlanner",

@@ -29,7 +29,8 @@ from ..core.entities import SensingTask, TravelTask, Worker
 from ..core.geometry import DEFAULT_SPEED
 from ..core.route import RouteTiming, WorkingRoute
 
-__all__ = ["RouteResult", "RoutePlanner", "combined_tasks"]
+__all__ = ["RouteResult", "RoutePlanner", "combined_tasks", "bind",
+           "instance_binding"]
 
 Task = TravelTask | SensingTask
 
@@ -75,6 +76,33 @@ def combined_tasks(worker: Worker,
                    sensing_tasks: Sequence[SensingTask]) -> list[Task]:
     """The full task set a working route must visit."""
     return list(worker.travel_tasks) + list(sensing_tasks)
+
+
+def bind(planner, instance):
+    """``planner`` bound to ``instance``: ``planner.bind_instance``'s
+    answer for backends that keep per-instance state (packed arrays, memo
+    tables), an object with the planner's methods; else the planner."""
+    bind_instance = getattr(planner, "bind_instance", None)
+    return planner if bind_instance is None else bind_instance(instance)
+
+
+def instance_binding(instance, planner, build):
+    """``planner``'s binding kept on ``instance``, from ``build()`` on
+    first use.
+
+    Bindings sit in the instance's ``_bindings`` dict keyed by the planner
+    object, as :func:`~repro.core.packed.packed_instance` keeps the packed
+    arrays, so a binding lives as long as its instance (and keeps its
+    planner alive that long).  Pickled instances leave them behind.
+    """
+    bindings = instance.__dict__.get("_bindings")
+    if bindings is None:
+        bindings = {}
+        object.__setattr__(instance, "_bindings", bindings)
+    binding = bindings.get(planner)
+    if binding is None:
+        binding = bindings[planner] = build()
+    return binding
 
 
 class RoutePlanner(Protocol):

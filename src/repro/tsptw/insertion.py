@@ -13,7 +13,7 @@ with segment length 1) while feasibility holds.
 Batched candidate checks (:meth:`InsertionSolver.plan_insertions_many`)
 run one vectorized :func:`repro.tsptw.kernels.sweep_insertions` over a
 :class:`~repro.tsptw.kernels.TaskBlock` of the candidate tasks, reading
-distances from the packed matrix of a bound instance
+distances from the packed matrix of the instance the solver is bound to
 (:meth:`InsertionSolver.bind_instance`) where route and tasks are in it,
 scoring every (position, task) lane at once, and answer with arrays
 (:class:`InsertionSweep`) rather than one result object per task.
@@ -30,7 +30,6 @@ suite keeps as the planner oracle.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,22 +40,16 @@ from ..core.packed import packed_instance
 from ..core.route import WorkingRoute, simulate_route
 from ..obs.profile import scope as profile_scope
 from . import kernels
-from .base import PlannerBase, RouteResult, combined_tasks
+from .base import PlannerBase, RouteResult, combined_tasks, instance_binding
 from .kernels import TaskBlock
 
-__all__ = ["InsertionSolver", "InsertionSweep", "cheapest_insertion_position"]
+__all__ = ["InsertionSolver", "BoundInsertionSolver", "InsertionSweep",
+           "cheapest_insertion_position"]
 
 #: Batch size at which ``plan_insertions_many`` switches from looped
 #: scalar scans to the vectorized sweep (numpy per-op overhead dominates
 #: below this).
 _SWEEP_MIN_TASKS = 4
-
-#: How many distinct bound instances a solver retains (LRU).  Multi-
-#: instance decoding binds every instance in a batch up front and then
-#: interleaves planner calls across them; eviction only drops a worker's
-#: fast path (packed arrays, base-route memo) — never substitutes another
-#: instance's arrays — so an undersized cap costs speed, not correctness.
-_MAX_BOUND_INSTANCES = 64
 
 DistFn = Callable[[Location, Location], float]
 
@@ -269,64 +262,21 @@ class InsertionSolver(PlannerBase):
         self.speed = speed
         self.improvement_rounds = improvement_rounds
         self.use_two_opt = use_two_opt
-        self._packed = None
-        # id(packed) -> packed, LRU-ordered; bounds how many instances'
-        # bindings a long-lived solver retains.
-        self._bound: OrderedDict[int, object] = OrderedDict()
-        # id(worker) -> (worker, packed).  Holding the worker keeps its id
-        # stable for the entry's lifetime; worker ids alone are NOT unique
-        # across instances, so every per-worker table is identity-keyed.
-        self._worker_pack: dict[int, tuple[Worker, object]] = {}
-        self._base_cache: dict[int, RouteResult] = {}
 
-    # ------------------------------------------------------------------ #
-    def bind_instance(self, instance) -> None:
-        """Share the instance's packed arrays / travel-distance matrix.
+    def bind_instance(self, instance) -> "BoundInsertionSolver":
+        """The solver's binding to ``instance`` (kept on the instance).
 
         Kernels work unbound too (they compute a route's distances from
-        coordinates on every call), but a bound solver reuses one lazily
-        built distance matrix across every planner call — and, through
-        copy-on-write ``fork``, across pool children.  Binding also
-        enables the per-worker base-route memo: ``plan(worker, [])`` is a
-        pure function of the (immutable) bound instance, and candidate
-        sweeps re-request it every initialisation.
-
-        A solver may be bound to several instances at once (multi-instance
-        decoding interleaves planner calls across a batch of environments
-        sharing one solver); each call resolves its packed arrays through
-        the *worker's* instance, so bindings never bleed across instances.
+        coordinates on every call), but a binding reuses the instance's
+        lazily built distance matrix across every planner call — and,
+        through copy-on-write ``fork``, across pool children — and memoises
+        each worker's base route: ``plan(worker, [])`` is a pure function
+        of the (immutable) instance, and candidate sweeps re-request it
+        every initialisation.  Each instance has its own binding, so
+        worker ids, which restart in every instance, never collide.
         """
-        packed = packed_instance(instance)
-        key = id(packed)
-        if key in self._bound:
-            self._bound.move_to_end(key)
-        else:
-            self._bound[key] = packed
-            for w in instance.workers:
-                self._worker_pack[id(w)] = (w, packed)
-            while len(self._bound) > _MAX_BOUND_INSTANCES:
-                _, evicted = self._bound.popitem(last=False)
-                stale = [wid for wid, (_, p) in self._worker_pack.items()
-                         if p is evicted]
-                for wid in stale:
-                    del self._worker_pack[wid]
-                    self._base_cache.pop(wid, None)
-        self._packed = packed
-
-    def _packed_for(self, worker: Worker):
-        """The bound packed arrays of the worker's own instance, or None."""
-        entry = self._worker_pack.get(id(worker))
-        return entry[1] if entry is not None else None
-
-    def base_route(self, worker: Worker) -> RouteResult:
-        wid = id(worker)
-        if wid not in self._worker_pack:
-            return self.plan(worker, [])
-        result = self._base_cache.get(wid)
-        if result is None:
-            result = self.plan(worker, [])
-            self._base_cache[wid] = result
-        return result
+        return instance_binding(instance, self,
+                                lambda: BoundInsertionSolver(self, instance))
 
     def _cheapest(self, worker: Worker, tasks: list, new_task,
                   min_position: int = 0) -> tuple[int, float] | None:
@@ -412,8 +362,8 @@ class InsertionSolver(PlannerBase):
 
     def plan_insertions_many(self, worker: Worker, base_tasks: Sequence,
                              new_tasks, min_position: int = 0,
-                             dist: np.ndarray | None = None
-                             ) -> InsertionSweep:
+                             dist: np.ndarray | None = None,
+                             packed=None) -> InsertionSweep:
         """Check many single-task insertions into one base order.
 
         The batched entry point behind ``CandidateTable``'s init/recompute
@@ -423,9 +373,10 @@ class InsertionSolver(PlannerBase):
         sensing tasks.  ``min_position`` restricts every lane to positions
         at or past a worker's committed mid-route position; ``dist``
         optionally supplies the sweep's route-point x task distances
-        (:func:`~repro.tsptw.kernels.sweep_insertions`).  The answer is
-        arrays (:class:`InsertionSweep`); no per-task result object is
-        built.
+        (:func:`~repro.tsptw.kernels.sweep_insertions`); ``packed`` is the
+        worker's instance's packed view, which a binding passes.  The
+        answer is arrays (:class:`InsertionSweep`); no per-task result
+        object is built.
         """
         if not isinstance(new_tasks, TaskBlock):
             new_tasks = list(new_tasks)
@@ -440,8 +391,7 @@ class InsertionSolver(PlannerBase):
                     pos[i], rtt[i] = best
         else:
             with profile_scope("kernel.insertion_sweep"):
-                pack = kernels.pack_route(worker, base, self.speed,
-                                          self._packed_for(worker))
+                pack = kernels.pack_route(worker, base, self.speed, packed)
                 block = new_tasks if isinstance(new_tasks, TaskBlock) \
                     else TaskBlock.from_tasks(new_tasks)
                 pos, rtt = kernels.sweep_insertions(
@@ -499,3 +449,43 @@ class InsertionSolver(PlannerBase):
             if not improved:
                 break
         return current
+
+
+class BoundInsertionSolver:
+    """An :class:`InsertionSolver` bound to one instance.
+
+    Holds the instance's packed arrays, which batched sweeps read, and the
+    base-route memo keyed by ``worker_id``; every plan is the solver's
+    own, so answers equal the unbound solver's bit for bit.  Workers
+    passed in must belong to the instance.
+    """
+
+    def __init__(self, solver: InsertionSolver, instance):
+        self.solver = solver
+        self.speed = solver.speed
+        self.packed = packed_instance(instance)
+        self._base_routes: dict[int, RouteResult] = {}
+
+    def base_route(self, worker: Worker) -> RouteResult:
+        result = self._base_routes.get(worker.worker_id)
+        if result is None:
+            result = self._base_routes[worker.worker_id] = \
+                self.solver.plan(worker, [])
+        return result
+
+    def plan(self, worker: Worker,
+             sensing_tasks: Sequence[SensingTask]) -> RouteResult:
+        return self.solver.plan(worker, sensing_tasks)
+
+    def plan_with_insertion(self, worker: Worker, base_tasks: Sequence,
+                            new_task, min_position: int = 0) -> RouteResult:
+        return self.solver.plan_with_insertion(worker, base_tasks, new_task,
+                                               min_position=min_position)
+
+    def plan_insertions_many(self, worker: Worker, base_tasks: Sequence,
+                             new_tasks, min_position: int = 0,
+                             dist: np.ndarray | None = None
+                             ) -> InsertionSweep:
+        return self.solver.plan_insertions_many(
+            worker, base_tasks, new_tasks, min_position=min_position,
+            dist=dist, packed=self.packed)

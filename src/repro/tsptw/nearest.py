@@ -16,7 +16,7 @@ from ..core.geometry import DEFAULT_SPEED, Location, euclidean
 from ..core.packed import packed_instance
 from ..core.route import WorkingRoute
 from . import kernels
-from .base import PlannerBase, RouteResult, combined_tasks
+from .base import PlannerBase, RouteResult, combined_tasks, instance_binding
 
 __all__ = ["NearestNeighborSolver", "nearest_neighbor_order"]
 
@@ -46,20 +46,36 @@ class NearestNeighborSolver(PlannerBase):
 
     def __init__(self, speed: float = DEFAULT_SPEED):
         self.speed = speed
-        self._packed = None
 
-    def bind_instance(self, instance) -> None:
-        """Reuse the instance's packed travel-distance matrix."""
-        self._packed = packed_instance(instance)
+    def bind_instance(self, instance) -> "BoundNearestNeighborSolver":
+        """The solver's binding to ``instance``: plans read the instance's
+        packed travel-distance matrix."""
+        return instance_binding(
+            instance, self,
+            lambda: BoundNearestNeighborSolver(self, packed_instance(instance)))
 
-    def plan(self, worker: Worker,
-             sensing_tasks: Sequence[SensingTask]) -> RouteResult:
+    def plan(self, worker: Worker, sensing_tasks: Sequence[SensingTask],
+             packed=None) -> RouteResult:
         tasks = combined_tasks(worker, sensing_tasks)
         ordered = None
-        if self._packed is not None:
+        if packed is not None:
             ordered = kernels.nearest_neighbor_order_packed(
-                worker, tasks, self._packed)
+                worker, tasks, packed)
         if ordered is None:
             ordered = nearest_neighbor_order(worker, tasks)
         route = WorkingRoute(worker, tuple(ordered), speed=self.speed)
         return RouteResult.from_route(route)
+
+
+class BoundNearestNeighborSolver(PlannerBase):
+    """A :class:`NearestNeighborSolver` bound to one instance's packed
+    arrays: the same orders, from the shared distance matrix."""
+
+    def __init__(self, solver: NearestNeighborSolver, packed):
+        self.solver = solver
+        self.speed = solver.speed
+        self.packed = packed
+
+    def plan(self, worker: Worker,
+             sensing_tasks: Sequence[SensingTask]) -> RouteResult:
+        return self.solver.plan(worker, sensing_tasks, packed=self.packed)

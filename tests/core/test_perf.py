@@ -8,7 +8,7 @@ from repro.core.perf import PerfCounters
 def _sample():
     return PerfCounters(planner_calls=10, init_planner_calls=4,
                         backend_calls=3, cache_hits=6, cache_misses=4,
-                        cache_size=5, cache_evictions=1, init_time=0.5,
+                        cache_size=5, init_time=0.5,
                         selection_time=1.5, rollouts=2)
 
 

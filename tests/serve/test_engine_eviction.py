@@ -1,12 +1,9 @@
-"""Coupled eviction of the env LRU and the episode-statics cache.
+"""One LRU for the env and the episode statics of an instance.
 
-Both caches key by ``id(instance)`` and pin the instance reference.  If
-the env LRU dropped its entry alone, the statics cache could hold the
-only pin — or, once it churned the entry independently, the id could be
-recycled by a new instance while the other side still mapped the stale
-key.  The engine therefore evicts the statics entry in the same breath,
-keeping one invariant: statics are cached only for instances whose env
-is resident.
+The engine keeps an instance's env and its policy statics in one LRU
+entry, so evicting the entry drops both: statics are resident iff the
+instance's env is, through any churn — including a new instance that
+reuses a dead one's ``id()``.
 """
 
 import numpy as np
@@ -40,38 +37,43 @@ def _solve(engine, instance):
     return engine.execute(batch)
 
 
-def _resident_ids(engine):
-    return set(engine._envs)
+def _resident(engine):
+    """Resident instances, by identity."""
+    return {id(entry.env.instance) for entry in engine._envs.values()}
 
 
-def _statics_ids(engine):
-    return set(engine.statics_cache._entries)
+def _with_statics(engine):
+    return {id(entry.env.instance) for entry in engine._envs.values()
+            if entry.statics is not None}
 
 
 class TestCoupledEviction:
     def test_env_eviction_drops_statics_entry(self, instances):
         engine = _engine(instances, max_warm_instances=1)
         _solve(engine, instances[0])
-        assert instances[0] in engine.statics_cache
+        assert _with_statics(engine) == {id(instances[0])}
         _solve(engine, instances[1])          # evicts instances[0]'s env
         assert engine.env_evictions == 1
-        assert instances[0] not in engine.statics_cache
-        assert instances[1] in engine.statics_cache
+        assert _with_statics(engine) == {id(instances[1])}
+        # Back again: a fresh entry, so the statics are re-encoded.
+        misses = engine.statics_cache.misses
+        _solve(engine, instances[0])
+        assert engine.statics_cache.misses == misses + 1
 
     def test_statics_resident_only_with_env(self, instances):
-        """The invariant itself: statics keys are always a subset of the
-        resident-env keys, through arbitrary churn."""
+        """The invariant itself: statics are resident iff the env is,
+        through arbitrary churn."""
         engine = _engine(instances, max_warm_instances=2)
         for instance in list(instances) + list(instances[::-1]):
             _solve(engine, instance)
-            assert _statics_ids(engine) <= _resident_ids(engine)
+            assert _with_statics(engine) == _resident(engine)
+            assert len(engine._envs) <= 2
 
     def test_id_reuse_cannot_alias_statics(self, instances):
         """Churn with max_warm_instances=1 while recycling instance
         objects: a freshly generated instance may reuse a dead object's
-        id; the coupled eviction guarantees the statics cache never holds
-        an entry under a key the env LRU no longer tracks, so the reused
-        id can only ever map the new instance's statics."""
+        id, but the dead instance's statics left with its entry, so every
+        new instance is encoded afresh."""
         engine = _engine(instances, max_warm_instances=1)
         opts = InstanceOptions(task_density=0.03, budget=120.0)
         for seed in range(6):
@@ -81,14 +83,8 @@ class TestCoupledEviction:
             churn = generate_instances("delivery", 1, seed=10 + seed,
                                        options=opts)[0]
             _solve(engine, churn)
-            assert _statics_ids(engine) == _resident_ids(engine) == {id(churn)}
+            assert _with_statics(engine) == _resident(engine) \
+                == {id(churn)}
         assert engine.env_evictions == 5
-        # Each coupled eviction also dropped the statics entry.
-        assert engine.statics_cache.evictions >= 5
-
-    def test_evict_reports_presence(self, instances):
-        engine = _engine(instances, max_warm_instances=2)
-        _solve(engine, instances[0])
-        assert engine.statics_cache.evict(instances[0]) is True
-        assert engine.statics_cache.evict(instances[0]) is False
-        assert engine.statics_cache.evict(id(instances[1])) is False
+        assert engine.statics_cache.hits == 0
+        assert engine.statics_cache.misses == 6

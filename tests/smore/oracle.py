@@ -279,8 +279,10 @@ class RebuildDynamicEnv(DynamicSelectionEnv):
     """The dynamic env with a from-scratch table rebuild at every epoch.
 
     Expiries, locks and arrivals are the production env's; only the
-    epoch sweep is replaced, by :func:`rebuild_table` alone, so
-    ``repair_time`` times the rebuild and nothing else.
+    epoch sweep is replaced, by :func:`rebuild_table`.  ``repair_time``
+    times all of ``advance`` on both envs — expiries, lock updates,
+    arrivals and the rebuild here, the sweep there — so a per-event
+    ratio compares whole epochs.
     """
 
     def _sweep_epoch(self, state, joined, arrivals):

@@ -6,7 +6,8 @@ import pytest
 from repro.core import IncentiveModel
 from repro.datasets.dynamic import ArrivalSchedule, TaskArrival
 from repro.smore import CandidateTable, DynamicSelectionEnv
-from repro.tsptw import CachedPlanner, InsertionSolver, NearestNeighborSolver
+from repro.tsptw import (CachedPlanner, InsertionSolver,
+                         NearestNeighborSolver, bind)
 
 from .planes import (live_worker_ids, num_pairs, pair_route, pair_values,
                      row_task_ids)
@@ -358,7 +359,7 @@ class TestCapabilityMatrix:
 
     @pytest.mark.parametrize("make, direct", PLANNERS)
     def test_rows_match_direct_calls(self, small_instance, make, direct):
-        planner = make()
+        planner = bind(make(), small_instance)
         incentives = IncentiveModel(mu=small_instance.mu)
         table = _table(planner, small_instance, incentives)
         tasks = list(small_instance.sensing_tasks)

@@ -84,8 +84,7 @@ def test_candidate_init_parity_generated_instance():
         options=InstanceOptions(task_density=0.15))[0]
     tables = []
     for planner_cls in (InsertionSolver, ObjectInsertionSolver):
-        planner = planner_cls(speed=instance.speed)
-        planner.bind_instance(instance)
+        planner = planner_cls(speed=instance.speed).bind_instance(instance)
         table = CandidateTable(planner, IncentiveModel(mu=instance.mu),
                                instance.workers, instance.sensing_tasks)
         table.initialize(instance.workers, instance.sensing_tasks,

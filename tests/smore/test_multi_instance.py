@@ -221,17 +221,15 @@ class TestSharedPlannerBindings:
         """Binding B instances on one solver must not cross their
         packed arrays or base-route memos (worker ids collide)."""
         shared = InsertionSolver()
-        for inst in instances:
-            shared.bind_instance(inst)
+        bound = [shared.bind_instance(inst) for inst in instances]
         interleaved = {}
-        for inst in instances:
+        for inst, binding in zip(instances, bound):
             for worker in inst.workers:
-                result = shared.base_route(worker)
+                result = binding.base_route(worker)
                 interleaved[id(worker)] = (
                     result.feasible, result.route_travel_time)
         for inst in instances:
-            fresh = InsertionSolver()
-            fresh.bind_instance(inst)
+            fresh = InsertionSolver().bind_instance(inst)
             for worker in inst.workers:
                 result = fresh.base_route(worker)
                 assert interleaved[id(worker)] == (
@@ -239,16 +237,14 @@ class TestSharedPlannerBindings:
 
     def test_insertion_sweeps_use_the_workers_own_instance(self, instances):
         shared = InsertionSolver()
-        for inst in instances:
-            shared.bind_instance(inst)
+        bound = [shared.bind_instance(inst) for inst in instances]
         # Interleave batched sweeps across instances; compare against a
         # fresh solver bound to only the worker's instance.
-        for inst in instances:
-            fresh = InsertionSolver()
-            fresh.bind_instance(inst)
+        for inst, binding in zip(instances, bound):
+            fresh = InsertionSolver().bind_instance(inst)
             for worker in inst.workers:
                 tasks = inst.sensing_tasks[:6]
-                got = shared.plan_insertions_many(worker, [], tasks)
+                got = binding.plan_insertions_many(worker, [], tasks)
                 want = fresh.plan_insertions_many(worker, [], tasks)
                 for g, w in zip(got, want):
                     assert g.feasible == w.feasible
@@ -260,10 +256,44 @@ class TestSharedPlannerBindings:
         first, second = instances[0], instances[1]
         w0, w1 = first.workers[0], second.workers[0]
         assert w0.worker_id == w1.worker_id  # ids DO collide
-        r0 = cached.plan(w0, [])
-        r1 = cached.plan(w1, [])
+        r0 = cached.bind_instance(first).plan(w0, [])
+        r1 = cached.bind_instance(second).plan(w1, [])
         assert r0.route.worker is w0
         assert r1.route.worker is w1
+        assert cached.misses == 2
+
+    def test_same_worker_ids_different_tasks_keep_their_answers(self):
+        """Two instances whose workers are the same but whose tasks
+        differ: the second instance's sweep must not be answered from
+        the first's memo, although every key but the instance matches."""
+        first = generate_instances(
+            "delivery", 1, seed=21,
+            options=InstanceOptions(task_density=0.05))[0]
+        moved = tuple(
+            type(t)(t.task_id, type(t.location)(
+                first.coverage.grid.region.width - t.location.x,
+                t.location.y), t.tw_start, t.tw_end, t.service_time)
+            for t in first.sensing_tasks)
+        second = type(first)(first.workers, moved, first.budget, first.mu,
+                             first.coverage, first.speed, "moved")
+        cached = CachedPlanner(InsertionSolver())
+        direct = InsertionSolver()
+        answers = []
+        for inst in (first, second):
+            memo = cached.bind_instance(inst)
+            for worker in inst.workers:
+                base = direct.base_route(worker).route.tasks
+                got = memo.plan_insertions_many(worker, base,
+                                                inst.sensing_tasks)
+                want = direct.plan_insertions_many(worker, base,
+                                                   inst.sensing_tasks)
+                assert got.pos.tobytes() == want.pos.tobytes()
+                assert got.rtt.tobytes() == want.rtt.tobytes()
+                answers.append(got.rtt)
+        assert cached.hits == 0
+        half = len(first.workers)
+        assert any((a != b).any()
+                   for a, b in zip(answers[:half], answers[half:]))
 
 
 # --------------------------------------------------------------------- #

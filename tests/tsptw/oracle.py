@@ -21,7 +21,8 @@ class ObjectInsertionSolver(InsertionSolver):
         return super()._route_result(worker, tasks, pos=pos)
 
     def plan_insertions_many(self, worker, base_tasks, new_tasks,
-                             min_position=0):
+                             min_position=0, dist=None, packed=None):
+        # The object path reads neither distances nor packed arrays.
         return [self.plan_with_insertion(worker, base_tasks, task,
                                          min_position=min_position)
                 for task in new_tasks]

@@ -83,8 +83,7 @@ def _bound_pair(worker, sensing, bind):
     if bind:
         instance = SimpleNamespace(workers=(worker,),
                                    sensing_tasks=tuple(sensing))
-        on.bind_instance(instance)
-        off.bind_instance(instance)
+        on, off = on.bind_instance(instance), off.bind_instance(instance)
     return on, off
 
 
@@ -177,10 +176,12 @@ def test_cached_sweep_mixing_hits_and_misses_returns_identical_arrays():
         rng, worker, sensing, _ = _scenario(seed, max_sensing=12)
         direct = InsertionSolver(speed=SPEED)
         cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        memo = cached.bind_instance(
+            SimpleNamespace(workers=(worker,), sensing_tasks=tuple(sensing)))
         base = _route_order(rng, worker, [])
         warm = sensing[::2]
-        cached.plan_insertions_many(worker, base, warm)
-        mixed = cached.plan_insertions_many(worker, base, sensing)
+        memo.plan_insertions_many(worker, base, warm)
+        mixed = memo.plan_insertions_many(worker, base, sensing)
         assert cached.hits == len(warm)
         assert cached.misses == len(sensing)
         want = direct.plan_insertions_many(worker, base, sensing)

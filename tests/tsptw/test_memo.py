@@ -4,8 +4,12 @@ Random sweep sequences — permuted bases, sensing ids equal to travel-task
 ids, anchored ``min_position`` values, task-block and list inputs,
 duplicate ids, single insertions and empty sweeps — run through both
 memos over one backend.  Every answer must agree bitwise, and the hit,
-miss, backend-call and eviction counts exactly, with and without a bound.
+miss and backend-call counts exactly, also while instances are replaced
+and their memos dropped.
 """
+
+import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from repro.tsptw.kernels import TaskBlock
 from .conftest import SPEED, random_sensing, random_worker
 from .memo_oracle import PerTaskCachedPlanner
 
-COUNTERS = ("hits", "misses", "backend_calls", "evictions")
+COUNTERS = ("hits", "misses", "backend_calls")
 
 
 def _world(rng):
@@ -57,6 +61,7 @@ def _sweep(planner, call):
 
 
 def _calls(seed, count=60):
+    """``(worker index, call)`` pairs."""
     rng = np.random.default_rng(seed)
     workers, pool, orders = _world(rng)
     calls = []
@@ -70,50 +75,65 @@ def _calls(seed, count=60):
                 else "block" if rng.random() < 0.5 else "list")
         min_position = int(rng.integers(0, len(base) + 2)) \
             if rng.random() < 0.4 else 0
-        calls.append((kind, workers[w], base, tasks, min_position))
+        calls.append((w, (kind, workers[w], base, tasks, min_position)))
     return calls
 
 
-@pytest.mark.parametrize("max_size", [None, 1, 3])
+def _instance(worker):
+    """A minimal instance of one worker (the world's workers share an
+    id, so each lives in an instance of its own)."""
+    return SimpleNamespace(workers=(worker,), sensing_tasks=())
+
+
+@pytest.mark.parametrize("renew", [None, 1, 3])
 @pytest.mark.parametrize("seed", range(12))
-def test_array_memo_matches_per_task_oracle(seed, max_size):
-    memo = CachedPlanner(InsertionSolver(speed=SPEED), max_size=max_size)
-    oracle = PerTaskCachedPlanner(InsertionSolver(speed=SPEED),
-                                  max_size=max_size)
-    for call in _calls(seed):
-        pos, rtt = _sweep(memo, call)
-        want_pos, want_rtt = _sweep(oracle, call)
+def test_array_memo_matches_per_task_oracle(seed, renew):
+    """With ``renew`` set, every ``renew``-th call first replaces its
+    worker's instance by a fresh one, whose memos start empty: both memos
+    must lose their entries with the instance they belong to."""
+    memo = CachedPlanner(InsertionSolver(speed=SPEED))
+    oracle = PerTaskCachedPlanner(InsertionSolver(speed=SPEED))
+    instances = {}
+    for k, (w, call) in enumerate(_calls(seed)):
+        if w not in instances or (renew and k % renew == 0):
+            instances[w] = _instance(call[1])
+        pos, rtt = _sweep(memo.bind_instance(instances[w]), call)
+        want_pos, want_rtt = _sweep(oracle.bind_instance(instances[w]), call)
         assert pos.dtype == want_pos.dtype
         assert pos.tobytes() == want_pos.tobytes()
         assert rtt.tobytes() == want_rtt.tobytes()
         assert [getattr(memo, c) for c in COUNTERS] \
             == [getattr(oracle, c) for c in COUNTERS]
-    if max_size is not None:
-        assert len(memo._sweeps) <= max_size
+        assert memo.stats().cache_size == sum(len(m) for m in memo._memos)
     assert memo.stats().cache_hits == oracle.hits
+    del instances
+    gc.collect()
+    assert memo.stats().cache_size == 0
 
 
 def test_empty_sweep_neither_calls_nor_stores(simple_worker):
     memo = CachedPlanner(InsertionSolver(speed=SPEED))
+    bound = memo.bind_instance(_instance(simple_worker))
     for empty in ([], TaskBlock.from_tasks([])):
-        sweep = memo.plan_insertions_many(
+        sweep = bound.plan_insertions_many(
             simple_worker, list(simple_worker.travel_tasks), empty)
         assert len(sweep) == 0 and sweep.pos.dtype == np.intp
     assert (memo.hits, memo.misses, memo.backend_calls) == (0, 0, 0)
-    assert not memo._sweeps
+    assert not bound._sweeps
 
 
 def test_one_entry_per_swept_route(simple_worker):
     """Sweeps on one route share one entry; the entry holds each task
     once, in ascending id order."""
     memo = CachedPlanner(InsertionSolver(speed=SPEED))
+    bound = memo.bind_instance(_instance(simple_worker))
     tasks = [SensingTask(i, Location(100 * i, 0), 0.0, 240.0, 5.0)
              for i in (5, 2, 9, 2)]
     base = list(simple_worker.travel_tasks)
-    memo.plan_insertions_many(simple_worker, base, tasks[:2])
-    memo.plan_insertions_many(simple_worker, base, tasks)
-    memo.plan_with_insertion(simple_worker, base, tasks[2])
-    (_, ids, pos, rtt), = memo._sweeps.values()
+    bound.plan_insertions_many(simple_worker, base, tasks[:2])
+    bound.plan_insertions_many(simple_worker, base, tasks)
+    bound.plan_with_insertion(simple_worker, base, tasks[2])
+    (ids, pos, rtt), = bound._sweeps.values()
     assert ids.tolist() == [2, 5, 9]
     assert len(pos) == len(rtt) == 3
     assert (memo.hits, memo.misses, memo.backend_calls) == (4, 3, 2)

@@ -95,25 +95,26 @@ def _assert_same_answer(mine, theirs):
 def test_cached_planner_keys_anchors_separately():
     instance, worker, solver, base = _setup(seed=5)
     cached = CachedPlanner(InsertionSolver(speed=instance.speed))
+    memo = cached.bind_instance(instance)
     base_tasks = list(base.route.tasks)
     task = next(s for s in instance.sensing_tasks
                 if solver.plan_with_insertion(worker, base_tasks,
                                               s).feasible)
-    free = cached.plan_with_insertion(worker, base_tasks, task)
+    free = memo.plan_with_insertion(worker, base_tasks, task)
     hits_before = cached.hits
-    again = cached.plan_with_insertion(worker, base_tasks, task)
+    again = memo.plan_with_insertion(worker, base_tasks, task)
     assert cached.hits == hits_before + 1
     _assert_same_answer(again, free)
     # A different anchor is a different plan: must miss, may differ.
-    anchored = cached.plan_with_insertion(worker, base_tasks, task,
-                                          min_position=1)
+    anchored = memo.plan_with_insertion(worker, base_tasks, task,
+                                        min_position=1)
     assert cached.hits == hits_before + 1
     if anchored.feasible and getattr(anchored, "pos", None) is not None:
         assert anchored.pos >= 1
     # Batched anchored sweeps share the same keyed table.
     misses_before = cached.misses
-    results = cached.plan_insertions_many(worker, base_tasks, [task],
-                                          min_position=1)
+    results = memo.plan_insertions_many(worker, base_tasks, [task],
+                                        min_position=1)
     assert cached.misses == misses_before
     _assert_same_answer(results[0], anchored)
 

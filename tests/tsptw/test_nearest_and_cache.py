@@ -1,4 +1,13 @@
-"""Tests for the Nearest Neighbour solver and the memoising wrapper."""
+"""Tests for the Nearest Neighbour solver and the memoising wrapper.
+
+The memo is per instance: ``CachedPlanner.bind_instance`` answers with an
+instance's memo.  :func:`_memo` binds the workers under test to a minimal
+instance of their own.
+"""
+
+import gc
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +21,13 @@ from repro.tsptw import (
 )
 
 from .conftest import SPEED
+
+
+def _memo(cached, *workers, tasks=()):
+    """``cached``'s memo for an instance holding ``workers`` and
+    ``tasks``."""
+    return cached.bind_instance(
+        SimpleNamespace(workers=workers, sensing_tasks=tuple(tasks)))
 
 
 def _assert_same(mine, theirs):
@@ -66,35 +82,41 @@ class TestCachedPlanner:
         return CachedPlanner(InsertionSolver(speed=SPEED))
 
     def test_hit_on_repeat(self, cached, simple_worker):
+        memo = _memo(cached, simple_worker)
         sensing = SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0)
-        first = cached.plan(simple_worker, [sensing])
-        second = cached.plan(simple_worker, [sensing])
+        first = memo.plan(simple_worker, [sensing])
+        second = memo.plan(simple_worker, [sensing])
         assert second is first
         assert cached.hits == 1
         assert cached.misses == 1
 
     def test_key_order_insensitive(self, cached, simple_worker):
+        memo = _memo(cached, simple_worker)
         a = SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0)
         b = SensingTask(2, Location(200, 0), 0.0, 240.0, 5.0)
-        cached.plan(simple_worker, [a, b])
-        cached.plan(simple_worker, [b, a])
+        memo.plan(simple_worker, [a, b])
+        memo.plan(simple_worker, [b, a])
         assert cached.hits == 1
 
     def test_different_workers_not_conflated(self, cached, simple_worker):
         other = Worker(2, Location(0, 0), Location(600, 0), 0.0, 240.0, ())
-        cached.plan(simple_worker, [])
-        cached.plan(other, [])
+        memo = _memo(cached, simple_worker, other)
+        memo.plan(simple_worker, [])
+        memo.plan(other, [])
         assert cached.misses == 2
 
     def test_base_route_goes_through_cache(self, cached, simple_worker):
-        cached.base_route(simple_worker)
-        cached.base_route(simple_worker)
+        memo = _memo(cached, simple_worker)
+        memo.base_route(simple_worker)
+        memo.base_route(simple_worker)
         assert cached.hits == 1
 
     def test_clear(self, cached, simple_worker):
-        cached.plan(simple_worker, [])
+        memo = _memo(cached, simple_worker)
+        memo.plan(simple_worker, [])
         cached.clear()
-        assert len(cached) == 0
+        assert len(memo) == 0
+        assert cached.stats().cache_size == 0
         assert cached.hits == 0
 
     def test_speed_mirrors_inner(self):
@@ -102,9 +124,10 @@ class TestCachedPlanner:
         assert CachedPlanner(inner).speed == 42.0
 
     def test_stats_snapshot(self, cached, simple_worker):
+        memo = _memo(cached, simple_worker)
         sensing = SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0)
-        cached.plan(simple_worker, [sensing])
-        cached.plan(simple_worker, [sensing])
+        memo.plan(simple_worker, [sensing])
+        memo.plan(simple_worker, [sensing])
         stats = cached.stats()
         assert stats.cache_hits == 1
         assert stats.cache_misses == 1
@@ -114,10 +137,43 @@ class TestCachedPlanner:
         assert stats.cache_hit_rate == 0.5
 
     def test_clear_resets_backend_calls(self, cached, simple_worker):
-        cached.plan(simple_worker, [])
+        _memo(cached, simple_worker).plan(simple_worker, [])
         cached.clear()
         assert cached.backend_calls == 0
         assert cached.stats().backend_calls == 0
+
+
+class TestMemoLifetime:
+    """A memo belongs to its instance: one per instance, dropped with it."""
+
+    def test_one_memo_per_instance_and_planner(self, simple_worker):
+        cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        owner = SimpleNamespace(workers=(simple_worker,), sensing_tasks=())
+        memo = cached.bind_instance(owner)
+        assert cached.bind_instance(owner) is memo
+        other = CachedPlanner(InsertionSolver(speed=SPEED))
+        assert other.bind_instance(owner) is not memo
+
+    def test_memo_dies_with_its_instance(self, simple_worker):
+        cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        memo = _memo(cached, simple_worker)
+        memo.plan(simple_worker, [])
+        assert cached.stats().cache_size == 1
+        del memo
+        gc.collect()
+        assert cached.stats().cache_size == 0
+        # The counters are the planner's and outlive the memo.
+        assert cached.misses == 1
+
+    def test_pickled_planner_keeps_counts_not_memos(self, simple_worker):
+        cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        memo = _memo(cached, simple_worker)
+        memo.plan(simple_worker, [])
+        copy = pickle.loads(pickle.dumps(cached))
+        assert (copy.misses, copy.stats().cache_size) == (1, 0)
+        _memo(copy, simple_worker).plan(simple_worker, [])
+        assert (copy.misses, copy.stats().cache_size) == (2, 1)
+        assert cached.stats().cache_size == 1
 
 
 class TestInsertionCacheKey:
@@ -140,9 +196,10 @@ class TestInsertionCacheKey:
 
     def test_permuted_base_order_misses(self, cached, simple_worker):
         a, b, new = self._tasks()
+        memo = _memo(cached, simple_worker)
         direct = InsertionSolver(speed=SPEED)
-        cached.plan_with_insertion(simple_worker, [a, b], new)
-        second = cached.plan_with_insertion(simple_worker, [b, a], new)
+        memo.plan_with_insertion(simple_worker, [a, b], new)
+        second = memo.plan_with_insertion(simple_worker, [b, a], new)
         assert cached.hits == 0
         assert cached.misses == 2
         assert cached.backend_calls == 2
@@ -159,6 +216,7 @@ class TestInsertionCacheKey:
         worker = instance.workers[0]
         direct = InsertionSolver()
         cached = CachedPlanner(InsertionSolver())
+        memo = cached.bind_instance(instance)
         a, b, query = (instance.sensing_task(i) for i in (0, 10, 1))
 
         def insert(order, task):
@@ -171,37 +229,63 @@ class TestInsertionCacheKey:
         want_a = direct.plan_with_insertion(worker, order_a, query)
         want_b = direct.plan_with_insertion(worker, order_b, query)
         assert want_a.route_travel_time != want_b.route_travel_time
-        _assert_same(cached.plan_with_insertion(worker, order_a, query),
+        _assert_same(memo.plan_with_insertion(worker, order_a, query),
                      want_a)
-        _assert_same(cached.plan_with_insertion(worker, order_b, query),
+        _assert_same(memo.plan_with_insertion(worker, order_b, query),
                      want_b)
-        swept = cached.plan_insertions_many(worker, order_b, [query])
+        swept = memo.plan_insertions_many(worker, order_b, [query])
         _assert_same(swept[0], want_b)
         assert cached.hits == 1
 
     def test_travel_and_sensing_ids_do_not_collide(self, cached,
                                                    simple_worker):
+        memo = _memo(cached, simple_worker)
         travel_id = simple_worker.travel_tasks[0].task_id
         twin = SensingTask(travel_id, Location(300, 0), 0.0, 240.0, 5.0)
         _, _, new = self._tasks()
-        cached.plan_with_insertion(simple_worker,
-                                   [simple_worker.travel_tasks[0]], new)
-        cached.plan_with_insertion(simple_worker, [twin], new)
+        memo.plan_with_insertion(simple_worker,
+                                 [simple_worker.travel_tasks[0]], new)
+        memo.plan_with_insertion(simple_worker, [twin], new)
         assert cached.hits == 0
         assert cached.misses == 2
 
     def test_different_new_task_still_misses(self, cached, simple_worker):
+        memo = _memo(cached, simple_worker)
         a, b, _ = self._tasks()
         other = SensingTask(4, Location(900, 0), 0.0, 240.0, 5.0)
-        cached.plan_with_insertion(simple_worker, [a, b], a)
-        cached.plan_with_insertion(simple_worker, [a, b], other)
+        memo.plan_with_insertion(simple_worker, [a, b], a)
+        memo.plan_with_insertion(simple_worker, [a, b], other)
         assert cached.misses == 2
 
     def test_different_base_set_still_misses(self, cached, simple_worker):
+        memo = _memo(cached, simple_worker)
         a, b, new = self._tasks()
-        cached.plan_with_insertion(simple_worker, [a], new)
-        cached.plan_with_insertion(simple_worker, [a, b], new)
+        memo.plan_with_insertion(simple_worker, [a], new)
+        memo.plan_with_insertion(simple_worker, [a, b], new)
         assert cached.misses == 2
+
+
+class BatchBackend:
+    """Minimal plan_many backend (like the GPN solver); records the task
+    sets each batched call receives."""
+
+    def __init__(self):
+        self.inner = NearestNeighborSolver(speed=SPEED)
+        self.speed = self.inner.speed
+        self.batch_calls = 0
+        self.seen_batches = []
+
+    def plan(self, worker, sensing_tasks):
+        return self.inner.plan(worker, sensing_tasks)
+
+    def base_route(self, worker):
+        return self.inner.base_route(worker)
+
+    def plan_many(self, worker, task_sets):
+        self.batch_calls += 1
+        self.seen_batches.append(
+            [tuple(t.task_id for t in tasks) for tasks in task_sets])
+        return [self.inner.plan(worker, tasks) for tasks in task_sets]
 
 
 class TestBackendCallAccounting:
@@ -212,30 +296,15 @@ class TestBackendCallAccounting:
     every miss in the request.
     """
 
-    class BatchBackend:
-        def __init__(self):
-            self.inner = NearestNeighborSolver(speed=SPEED)
-            self.speed = self.inner.speed
-            self.batch_calls = 0
-
-        def plan(self, worker, sensing_tasks):
-            return self.inner.plan(worker, sensing_tasks)
-
-        def base_route(self, worker):
-            return self.inner.base_route(worker)
-
-        def plan_many(self, worker, task_sets):
-            self.batch_calls += 1
-            return [self.inner.plan(worker, tasks) for tasks in task_sets]
-
     def _task_sets(self, n):
         return [[SensingTask(i, Location(100 * i, 0), 0.0, 240.0, 5.0)]
                 for i in range(1, n + 1)]
 
     def test_batched_misses_count_one_backend_call(self, simple_worker):
-        backend = self.BatchBackend()
+        backend = BatchBackend()
         cached = CachedPlanner(backend)
-        cached.plan_many(simple_worker, self._task_sets(5))
+        _memo(cached, simple_worker).plan_many(simple_worker,
+                                               self._task_sets(5))
         stats = cached.stats()
         assert stats.cache_misses == 5
         assert stats.planner_calls == 5       # logical plans computed
@@ -243,62 +312,26 @@ class TestBackendCallAccounting:
         assert stats.backend_calls == backend.batch_calls
 
     def test_fully_cached_batch_adds_no_backend_call(self, simple_worker):
-        backend = self.BatchBackend()
+        backend = BatchBackend()
         cached = CachedPlanner(backend)
+        memo = _memo(cached, simple_worker)
         sets = self._task_sets(3)
-        cached.plan_many(simple_worker, sets)
-        cached.plan_many(simple_worker, sets)
+        memo.plan_many(simple_worker, sets)
+        memo.plan_many(simple_worker, sets)
         assert cached.backend_calls == 1
         assert backend.batch_calls == 1
 
     def test_unbatched_plan_counts_one_per_miss(self, simple_worker):
         cached = CachedPlanner(InsertionSolver(speed=SPEED))
+        memo = _memo(cached, simple_worker)
         for tasks in self._task_sets(3):
-            cached.plan(simple_worker, tasks)
+            memo.plan(simple_worker, tasks)
         assert cached.backend_calls == 3
         assert cached.stats().backend_calls == 3
 
 
-class TestCachedPlannerLRU:
-    def _tasks(self, n):
-        return [SensingTask(i, Location(100 * i, 0), 0.0, 240.0, 5.0)
-                for i in range(1, n + 1)]
-
-    def test_bounded_cache_evicts_lru(self, simple_worker):
-        cached = CachedPlanner(InsertionSolver(speed=SPEED), max_size=2)
-        a, b, c = self._tasks(3)
-        cached.plan(simple_worker, [a])
-        cached.plan(simple_worker, [b])
-        cached.plan(simple_worker, [c])  # evicts [a]
-        assert len(cached) == 2
-        assert cached.evictions == 1
-        cached.plan(simple_worker, [a])  # miss: was evicted
-        assert cached.misses == 4
-
-    def test_recently_used_survives(self, simple_worker):
-        cached = CachedPlanner(InsertionSolver(speed=SPEED), max_size=2)
-        a, b, c = self._tasks(3)
-        cached.plan(simple_worker, [a])
-        cached.plan(simple_worker, [b])
-        cached.plan(simple_worker, [a])  # refresh [a]; [b] is now LRU
-        cached.plan(simple_worker, [c])  # evicts [b]
-        cached.plan(simple_worker, [a])
-        assert cached.hits == 2
-
-    def test_invalid_max_size_rejected(self):
-        with pytest.raises(ValueError):
-            CachedPlanner(InsertionSolver(speed=SPEED), max_size=0)
-
-    def test_unbounded_by_default(self, simple_worker):
-        cached = CachedPlanner(InsertionSolver(speed=SPEED))
-        for task in self._tasks(5):
-            cached.plan(simple_worker, [task])
-        assert len(cached) == 5
-        assert cached.evictions == 0
-
-
 class TestFeatureDetection:
-    """The wrapper must mirror the backend's optional-protocol surface.
+    """A memo mirrors its backend's optional protocol.
 
     The old implementation set ``plan_with_insertion = None`` on the
     instance, which made ``hasattr`` return True for backends without
@@ -306,71 +339,37 @@ class TestFeatureDetection:
     path in the candidate table for wrapped RL backends.
     """
 
-    def test_insertion_exposed_when_backend_has_it(self):
+    def test_insertion_exposed_when_backend_has_it(self, simple_worker):
         cached = CachedPlanner(InsertionSolver(speed=SPEED))
-        assert getattr(cached, "plan_with_insertion", None) is not None
+        memo = _memo(cached, simple_worker)
+        assert getattr(memo, "plan_with_insertion", None) is not None
 
-    def test_insertion_absent_when_backend_lacks_it(self):
+    def test_insertion_absent_when_backend_lacks_it(self, simple_worker):
         cached = CachedPlanner(NearestNeighborSolver(speed=SPEED))
-        assert not hasattr(cached, "plan_with_insertion")
-        assert getattr(cached, "plan_with_insertion", None) is None
+        for planner in (cached, _memo(cached, simple_worker)):
+            assert not hasattr(planner, "plan_with_insertion")
+            assert getattr(planner, "plan_with_insertion", None) is None
 
     def test_plan_many_delegated_and_memoised(self, simple_worker):
-        class BatchBackend:
-            """Minimal plan_many-only backend (like the GPN solver)."""
-
-            def __init__(self):
-                self.inner = NearestNeighborSolver(speed=SPEED)
-                self.speed = self.inner.speed
-                self.batch_calls = 0
-
-            def plan(self, worker, sensing_tasks):
-                return self.inner.plan(worker, sensing_tasks)
-
-            def base_route(self, worker):
-                return self.inner.base_route(worker)
-
-            def plan_many(self, worker, task_sets):
-                self.batch_calls += 1
-                return [self.inner.plan(worker, tasks)
-                        for tasks in task_sets]
-
         backend = BatchBackend()
         cached = CachedPlanner(backend)
-        assert getattr(cached, "plan_many", None) is not None
+        memo = _memo(cached, simple_worker)
+        assert getattr(memo, "plan_many", None) is not None
         a = SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0)
         b = SensingTask(2, Location(200, 0), 0.0, 240.0, 5.0)
-        first = cached.plan_many(simple_worker, [[a], [b]])
-        second = cached.plan_many(simple_worker, [[a], [b]])
+        first = memo.plan_many(simple_worker, [[a], [b]])
+        second = memo.plan_many(simple_worker, [[a], [b]])
         assert backend.batch_calls == 1  # second call fully cached
         assert cached.hits == 2
         assert [r is s for r, s in zip(first, second)] == [True, True]
 
     def test_plan_many_partial_miss(self, simple_worker):
-        class BatchBackend:
-            def __init__(self):
-                self.inner = NearestNeighborSolver(speed=SPEED)
-                self.speed = self.inner.speed
-                self.seen_batches = []
-
-            def plan(self, worker, sensing_tasks):
-                return self.inner.plan(worker, sensing_tasks)
-
-            def base_route(self, worker):
-                return self.inner.base_route(worker)
-
-            def plan_many(self, worker, task_sets):
-                self.seen_batches.append(
-                    [tuple(t.task_id for t in tasks) for tasks in task_sets])
-                return [self.inner.plan(worker, tasks)
-                        for tasks in task_sets]
-
         backend = BatchBackend()
-        cached = CachedPlanner(backend)
+        memo = _memo(CachedPlanner(backend), simple_worker)
         a = SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0)
         b = SensingTask(2, Location(200, 0), 0.0, 240.0, 5.0)
-        cached.plan_many(simple_worker, [[a]])
-        cached.plan_many(simple_worker, [[a], [b]])
+        memo.plan_many(simple_worker, [[a]])
+        memo.plan_many(simple_worker, [[a], [b]])
         # Only the uncached set reaches the backend on the second call.
         assert backend.seen_batches == [[(1,)], [(2,)]]
 
@@ -379,28 +378,11 @@ class TestFeatureDetection:
         from repro.core import IncentiveModel
         from repro.smore import CandidateTable
 
-        class BatchBackend:
-            def __init__(self):
-                self.inner = NearestNeighborSolver(speed=SPEED)
-                self.speed = self.inner.speed
-                self.batch_calls = 0
-
-            def plan(self, worker, sensing_tasks):
-                return self.inner.plan(worker, sensing_tasks)
-
-            def base_route(self, worker):
-                return self.inner.base_route(worker)
-
-            def plan_many(self, worker, task_sets):
-                self.batch_calls += 1
-                return [self.inner.plan(worker, tasks)
-                        for tasks in task_sets]
-
         backend = BatchBackend()
-        cached = CachedPlanner(backend)
         tasks = [SensingTask(1, Location(600, 0), 0.0, 240.0, 5.0),
                  SensingTask(2, Location(200, 0), 0.0, 240.0, 5.0)]
-        table = CandidateTable(cached, IncentiveModel(mu=1.0),
+        memo = _memo(CachedPlanner(backend), simple_worker, tasks=tasks)
+        table = CandidateTable(memo, IncentiveModel(mu=1.0),
                                [simple_worker], tasks)
         table.initialize([simple_worker], tasks, budget_rest=1000.0)
         # The batched path fired exactly once for the worker's task sweep;
